@@ -45,9 +45,9 @@ from .constructions import (
     trace_of,
 )
 from .weights import (
-    EnumerationInfeasible,
     RxCounts,
     WeightFrame,
+    block_subset_count,
     candidate_count,
     claim3_bound,
     family_weight_identity,

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .core import ExactScalar
 from .weights import (
     WeightFrame,
+    block_subset_count,
     candidate_count,
     claim3_bound,
     weight_value,
@@ -50,11 +50,7 @@ class AuditReport:
 
 def make_report(claim_id, params, lhs, rhs, cmp, witness=None, note="") -> AuditReport:
     passed = _CMP[cmp](lhs, rhs)
-    if passed and witness is None:
-        w = None
-    else:
-        w = witness
-    return AuditReport(claim_id, dict(params), lhs, rhs, cmp, passed, w, note)
+    return AuditReport(claim_id, dict(params), lhs, rhs, cmp, passed, witness, note)
 
 
 class ParameterWindowError(ValueError):
@@ -131,11 +127,13 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
     return reports
 
 
+def _local_frame(k: int) -> WeightFrame:
+    return WeightFrame((k + 1) * k, k, k)  # local universe depends only on k
+
+
 def audit_claim3(k: int) -> list[AuditReport]:
-    """Candidate counts against C(k,c) k^(2d-c)/(d-c)!, by full enumeration."""
-    if not 3 <= k <= 5:
-        raise ValueError("enumeration supported for 3 <= k <= 5")
-    frame = WeightFrame((k + 1) * k, k, k)  # local universe depends only on k
+    """Candidate counts against C(k,c) k^(2d-c)/(d-c)!, in closed form."""
+    frame = _local_frame(k)
     reports = []
     for c in range(1, k + 1):
         for d in range(c, k + 1):
@@ -182,21 +180,6 @@ def audit_claim4(k: int, s: int, n: int) -> list[AuditReport]:
         )
     )
     return reports
-
-
-def _r_shape_envelope_count(k: int) -> int:
-    """Brute-force count of size-(k-1), width-(k-2) local subsets meeting
-    the distinguished set."""
-    u = k * k + k - 1
-    labels = [i // k + 1 for i in range(k * k)] + [0] * (k - 1)
-    count = 0
-    for combo in combinations(range(u), k - 1):
-        labs = [labels[i] for i in combo]
-        if 0 not in labs:
-            continue
-        if len(set(labs) - {0}) == k - 2:
-            count += 1
-    return count
 
 
 def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
@@ -266,18 +249,22 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
         )
     )
 
-    # envelope for r_{k-1}: brute-force count vs (k-1)^2 k^(k-1) / 2
-    if k <= 5:
-        reports.append(
-            make_report(
-                "lemma:r_count_envelope",
-                {"k": k},
-                _r_shape_envelope_count(k),
-                Fraction((k - 1) ** 2 * k ** (k - 1), 2),
-                "<=",
-                note="envelope",
-            )
+    # envelope for r_{k-1}: size-(k-1), width-(k-2) local subsets meeting the
+    # distinguished set (all of them minus those inside the blocks) vs
+    # (k-1)^2 k^(k-1) / 2
+    r_count = candidate_count(k - 2, k - 1, _local_frame(k)) - block_subset_count(
+        k, k - 2, k - 1
+    )
+    reports.append(
+        make_report(
+            "lemma:r_count_envelope",
+            {"k": k},
+            r_count,
+            Fraction((k - 1) ** 2 * k ** (k - 1), 2),
+            "<=",
+            note="envelope",
         )
+    )
 
     # final threshold: (1+2/k) k^(k+6) eps / (6 s^2) < k^(k-1)
     reports.append(
@@ -297,8 +284,7 @@ def audit_all(k: int, s: int, n: int) -> list[AuditReport]:
     require_window(k, s, n)
     reports = []
     reports.extend(audit_claim2(k, s, n))
-    if k <= 5:
-        reports.extend(audit_claim3(k))
+    reports.extend(audit_claim3(k))
     reports.extend(audit_claim4(k, s, n))
     reports.extend(audit_numeric_lemmas(k, s))
     ok = product_inequality_check(k)

@@ -24,6 +24,7 @@ from .core import Family, KSet
 from .matching import BudgetExceeded
 from .shifting import shift_to_fixpoint
 from .transversals import (
+    BAD_PAIR_MAX_K,
     all_cyclic_collections,
     all_shift_collections,
     bad_pair_stats,
@@ -312,6 +313,8 @@ def _cmd_transversal(args) -> int:
         if args.check == "all"
         else [args.check]
     )
+    if "badpairs" in checks and args.k > BAD_PAIR_MAX_K:
+        raise ValueError(f"--check badpairs supports k <= {BAD_PAIR_MAX_K}, got k={args.k}")
     reports = _transversal_reports(args.k, checks, args.seed)
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1

@@ -16,6 +16,9 @@ from typing import Iterator, Optional, Sequence
 from .core import KSet
 from .weights import WeightFrame, _mask_of
 
+# largest k whose bad-pair statistics are enumerated exhaustively
+BAD_PAIR_MAX_K = 5
+
 
 @dataclass(frozen=True)
 class CyclicShift:
@@ -201,7 +204,7 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
         raise ValueError("frame and k disagree")
     if k < 3:
         raise ValueError("need k >= 3")
-    if k > 5:
+    if k > BAD_PAIR_MAX_K:
         raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
     _, blocks = _local_layout(frame)
     bmasks = [_mask_of(b) for b in blocks]

@@ -15,20 +15,12 @@ arguments need that level.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Optional
 
 from .core import ExactScalar, Family, KSet, binom
 from .constructions import prefix_size, trace_of
-
-ENUMERATION_CAP = 5_000_000
-
-
-class EnumerationInfeasible(RuntimeError):
-    """An exact enumeration would exceed the configured subset cap."""
-
 
 class WeightFrame:
     """Parameters plus a prefix partition and a selected index set M.
@@ -266,37 +258,32 @@ def wA_of_M(frame: WeightFrame) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
-def _candidate_counts(k: int, d: int) -> dict[int, int]:
-    """Exact counts, by width c, of all size-d subsets of the local universe.
+def block_subset_count(k: int, c: int, m: int) -> int:
+    """Number of m-subsets of the k selected blocks that meet exactly c of them.
 
-    The local universe has k^2 + k - 1 elements: k blocks of size k plus the
-    distinguished (k-1)-set (label 0).  Counts depend only on k and d.
+    Choose the c blocks, then count the m-subsets of their union that meet
+    each of them by inclusion-exclusion over the blocks left empty.
     """
-    u = k * k + k - 1
-    if binom(u, d) > ENUMERATION_CAP:
-        raise EnumerationInfeasible(
-            f"C({u},{d}) = {binom(u, d)} subsets exceeds cap {ENUMERATION_CAP}"
-        )
-    labels = [i // k + 1 for i in range(k * k)] + [0] * (k - 1)
-    counts: dict[int, int] = {}
-    for combo in combinations(range(u), d):
-        c = len({labels[i] for i in combo} - {0})
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+    return binom(k, c) * sum(
+        (-1) ** i * binom(c, i) * binom((c - i) * k, m) for i in range(c + 1)
+    )
 
 
 def candidate_count(c: int, d: int, frame: WeightFrame) -> int:
-    """Brute-force count of local-universe subsets with width c and size d.
+    """Number of local-universe subsets with width c and size d, in closed form.
 
-    This is an upper envelope for the corresponding per-family counts.
+    The local universe is k blocks of size k plus the distinguished
+    (k-1)-set, which adds no width: a subset takes j elements from the
+    distinguished set and d-j from the blocks, so the count is
+    sum_j C(k-1, j) * block_subset_count(k, c, d-j).  This is an upper
+    envelope for the corresponding per-family counts.
     """
     k = frame.k
-    if d == 0:
-        return 1 if c == 0 else 0
     if not 0 <= c <= d <= k:
         raise ValueError("need 0 <= c <= d <= k")
-    return _candidate_counts(k, d).get(c, 0)
+    return sum(
+        binom(k - 1, j) * block_subset_count(k, c, d - j) for j in range(min(k - 1, d) + 1)
+    )
 
 
 def claim3_bound(c: int, d: int, k: int) -> Fraction:

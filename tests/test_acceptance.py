@@ -95,7 +95,7 @@ def test_ac4_weight_identities():
 def test_ac5_candidate_count_bounds():
     t0 = time.monotonic()
     ok = True
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         fr = WeightFrame((k + 1) * k, k, k)
         for c in range(1, k + 1):
             for d in range(c, k + 1):
@@ -107,7 +107,7 @@ def test_ac6_audit_grid():
     t0 = time.monotonic()
     ok = True
     worst = 0.0
-    for k in (5, 6):
+    for k in (5, 6, 7, 8):
         for s in (101 * k**3 + 1, 101 * k**3 + 1000):
             for n in (min_window_n(k, s), max_window_n(k, s)):
                 p0 = time.monotonic()

@@ -75,9 +75,11 @@ def test_claim3_enumerated_counts_pass(k):
     assert len(reports) == sum(1 for c in range(1, k + 1) for d in range(c, k + 1))
 
 
-def test_claim3_k_guard():
-    with pytest.raises(ValueError):
-        audit_claim3(6)
+def test_claim3_beyond_enumeration():
+    for k in (6, 7):
+        reports = audit_claim3(k)
+        assert overall_pass(reports)
+        assert len(reports) == k * (k + 1) // 2
 
 
 def test_claim4_pass():
@@ -88,14 +90,13 @@ def test_claim4_pass():
 
 
 def test_numeric_lemmas_pass():
-    for k, s in [(5, K5_S), (6, K6_S)]:
+    for k, s in [(5, K5_S), (6, K6_S), (7, 101 * 7**3 + 1)]:
         reports = audit_numeric_lemmas(k, s)
         assert overall_pass(reports)
         ids = {r.claim_id for r in reports}
         assert "lemma:shift_count" in ids
         assert "lemma:final_threshold" in ids
-        # brute-force envelope count only at enumerable k
-        assert ("lemma:r_count_envelope" in ids) == (k <= 5)
+        assert "lemma:r_count_envelope" in ids
 
 
 def test_audit_all_shape():

@@ -99,6 +99,15 @@ def test_transversal_all_k3(capsys):
     assert "claim8:product_inequality" in ids
 
 
+def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
+    for check in ("badpairs", "all"):
+        code = main(["transversal", "--k", "6", "--check", check])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
 def test_identities_builtin_families(capsys):
     code, out = run(capsys, "identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3")
     assert code == 0

@@ -36,6 +36,14 @@ def test_maximum_equals_closed_form_pair_case():
         assert mx == erdos_gallai_max(n, s)
 
 
+def test_verify_below_prefix_compares_against_all_ksets():
+    # n < (s+1)k - 1: every k-set is allowed and the prefix family is all of them
+    for method in ("bnb", "exhaustive"):
+        r = verify_conjecture(4, 2, 2, method=method)
+        assert r.passed
+        assert r.lhs == r.rhs == 6
+
+
 def test_erdos_gallai_guard():
     with pytest.raises(ValueError):
         erdos_gallai_max(5, 2)

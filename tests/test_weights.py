@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emckit.constructions import build_A, build_B, generate_from_trace, prefix_size
 from emckit.core import Family, KSet, binom, enumerate_ksets
 from emckit.weights import (
-    EnumerationInfeasible,
     WeightFrame,
+    block_subset_count,
     candidate_count,
     claim3_bound,
     family_weight_identity,
@@ -132,10 +136,53 @@ def test_candidate_counts_total():
             assert total == binom(u, d)
 
 
-def test_candidate_count_infeasible_guard():
+def _local_labels(k: int) -> list[int]:
+    """Block label of each local-universe element; 0 marks the distinguished set."""
+    return [i // k + 1 for i in range(k * k)] + [0] * (k - 1)
+
+
+@lru_cache(maxsize=None)
+def enumerated_counts(k: int, d: int) -> dict[int, int]:
+    """Oracle: counts, by width c, of all size-d local-universe subsets, by
+    enumerating every one of them."""
+    labels = _local_labels(k)
+    counts: dict[int, int] = {}
+    for combo in combinations(range(len(labels)), d):
+        c = len({labels[i] for i in combo} - {0})
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def enumerated_r_shape_count(k: int) -> int:
+    """Oracle: size-(k-1), width-(k-2) local subsets meeting the distinguished
+    set, by enumeration."""
+    labels = _local_labels(k)
+    count = 0
+    for combo in combinations(range(len(labels)), k - 1):
+        labs = [labels[i] for i in combo]
+        if 0 in labs and len(set(labs) - {0}) == k - 2:
+            count += 1
+    return count
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=5))
+def test_candidate_count_matches_enumeration(k):
+    fr = WeightFrame((k + 1) * k, k, k)
+    for d in range(k + 1):
+        counts = enumerated_counts(k, d)
+        for c in range(d + 1):
+            assert candidate_count(c, d, fr) == counts.get(c, 0)
+    if k >= 3:
+        # the lemma:r_count_envelope count: all of the shape minus the block-only part
+        r_count = candidate_count(k - 2, k - 1, fr) - block_subset_count(k, k - 2, k - 1)
+        assert r_count == enumerated_r_shape_count(k)
+
+
+def test_candidate_count_closed_form_at_large_k():
+    # C(3659, 30) subsets: far beyond any enumeration
     fr = WeightFrame(3660, 60, 60)
-    with pytest.raises(EnumerationInfeasible):
-        candidate_count(3, 30, fr)
+    assert sum(candidate_count(c, 30, fr) for c in range(31)) == binom(3659, 30)
 
 
 def test_claim3_bound_values():
