@@ -26,13 +26,7 @@ from .matching import (
     is_pairwise_disjoint,
     matching_number,
 )
-from .shifting import (
-    compress_ij,
-    is_precedence_closed,
-    is_shifted,
-    precedence_downset_closure,
-    shift_to_fixpoint,
-)
+from .shifting import compress_ij, is_shifted, shift_to_fixpoint
 from .constructions import (
     TraceCountMismatch,
     build_A,

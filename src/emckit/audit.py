@@ -127,13 +127,8 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
     return reports
 
 
-def _local_frame(k: int) -> WeightFrame:
-    return WeightFrame((k + 1) * k, k, k)  # local universe depends only on k
-
-
 def audit_claim3(k: int) -> list[AuditReport]:
     """Candidate counts against C(k,c) k^(2d-c)/(d-c)!, in closed form."""
-    frame = _local_frame(k)
     reports = []
     for c in range(1, k + 1):
         for d in range(c, k + 1):
@@ -141,7 +136,7 @@ def audit_claim3(k: int) -> list[AuditReport]:
                 make_report(
                     "claim3:count_bound",
                     {"k": k, "c": c, "d": d},
-                    candidate_count(c, d, frame),
+                    candidate_count(c, d, k),
                     claim3_bound(c, d, k),
                     "<=",
                 )
@@ -252,7 +247,7 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
     # envelope for r_{k-1}: size-(k-1), width-(k-2) local subsets meeting the
     # distinguished set (all of them minus those inside the blocks) vs
     # (k-1)^2 k^(k-1) / 2
-    r_count = candidate_count(k - 2, k - 1, _local_frame(k)) - block_subset_count(
+    r_count = candidate_count(k - 2, k - 1, k) - block_subset_count(
         k, k - 2, k - 1
     )
     reports.append(

@@ -45,12 +45,14 @@ def build_B(n: int, k: int, s: int) -> Family:
 
 
 def extremal_sizes(n: int, k: int, s: int) -> tuple[int, int]:
-    """Closed-form sizes of the two candidates: (C(min(n, (s+1)k-1), k), C(n,k) - C(n-s,k)).
+    """Closed-form sizes of the two candidates:
+    (C(min(n, (s+1)k-1), k), C(n,k) - C(max(n-s, 0), k)).
 
-    Below n = (s+1)k-1 the prefix family is all of C([n], k).
+    Below n = (s+1)k-1 the prefix family is all of C([n], k); for s >= n every
+    k-set meets [s], so the star family is all of C([n], k) too.
     """
     size_a = binom(min(n, prefix_size(k, s)), k)
-    size_b = binom(n, k) - binom(n - s, k)
+    size_b = binom(n, k) - binom(max(n - s, 0), k)
     return size_a, size_b
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-from collections import deque
+from .core import Family
 
-from .core import Family, KSet, precedes
+
+def _movers(present, i: int, j: int) -> list[int]:
+    """Members that the (i,j)-compression rewrites: j in m, i not in m, and
+    m - j + i not already present.  Rewriting m is m ^ (bit i | bit j)."""
+    bj = 1 << (j - 1)
+    bij = 1 << (i - 1) | bj
+    return [m for m in present if m & bij == bj and m ^ bij not in present]
 
 
 def compress_ij(fam: Family, i: int, j: int) -> Family:
@@ -15,38 +21,37 @@ def compress_ij(fam: Family, i: int, j: int) -> Family:
     """
     if not 1 <= i < j <= fam.n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={fam.n}")
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
     present = fam.mask_set()
-    out = []
-    for m in fam.masks:
-        if m & bj and not m & bi:
-            repl = (m & ~bj) | bi
-            out.append(m if repl in present else repl)
-        else:
-            out.append(m)
-    return Family.from_masks(fam.n, fam.k, out)
+    movers = _movers(present, i, j)
+    bij = 1 << (i - 1) | 1 << (j - 1)
+    return Family.from_masks(
+        fam.n, fam.k, present.difference(movers).union(m ^ bij for m in movers)
+    )
 
 
 def shift_to_fixpoint(fam: Family) -> Family:
     """Apply compressions over all i < j until nothing changes.
 
-    Sweep order is fixed: (i, j) lexicographic, restarting after any change,
-    so the normal form is deterministic.
+    Sweep order is fixed: j ascending, then i ascending, restarting after any
+    change, so the normal form is deterministic.  The sweep rewrites a plain
+    set of masks in place and builds a single ``Family`` at the end.
     """
-    current = fam
+    present = set(fam.mask_set())
     changed = True
     while changed:
         changed = False
         for j in range(2, fam.n + 1):
             for i in range(1, j):
-                nxt = compress_ij(current, i, j)
-                if nxt.mask_set() != current.mask_set():
-                    current = nxt
+                movers = _movers(present, i, j)
+                if movers:
+                    bij = 1 << (i - 1) | 1 << (j - 1)
+                    present.difference_update(movers)
+                    present.update(m ^ bij for m in movers)
                     changed = True
                     break
             if changed:
                 break
-    return current
+    return Family.from_masks(fam.n, fam.k, present)
 
 
 def is_shifted(fam: Family) -> bool:
@@ -70,45 +75,4 @@ def is_shifted(fam: Family) -> bool:
                     continue
                 if ((m & ~low) | by) not in present:
                     return False
-    return True
-
-
-def precedence_downset_closure(fam: Family) -> Family:
-    """BFS closure of a uniform family under the precedence order.
-
-    Oracle used to validate the decrement criterion on small instances.
-    """
-    if fam.k is None:
-        raise ValueError("closure requires a uniform family")
-    seen = set(fam.masks)
-    queue = deque(fam.masks)
-    while queue:
-        m = queue.popleft()
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            x = low.bit_length()
-            for y in range(1, x):
-                by = 1 << (y - 1)
-                if m & by:
-                    continue
-                nxt = (m & ~low) | by
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return Family.from_masks(fam.n, fam.k, seen)
-
-
-def is_precedence_closed(fam: Family) -> bool:
-    """Full closure check against all preceding k-sets (quadratic oracle)."""
-    from .core import enumerate_ksets
-
-    if fam.k is None:
-        raise ValueError("requires a uniform family")
-    members = list(fam.members)
-    for g in members:
-        for f in enumerate_ksets(fam.n, fam.k):
-            if precedes(f, g) and f not in fam:
-                return False
     return True

@@ -210,31 +210,37 @@ def family_weight_identity(
     The reduced sum weighs each trace member by the number of index sets M
     whose local universe contains it.  When C(s, k) <= ``direct_limit`` the
     direct sum over all M is evaluated as well and must agree exactly.
+
+    Width and weight depend on the member and the partition, never on M, so
+    trace members are grouped once into classes by (width, size).  The
+    reduced sum is sum over classes of C(s-v, k-v) * |class| * weight; the
+    direct sum counts, per class, the members inside each local universe and
+    multiplies the count by the class weight once.
     """
     k, s = frame.k, frame.s
-    tr = trace_of(fam, k, s)
+    blocks = [_mask_of(frame.block_elements(i)) for i in range(1, s + 1)]
+    classes: dict[tuple[int, int], list[int]] = {}
+    for t in trace_of(fam, k, s).members:
+        mask = t.mask
+        v = sum(1 for b in blocks if mask & b)
+        classes.setdefault((v, t.size), []).append(mask)
+    class_weight = {
+        (v, d): _width_zero_weight(frame, d) if v == 0 else weight_cd(v, d, frame)
+        for v, d in classes
+    }
     lhs = Fraction(0)
-    for t in tr.members:
-        d = t.size
-        v = width(t, frame)
-        if v == 0:
-            lhs += binom(s, k) * _width_zero_weight(frame, d)
-        else:
-            lhs += binom(s - v, k - v) * weight_cd(v, d, frame)
+    for (v, d), masks in classes.items():
+        lhs += binom(s - v, k - v) * len(masks) * class_weight[v, d]
     rhs = len(fam)
     if binom(s, k) <= direct_limit:
+        outside = [
+            ~_mask_of(frame.with_m(m_combo).gm_elements())
+            for m_combo in combinations(range(1, s + 1), k)
+        ]
         direct = Fraction(0)
-        for m_combo in combinations(range(1, s + 1), k):
-            sub = frame.with_m(m_combo)
-            gm = _mask_of(sub.gm_elements())
-            for t in tr.members:
-                if t.mask & ~gm:
-                    continue
-                d, v = t.size, width(t, sub)
-                if v == 0:
-                    direct += _width_zero_weight(sub, d)
-                else:
-                    direct += weight_cd(v, d, sub)
+        for vd, masks in classes.items():
+            inside = sum(1 for out in outside for m in masks if not m & out)
+            direct += inside * class_weight[vd]
         if direct != lhs:
             raise RuntimeError(
                 f"direct M-sum {direct} disagrees with reduced sum {lhs}"
@@ -269,7 +275,7 @@ def block_subset_count(k: int, c: int, m: int) -> int:
     )
 
 
-def candidate_count(c: int, d: int, frame: WeightFrame) -> int:
+def candidate_count(c: int, d: int, k: int) -> int:
     """Number of local-universe subsets with width c and size d, in closed form.
 
     The local universe is k blocks of size k plus the distinguished
@@ -278,9 +284,8 @@ def candidate_count(c: int, d: int, frame: WeightFrame) -> int:
     sum_j C(k-1, j) * block_subset_count(k, c, d-j).  This is an upper
     envelope for the corresponding per-family counts.
     """
-    k = frame.k
-    if not 0 <= c <= d <= k:
-        raise ValueError("need 0 <= c <= d <= k")
+    if k < 1 or not 0 <= c <= d <= k:
+        raise ValueError("need k >= 1 and 0 <= c <= d <= k")
     return sum(
         binom(k - 1, j) * block_subset_count(k, c, d - j) for j in range(min(k - 1, d) + 1)
     )
@@ -306,7 +311,7 @@ def wg_envelope(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
     lhs = Fraction(0)
     for c in range(1, k - g):
         for d in range(c + g, k):
-            cnt = candidate_count(c, d, frame)
+            cnt = candidate_count(c, d, k)
             if cnt:
                 lhs += weight_value(k, s, n_bar, c, d) * cnt
     rhs = (

@@ -79,6 +79,11 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     code, out = run(capsys, "verify", "--n", "6", "--k", "2", "--s", "2")
     assert code == 0
     assert json.loads(out)[0]["pass"] is True
+    # s >= n: C(n - s, k) would have a negative upper index
+    code, out = run(capsys, "verify", "--n", "3", "--k", "2", "--s", "5")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["pass"] is True and row["lhs"] == row["rhs"] == "3"
 
 
 def test_crossover_csv(capsys):

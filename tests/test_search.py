@@ -37,11 +37,13 @@ def test_maximum_equals_closed_form_pair_case():
 
 
 def test_verify_below_prefix_compares_against_all_ksets():
-    # n < (s+1)k - 1: every k-set is allowed and the prefix family is all of them
-    for method in ("bnb", "exhaustive"):
-        r = verify_conjecture(4, 2, 2, method=method)
-        assert r.passed
-        assert r.lhs == r.rhs == 6
+    # n < (s+1)k - 1: every k-set is allowed and the prefix family is all of
+    # them; with s >= n the star family is all of them too
+    for n, k, s, total in [(4, 2, 2, 6), (3, 2, 5, 3)]:
+        for method in ("bnb", "exhaustive"):
+            r = verify_conjecture(n, k, s, method=method)
+            assert r.passed
+            assert r.lhs == r.rhs == total
 
 
 def test_erdos_gallai_guard():

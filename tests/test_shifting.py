@@ -1,19 +1,90 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emckit.core import Family, KSet, enumerate_ksets
+from emckit.core import Family, KSet, enumerate_ksets, precedes
 from emckit.matching import matching_number
-from emckit.shifting import (
-    compress_ij,
-    is_precedence_closed,
-    is_shifted,
-    precedence_downset_closure,
-    shift_to_fixpoint,
-)
+from emckit.shifting import compress_ij, is_shifted, shift_to_fixpoint
+
+
+def rebuilding_compress_ij(fam: Family, i: int, j: int) -> Family:
+    """Oracle: the (i,j)-compression member by member, as a new Family."""
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    present = fam.mask_set()
+    out = []
+    for m in fam.masks:
+        if m & bj and not m & bi:
+            repl = (m & ~bj) | bi
+            out.append(m if repl in present else repl)
+        else:
+            out.append(m)
+    return Family.from_masks(fam.n, fam.k, out)
+
+
+def rebuilding_shift_to_fixpoint(fam: Family) -> Family:
+    """Oracle: the restart-after-change sweep, one Family per compression."""
+    current = fam
+    changed = True
+    while changed:
+        changed = False
+        for j in range(2, fam.n + 1):
+            for i in range(1, j):
+                nxt = rebuilding_compress_ij(current, i, j)
+                if nxt.mask_set() != current.mask_set():
+                    current = nxt
+                    changed = True
+                    break
+            if changed:
+                break
+    return current
+
+
+def precedence_downset_closure(fam: Family) -> Family:
+    """Oracle: BFS closure of a uniform family under the precedence order."""
+    if fam.k is None:
+        raise ValueError("closure requires a uniform family")
+    seen = set(fam.masks)
+    queue = deque(fam.masks)
+    while queue:
+        m = queue.popleft()
+        mm = m
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            x = low.bit_length()
+            for y in range(1, x):
+                by = 1 << (y - 1)
+                if m & by:
+                    continue
+                nxt = (m & ~low) | by
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return Family.from_masks(fam.n, fam.k, seen)
+
+
+def is_precedence_closed(fam: Family) -> bool:
+    """Oracle: full closure check against all preceding k-sets (quadratic)."""
+    if fam.k is None:
+        raise ValueError("requires a uniform family")
+    for g in fam.members:
+        for f in enumerate_ksets(fam.n, fam.k):
+            if precedes(f, g) and f not in fam:
+                return False
+    return True
+
+
+@st.composite
+def uniform_families(draw, max_n=10, max_k=4, max_size=40):
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, min(max_k, n)))
+    pool = list(enumerate_ksets(n, k))
+    idx = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=max_size))
+    return Family(n, k, [pool[i] for i in idx])
 
 
 def random_family(rng, n, k, max_size=12):
@@ -104,3 +175,20 @@ def test_fixpoint_members_precede_or_equal_originals_in_bulk(data):
     fixed = shift_to_fixpoint(fam)
     # total colex weight never increases under compression
     assert sum(m.mask for m in fixed.members) <= sum(m.mask for m in fam.members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uniform_families())
+def test_mask_sweep_matches_rebuilding_oracle(fam):
+    fixed = shift_to_fixpoint(fam)
+    expected = rebuilding_shift_to_fixpoint(fam)
+    assert fixed == expected
+    assert fixed.to_text() == expected.to_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(uniform_families())
+def test_compress_ij_matches_rebuilding_oracle(fam):
+    for j in range(2, fam.n + 1):
+        for i in range(1, j):
+            assert compress_ij(fam, i, j) == rebuilding_compress_ij(fam, i, j)

@@ -6,10 +6,10 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emckit.constructions import build_A, build_B, generate_from_trace, prefix_size
+from emckit.constructions import build_A, build_B, generate_from_trace, prefix_size, trace_of
 from emckit.core import Family, KSet, binom, enumerate_ksets
 from emckit.weights import (
     WeightFrame,
@@ -99,6 +99,72 @@ def test_family_weight_identity_on_random_saturated():
         assert ok and lhs == len(fam)
 
 
+def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
+    """Oracle: the weight identity with width and weight recomputed for
+    every trace member t, and for every pair (M, t) in the direct M-sum."""
+    k, s = frame.k, frame.s
+    tr = trace_of(fam, k, s)
+
+    def weight(t, fr):
+        v = width(t, fr)
+        if v == 0:
+            return Fraction(binom(fr.n_bar, k - t.size), binom(s, k))
+        return weight_cd(v, t.size, fr)
+
+    lhs = Fraction(0)
+    for t in tr.members:
+        v = width(t, frame)
+        lhs += binom(s - v, k - v) * weight(t, frame)
+    direct = Fraction(0)
+    for m_combo in combinations(range(1, s + 1), k):
+        sub = frame.with_m(m_combo)
+        gm = sub.gm_kset()
+        for t in tr.members:
+            if t.issubset(gm):
+                direct += weight(t, sub)
+    assert direct == lhs
+    return lhs, len(fam), lhs == len(fam)
+
+
+@st.composite
+def weight_identity_cases(draw):
+    """(family, frame) with C(s, k) <= 400: a candidate, a family generated
+    from a random trace, or a random k-uniform family, on the canonical or a
+    shuffled prefix partition."""
+    k = draw(st.integers(2, 3))
+    s = draw(st.integers(k, 8 if k == 2 else 5))
+    p = prefix_size(k, s)
+    n = draw(st.integers(p, p + k))
+    kind = draw(st.sampled_from(["A", "B", "trace", "random"]))
+    if kind == "A":
+        fam = build_A(n, k, s)
+    elif kind == "B":
+        fam = build_B(n, k, s)
+    elif kind == "trace":
+        pool = [t for d in range(1, k + 1) for t in enumerate_ksets(p, d)]
+        idx = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+        fam = generate_from_trace(Family(p, None, [pool[i] for i in idx]), n, k)
+    else:
+        pool = list(enumerate_ksets(n, k))
+        idx = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        fam = Family(n, k, [pool[i] for i in idx])
+    if draw(st.booleans()):
+        return fam, WeightFrame(n, k, s)
+    perm = draw(st.permutations(range(1, p + 1)))
+    blocks = tuple(tuple(perm[k - 1 + i * k : k - 1 + (i + 1) * k]) for i in range(s))
+    return fam, WeightFrame(n, k, s, g0=tuple(perm[: k - 1]), blocks=blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_identity_cases())
+# {7,8} lies beyond the prefix [5]: its trace member is empty, of width 0
+@example((Family.from_masks(8, 2, [0b11, 0b11000000]), WeightFrame(8, 2, 2)))
+def test_family_weight_identity_matches_direct_sum_oracle(case):
+    fam, fr = case
+    assert binom(fr.s, fr.k) <= 400
+    assert family_weight_identity(fam, fr) == direct_sum_weight_identity(fam, fr)
+
+
 def test_wA_symmetry_recovers_prefix_family_size():
     for k, s in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]:
         n = (s + 1) * k
@@ -129,10 +195,9 @@ def test_anchor_rejects_missing_block_and_trace_member_g0():
 
 def test_candidate_counts_total():
     for k in (2, 3):
-        fr = WeightFrame((k + 1) * k, k, k)
         u = k * k + k - 1
         for d in range(1, k + 1):
-            total = sum(candidate_count(c, d, fr) for c in range(0, d + 1))
+            total = sum(candidate_count(c, d, k) for c in range(0, d + 1))
             assert total == binom(u, d)
 
 
@@ -168,21 +233,19 @@ def enumerated_r_shape_count(k: int) -> int:
 @settings(deadline=None)
 @given(st.integers(min_value=2, max_value=5))
 def test_candidate_count_matches_enumeration(k):
-    fr = WeightFrame((k + 1) * k, k, k)
     for d in range(k + 1):
         counts = enumerated_counts(k, d)
         for c in range(d + 1):
-            assert candidate_count(c, d, fr) == counts.get(c, 0)
+            assert candidate_count(c, d, k) == counts.get(c, 0)
     if k >= 3:
         # the lemma:r_count_envelope count: all of the shape minus the block-only part
-        r_count = candidate_count(k - 2, k - 1, fr) - block_subset_count(k, k - 2, k - 1)
+        r_count = candidate_count(k - 2, k - 1, k) - block_subset_count(k, k - 2, k - 1)
         assert r_count == enumerated_r_shape_count(k)
 
 
 def test_candidate_count_closed_form_at_large_k():
     # C(3659, 30) subsets: far beyond any enumeration
-    fr = WeightFrame(3660, 60, 60)
-    assert sum(candidate_count(c, 30, fr) for c in range(31)) == binom(3659, 30)
+    assert sum(candidate_count(c, 30, 60) for c in range(31)) == binom(3659, 30)
 
 
 def test_claim3_bound_values():
