@@ -15,14 +15,11 @@ from .core import (
     binom,
     complete_family,
     enumerate_ksets,
-    max_ground,
     precedes,
-    set_max_ground,
 )
 from .matching import (
     BudgetExceeded,
     MatchingCertificate,
-    brute_force_matching_number,
     is_pairwise_disjoint,
     matching_number,
 )
@@ -83,7 +80,6 @@ from .audit import (
     require_window,
 )
 from .search import (
-    erdos_gallai_max,
     find_G0,
     max_family_size,
     verify_conjecture,

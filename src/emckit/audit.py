@@ -179,10 +179,7 @@ def audit_claim4(k: int, s: int, n: int) -> list[AuditReport]:
 
 def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
     """The interstitial exact-rational lemmas of the proof chain."""
-    if k < 5:
-        raise ParameterWindowError(f"audited regime needs k >= 5, got k={k}")
-    if s <= 101 * k**3:
-        raise ParameterWindowError(f"audited regime needs s > 101k^3, got s={s}")
+    require_window(k, s)
     eps = epsilon_of(k)
     reports = []
 
@@ -231,8 +228,6 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
     )
 
     # shift-count inequality: (1-1/k)^((k^2-k)/(k-3)) k^(k+1) > 3k (1+3/k) 2 eps k^(k+1)
-    if k <= 3:
-        raise ParameterWindowError("shift-count lemma needs k >= 4")
     exp_frac = Fraction(k * k - k, k - 3)
     exponent = int(exp_frac) if exp_frac.denominator == 1 else math.ceil(exp_frac)
     note = "" if exp_frac.denominator == 1 else "fractional exponent rounded up (conservative)"

@@ -84,13 +84,17 @@ def render_reports(reports: list[AuditReport], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_reports(reports: list[AuditReport], out: Optional[str], fmt: str) -> None:
-    text = render_reports(reports, fmt)
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to stdout (no --out, or "-") or to the named file."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def write_reports(reports: list[AuditReport], out: Optional[str], fmt: str) -> None:
+    _emit(render_reports(reports, fmt), out)
 
 
 def _pmap(fn, items, jobs: int):
@@ -110,18 +114,6 @@ def _audit_point(point) -> list[AuditReport]:
     return audit_mod.audit_all(k, s, n)
 
 
-def _parse_n_values(spec: str, k: int, s: int) -> list[int]:
-    if spec == "auto":
-        return [audit_mod.min_window_n(k, s), audit_mod.max_window_n(k, s)]
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError("empty n range")
-        return list(range(lo_i, hi_i + 1))
-    return [int(spec)]
-
-
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
@@ -130,6 +122,12 @@ def _parse_range(spec: str) -> list[int]:
             raise ValueError("empty range")
         return list(range(lo_i, hi_i + 1))
     return [int(spec)]
+
+
+def _parse_n_values(spec: str, k: int, s: int) -> list[int]:
+    if spec == "auto":
+        return [audit_mod.min_window_n(k, s), audit_mod.max_window_n(k, s)]
+    return _parse_range(spec)
 
 
 def _cmd_audit(args) -> int:
@@ -157,12 +155,7 @@ def _cmd_crossover(args) -> int:
             bound_frac = Fraction(s + 1) * (Fraction(2 * k + 1, 2))
             bound = -(-bound_frac.numerator // bound_frac.denominator)  # ceil
             rows.append(f"{k},{s},{cx},{bound},{str(cx <= bound).lower()}")
-    text = "\n".join(rows) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit("\n".join(rows) + "\n", args.out)
     ok = all(row.endswith("true") for row in rows[1:])
     return 0 if ok else 1
 
@@ -296,14 +289,9 @@ def _random_composition(rng: random.Random, total_max: int, parts: int) -> list[
     if parts == 0:
         return []
     sizes = [1] * parts
-    budget = total_max - parts
-    for _ in range(budget):
+    for _ in range(total_max - parts):
         if rng.random() < 0.5:
             sizes[rng.randrange(parts)] += 1
-    # trim if we overshot block capacity later; keep simple: cap at total_max
-    while sum(sizes) > total_max:
-        i = max(range(parts), key=lambda j: sizes[j])
-        sizes[i] -= 1
     return sizes
 
 
@@ -351,23 +339,14 @@ def _cmd_identities(args) -> int:
             "==",
         ),
     ]
-    for r in reports:
-        print(f"{r.claim_id}: {fmt_exact(r.lhs)} {r.cmp} {fmt_exact(r.rhs)} -> {r.passed}")
-    if args.out:
-        write_reports(reports, args.out, args.format)
+    write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_shift(args) -> int:
     with open(args.infile, encoding="utf-8") as fh:
         fam = Family.from_text(fh.read())
-    shifted = shift_to_fixpoint(fam)
-    text = shifted.to_text()
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(shift_to_fixpoint(fam).to_text(), args.out)
     return 0
 
 

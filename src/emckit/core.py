@@ -16,20 +16,7 @@ ExactScalar = Union[int, Fraction]
 
 # Bit-vector ground sets are capped; huge-parameter audits work through
 # closed-form counts and never materialize sets this large.
-_DEFAULT_MAX_GROUND = 4096
-_max_ground = _DEFAULT_MAX_GROUND
-
-
-def max_ground() -> int:
-    return _max_ground
-
-
-def set_max_ground(bits: int) -> None:
-    """Raise or lower the ground-set size cap (default 4096)."""
-    global _max_ground
-    if bits < 1:
-        raise ValueError("ground cap must be positive")
-    _max_ground = bits
+_MAX_GROUND = 4096
 
 
 class KSet:
@@ -38,8 +25,8 @@ class KSet:
     __slots__ = ("n", "mask", "size")
 
     def __init__(self, n: int, mask: int = 0):
-        if n < 0 or n > _max_ground:
-            raise ValueError(f"ground set size {n} outside [0, {_max_ground}]")
+        if n < 0 or n > _MAX_GROUND:
+            raise ValueError(f"ground set size {n} outside [0, {_MAX_GROUND}]")
         if mask < 0 or mask >> n:
             raise ValueError("set bits outside ground set")
         self.n = n

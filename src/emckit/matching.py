@@ -118,31 +118,3 @@ def matching_number(
     chosen = base + best
     cert = MatchingCertificate(tuple(KSet(fam.n, m) for m in sorted(chosen)))
     return len(chosen), cert
-
-
-def brute_force_matching_number(fam: Family) -> int:
-    """Independent oracle: exhaustive maximum over all subfamilies.
-
-    Exponential; for test instances only.
-    """
-    from itertools import combinations
-
-    masks = [m.mask for m in fam.members]
-    best = 0
-    for t in range(1, len(masks) + 1):
-        found = False
-        for combo in combinations(masks, t):
-            seen = 0
-            ok = True
-            for m in combo:
-                if seen & m:
-                    ok = False
-                    break
-                seen |= m
-            if ok:
-                found = True
-                break
-        if not found:
-            break
-        best = t
-    return best

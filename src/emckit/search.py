@@ -2,20 +2,22 @@
 for the distinguished pivot set.
 
 The maximization is over families of k-sets with matching number at most s.
-Three methods: plain exhaustive enumeration over all subfamilies, a
-branch-and-bound over inclusion decisions, and a restriction to precedence
-downsets (valid by the shifting reduction, cross-checked empirically).
+Two engines: plain exhaustive enumeration over all subfamilies, and a
+branch-and-bound over inclusion decisions.  Method ``shifted_only`` is the
+same branch-and-bound restricted to precedence downsets: a set may join only
+after all its single-element decrements.  The restriction is exact because
+shifting keeps |F| and never raises the matching number.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
 from .audit import AuditReport, make_report
 from .constructions import extremal_sizes, prefix_size, trace_of
-from .core import Family, KSet, binom, enumerate_ksets
+from .core import Family, KSet, enumerate_ksets
 from .matching import BudgetExceeded
+from .shifting import _decrements
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_BNB_CAP = 60
@@ -87,13 +89,24 @@ def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
     return best_size, best_incl
 
 
-def _bnb_max(all_masks: list[int], s: int, node_budget: Optional[int]) -> tuple[int, int]:
+def _bnb_max(
+    all_masks: list[int],
+    s: int,
+    node_budget: Optional[int],
+    parents: Optional[list[int]] = None,
+) -> tuple[int, int]:
     """Branch-and-bound over inclusion decisions in colex order.
 
-    Include-first DFS makes the first maximizer found the colex-least one;
-    individually infeasible sets are dropped from the undecided pool, which
-    tightens the size bound.
+    ``parents[i]`` is a bitmask over list positions of the sets that must be
+    included before set i (none when omitted); the list order must decide
+    every parent before its child.  Include-first DFS makes the first
+    maximizer found the colex-least one.  Sets that can no longer join the
+    current branch -- infeasible next to it, or with a parent already
+    excluded -- are dropped from the undecided pool, which tightens the size
+    bound.
     """
+    if parents is None:
+        parents = [0] * len(all_masks)
     best_size = -1
     best_incl = 0
     nodes = 0
@@ -103,7 +116,7 @@ def _bnb_max(all_masks: list[int], s: int, node_budget: Optional[int]) -> tuple[
         # s-matching among current members disjoint from cand
         return not _has_matching(cur, s, forbidden_overlap=cand)
 
-    def rec(undecided: list[int], cur: list[int], incl: int):
+    def rec(undecided: list[tuple[int, int]], cur: list[int], incl: int):
         nonlocal best_size, best_incl, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -115,67 +128,18 @@ def _bnb_max(all_masks: list[int], s: int, node_budget: Optional[int]) -> tuple[
             return
         i, cand = undecided[0]
         rest = undecided[1:]
-        if feasible(cur, cand):
-            kept = [(j, m) for j, m in rest if feasible(cur + [cand], m)]
-            rec(kept, cur + [cand], incl | (1 << i))
+        if not parents[i] & ~incl and feasible(cur, cand):
+            grown = cur + [cand]
+            alive = incl | 1 << i
+            for j, _ in rest:
+                alive |= 1 << j
+            kept = [
+                (j, m) for j, m in rest if not parents[j] & ~alive and feasible(grown, m)
+            ]
+            rec(kept, grown, incl | 1 << i)
         rec(rest, cur, incl)
 
-    start = [(i, m) for i, m in enumerate(all_masks)]
-    rec(start, [], 0)
-    return best_size, best_incl
-
-
-def _single_decrement_parents(mask: int, n: int) -> list[int]:
-    out = []
-    mm = mask
-    while mm:
-        low = mm & -mm
-        mm ^= low
-        x = low.bit_length()
-        for y in range(1, x):
-            by = 1 << (y - 1)
-            if not mask & by:
-                out.append((mask & ~low) | by)
-    return out
-
-
-def _downset_max(all_masks: list[int], s: int, node_budget: Optional[int]) -> tuple[int, int]:
-    """Maximize over precedence downsets only.
-
-    A downset is closed under single-element decrements; the colex list is a
-    linear extension, so parents are always decided before their children.
-    """
-    n_bits = max((m.bit_length() for m in all_masks), default=0)
-    rank = {m: i for i, m in enumerate(all_masks)}
-    parents = [
-        [rank[p] for p in set(_single_decrement_parents(m, n_bits))]
-        for m in all_masks
-    ]
-    best_size = -1
-    best_incl = 0
-    nodes = 0
-
-    def rec(idx: int, included: int, cur: list[int]):
-        nonlocal best_size, best_incl, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceeded(f"max_family_size: node budget {node_budget} exhausted")
-        if len(cur) > best_size:
-            best_size = len(cur)
-            best_incl = included
-        if idx == len(all_masks):
-            return
-        if len(cur) + (len(all_masks) - idx) <= best_size:
-            return
-        m = all_masks[idx]
-        can_include = all(included >> p & 1 for p in parents[idx]) and not _has_matching(
-            cur, s, forbidden_overlap=m
-        )
-        if can_include:
-            rec(idx + 1, included | (1 << idx), cur + [m])
-        rec(idx + 1, included, cur)
-
-    rec(0, 0, [])
+    rec(list(enumerate(all_masks)), [], 0)
     return best_size, best_incl
 
 
@@ -211,7 +175,9 @@ def max_family_size(
     elif method == "shifted_only":
         if m > bnb_cap:
             raise ValueError(f"downset search needs C(n,k) <= {bnb_cap}, got {m}")
-        best_size, best_incl = _downset_max(all_masks, s, node_budget)
+        rank = {mm: i for i, mm in enumerate(all_masks)}
+        parents = [sum(1 << rank[p] for p in _decrements(mm)) for mm in all_masks]
+        best_size, best_incl = _bnb_max(all_masks, s, node_budget, parents)
     else:
         raise ValueError(f"unknown method {method!r}")
     witness = Family.from_masks(
@@ -261,13 +227,3 @@ def find_G0(fam: Family, k: int, s: int) -> Optional[KSet]:
         if ok:
             return cand.with_ground(fam.n)
     return None
-
-
-def erdos_gallai_max(n: int, s: int) -> int:
-    """Literature closed form for k = 2: max(C(2s+1, 2), C(s,2) + s(n-s)).
-
-    Test oracle only; validated against exhaustive search before use.
-    """
-    if n < 2 * (s + 1):
-        raise ValueError("need n >= 2(s+1)")
-    return max(binom(2 * s + 1, 2), binom(s, 2) + s * (n - s))

@@ -2,7 +2,21 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .core import Family
+
+
+def _decrements(m: int) -> Iterator[int]:
+    """The single-element decrements of m: m - x + y for x in m, y < x, y not in m."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for y in range(low.bit_length() - 1):
+            by = 1 << y
+            if not m & by:
+                yield m ^ low | by
 
 
 def _movers(present, i: int, j: int) -> list[int]:
@@ -63,16 +77,4 @@ def is_shifted(fam: Family) -> bool:
     if fam.k is None:
         raise ValueError("is_shifted requires a uniform family")
     present = fam.mask_set()
-    for m in fam.masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            x = low.bit_length()
-            for y in range(1, x):
-                by = 1 << (y - 1)
-                if m & by:
-                    continue
-                if ((m & ~low) | by) not in present:
-                    return False
-    return True
+    return all(d in present for m in fam.masks for d in _decrements(m))

@@ -116,7 +116,11 @@ def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
 def test_identities_builtin_families(capsys):
     code, out = run(capsys, "identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3")
     assert code == 0
-    assert "identity:family_weight: 21 == 21 -> True" in out
+    rows = {r["claim_id"]: r for r in json.loads(out)}
+    assert set(rows) == {"identity:family_weight", "identity:prefix_weight"}
+    fw = rows["identity:family_weight"]
+    assert (fw["lhs"], fw["cmp"], fw["rhs"], fw["pass"]) == ("21", "==", "21", True)
+    assert rows["identity:prefix_weight"]["pass"] is True
 
 
 def test_shift_and_find_g0_roundtrip(tmp_path, capsys):

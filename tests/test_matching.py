@@ -1,16 +1,38 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from emckit.core import Family, KSet, enumerate_ksets
-from emckit.matching import (
-    BudgetExceeded,
-    brute_force_matching_number,
-    is_pairwise_disjoint,
-    matching_number,
-)
+from emckit.matching import BudgetExceeded, is_pairwise_disjoint, matching_number
+
+
+def brute_force_matching_number(fam: Family) -> int:
+    """Independent oracle: exhaustive maximum over all subfamilies.
+
+    Exponential; for test instances only.
+    """
+    masks = [m.mask for m in fam.members]
+    best = 0
+    for t in range(1, len(masks) + 1):
+        found = False
+        for combo in combinations(masks, t):
+            seen = 0
+            ok = True
+            for m in combo:
+                if seen & m:
+                    ok = False
+                    break
+                seen |= m
+            if ok:
+                found = True
+                break
+        if not found:
+            break
+        best = t
+    return best
 
 
 def fam_of(n, k, *element_lists):

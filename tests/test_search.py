@@ -1,17 +1,70 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from emckit.constructions import build_B, extremal_sizes
-from emckit.core import Family, KSet
+from emckit.core import Family, KSet, binom, enumerate_ksets
 from emckit.matching import BudgetExceeded, matching_number
 from emckit.search import (
-    erdos_gallai_max,
+    _bnb_max,
+    _has_matching,
     find_G0,
     max_family_size,
     max_family_size as mfs,
     verify_conjecture,
 )
+
+
+def erdos_gallai_max(n: int, s: int) -> int:
+    """Literature closed form for k = 2: max(C(2s+1, 2), C(s,2) + s(n-s))."""
+    if n < 2 * (s + 1):
+        raise ValueError("need n >= 2(s+1)")
+    return max(binom(2 * s + 1, 2), binom(s, 2) + s * (n - s))
+
+
+def downset_max(all_masks: list[int], s: int) -> tuple[int, int]:
+    """Oracle for ``shifted_only``: a plain include-first DFS over precedence
+    downsets, with no pruning of the undecided pool.
+
+    A downset is closed under single-element decrements; the colex list is a
+    linear extension, so parents are always decided before their children.
+    """
+    rank = {m: i for i, m in enumerate(all_masks)}
+    parents = []
+    for m in all_masks:
+        elems = [e for e in range(1, m.bit_length() + 1) if m >> (e - 1) & 1]
+        parents.append(
+            [
+                rank[m ^ 1 << (x - 1) | 1 << (y - 1)]
+                for x in elems
+                for y in range(1, x)
+                if y not in elems
+            ]
+        )
+    best_size = -1
+    best_incl = 0
+
+    def rec(idx: int, included: int, cur: list[int]):
+        nonlocal best_size, best_incl
+        if len(cur) > best_size:
+            best_size = len(cur)
+            best_incl = included
+        if idx == len(all_masks):
+            return
+        if len(cur) + (len(all_masks) - idx) <= best_size:
+            return
+        m = all_masks[idx]
+        can_include = all(included >> p & 1 for p in parents[idx]) and not _has_matching(
+            cur, s, forbidden_overlap=m
+        )
+        if can_include:
+            rec(idx + 1, included | (1 << idx), cur + [m])
+        rec(idx + 1, included, cur)
+
+    rec(0, 0, [])
+    return best_size, best_incl
 
 
 def test_methods_agree_small():
@@ -27,6 +80,43 @@ def test_downset_search_matches_unrestricted():
     # compression preserves the maximum, so downsets suffice
     for (n, k, s) in [(4, 2, 1), (6, 2, 2), (6, 3, 1)]:
         assert mfs(n, k, s, method="shifted_only")[0] == mfs(n, k, s, method="bnb")[0]
+
+
+def test_shifted_only_matches_downset_oracle():
+    # same maximum and the same colex-least witness as the unpruned DFS
+    cases = 0
+    for n in range(1, 11):
+        for k in range(1, min(n, 3) + 1):
+            if comb(n, k) > 45:
+                continue
+            masks = [t.mask for t in enumerate_ksets(n, k)]
+            for s in range(1, 4):
+                size, incl = downset_max(masks, s)
+                mx, wit = max_family_size(n, k, s, method="shifted_only")
+                assert mx == size, (n, k, s)
+                assert wit.masks == tuple(m for i, m in enumerate(masks) if incl >> i & 1)
+                cases += 1
+    assert cases == 3 * 24
+
+
+def test_bnb_max_respects_parents():
+    # A = {1,2}, B = {3,4}, C = {2,3}; with s = 1 only intersecting families
+    # qualify.  If C needs B and B needs A, the downsets are {}, {A}, {A,B}
+    # and {A,B,C}, and only the first two qualify.
+    masks = [0b0011, 0b1100, 0b0110]
+    assert _bnb_max(masks, 1, None) == (2, 0b101)
+    assert _bnb_max(masks, 1, None, [0, 0b001, 0b010]) == (1, 0b001)
+
+
+def test_shifted_only_reaches_three_uniform():
+    # the undecided pool drops sets that can no longer join: infeasible ones,
+    # and ones with a parent already excluded.  The search without the first
+    # rule needs over 300 000 nodes here, without the second over 50 000.
+    for n, expected in [(10, 64), (11, 81)]:
+        mx, _ = max_family_size(
+            n, 3, 2, method="shifted_only", bnb_cap=165, node_budget=30_000
+        )
+        assert mx == expected == max(extremal_sizes(n, 3, 2))
 
 
 def test_maximum_equals_closed_form_pair_case():
