@@ -77,6 +77,7 @@ from .audit import (
     max_window_n,
     min_window_n,
     overall_pass,
+    product_inequality_report,
     require_window,
 )
 from .search import (

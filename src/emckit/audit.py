@@ -277,18 +277,23 @@ def audit_all(k: int, s: int, n: int) -> list[AuditReport]:
     reports.extend(audit_claim3(k))
     reports.extend(audit_claim4(k, s, n))
     reports.extend(audit_numeric_lemmas(k, s))
-    ok = product_inequality_check(k)
-    reports.append(
-        make_report(
-            "claim8:product_inequality",
-            {"k": k},
-            0 if ok else 1,
-            0,
-            "==",
-            note="0 = number of violating profiles",
-        )
-    )
+    reports.append(product_inequality_report(k))
     return reports
+
+
+def product_inequality_report(k: int) -> AuditReport:
+    """The claim-8 row: how many intersection profiles violate the
+    shift-count product inequality, with the first one as the witness."""
+    violations, first = product_inequality_check(k)
+    return make_report(
+        "claim8:product_inequality",
+        {"k": k},
+        violations,
+        0,
+        "==",
+        witness=first,
+        note="0 = number of violating profiles",
+    )
 
 
 def overall_pass(reports: list[AuditReport]) -> bool:

@@ -2,7 +2,8 @@
 serialization.
 
 Exit codes: 0 all requested checks pass, 1 any check failed (reports still
-written), 2 usage or parameter error.
+written) or a budget ran out, 2 usage or parameter error, or an internal
+error that left no verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .transversals import (
     all_shift_collections,
     bad_pair_stats,
     full_transversals,
-    product_inequality_check,
     q_family,
 )
 from .weights import WeightFrame, family_weight_identity, wA_of_M
@@ -141,7 +141,12 @@ def _cmd_audit(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = search_mod.verify_conjecture(
-        args.n, args.k, args.s, method=args.method, node_budget=args.node_budget
+        args.n,
+        args.k,
+        args.s,
+        method=args.method,
+        node_budget=args.node_budget,
+        bnb_cap=args.bnb_cap,
     )
     write_reports([report], args.out, args.format)
     return 0 if report.passed else 1
@@ -275,12 +280,7 @@ def _transversal_reports(k: int, checks: list[str], seed: int) -> list[AuditRepo
             )
         )
     if "product" in checks:
-        ok = product_inequality_check(k)
-        reports.append(
-            make_report(
-                "claim8:product_inequality", {"k": k}, 0 if ok else 1, 0, "=="
-            )
-        )
+        reports.append(audit_mod.product_inequality_report(k))
     return reports
 
 
@@ -383,6 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["exhaustive", "bnb", "shifted_only"], default="bnb")
     p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument(
+        "--bnb-cap",
+        type=int,
+        default=search_mod.DEFAULT_BNB_CAP,
+        help="largest C(n,k) that bnb and shifted_only accept",
+    )
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_verify)
@@ -442,6 +448,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # e.g. TraceCountMismatch: no verdict was reached
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

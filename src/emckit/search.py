@@ -100,13 +100,16 @@ def _bnb_max(
     ``parents[i]`` is a bitmask over list positions of the sets that must be
     included before set i (none when omitted); the list order must decide
     every parent before its child.  Include-first DFS makes the first
-    maximizer found the colex-least one.  Sets that can no longer join the
-    current branch -- infeasible next to it, or with a parent already
-    excluded -- are dropped from the undecided pool, which tightens the size
-    bound.
+    maximizer found the colex-least one.  After every decision, sets that can
+    no longer join the current branch -- infeasible next to it, or with a
+    parent excluded or dropped -- leave the undecided pool, which tightens
+    the size bound.
     """
     if parents is None:
         parents = [0] * len(all_masks)
+    is_parent = 0
+    for p in parents:
+        is_parent |= p
     best_size = -1
     best_incl = 0
     nodes = 0
@@ -130,14 +133,23 @@ def _bnb_max(
         rest = undecided[1:]
         if not parents[i] & ~incl and feasible(cur, cand):
             grown = cur + [cand]
-            alive = incl | 1 << i
-            for j, _ in rest:
-                alive |= 1 << j
-            kept = [
-                (j, m) for j, m in rest if not parents[j] & ~alive and feasible(grown, m)
-            ]
-            rec(kept, grown, incl | 1 << i)
-        rec(rest, cur, incl)
+            rec(joinable(rest, incl | 1 << i, grown), grown, incl | 1 << i)
+        # excluding a set that is nobody's parent orphans nothing
+        rec(joinable(rest, incl, None) if is_parent >> i & 1 else rest, cur, incl)
+
+    def joinable(
+        rest: list[tuple[int, int]], alive: int, grown: Optional[list[int]]
+    ) -> list[tuple[int, int]]:
+        # one forward pass: parents precede children in ``rest``, so a set
+        # whose parent was dropped earlier in the pass is dropped too; after
+        # an include, a set infeasible next to the grown family can never join
+        kept = []
+        for j, m in rest:
+            if parents[j] & ~alive or (grown is not None and not feasible(grown, m)):
+                continue
+            kept.append((j, m))
+            alive |= 1 << j
+        return kept
 
     rec(list(enumerate(all_masks)), [], 0)
     return best_size, best_incl
@@ -187,10 +199,17 @@ def max_family_size(
 
 
 def verify_conjecture(
-    n: int, k: int, s: int, method: str = "bnb", node_budget: Optional[int] = None
+    n: int,
+    k: int,
+    s: int,
+    method: str = "bnb",
+    node_budget: Optional[int] = None,
+    bnb_cap: int = DEFAULT_BNB_CAP,
 ) -> AuditReport:
     """Check that the exact maximum equals the larger of the two candidates."""
-    maximum, witness = max_family_size(n, k, s, method=method, node_budget=node_budget)
+    maximum, witness = max_family_size(
+        n, k, s, method=method, bnb_cap=bnb_cap, node_budget=node_budget
+    )
     size_a, size_b = extremal_sizes(n, k, s)
     return make_report(
         "conjecture:extremal_bound",

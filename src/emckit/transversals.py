@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence
 from .core import KSet
 from .weights import WeightFrame, _mask_of
 
-# largest k whose bad-pair statistics are enumerated exhaustively
-BAD_PAIR_MAX_K = 5
+# largest k whose bad-pair statistics are counted; k = 7 needs about 2.4e9 pair tests
+BAD_PAIR_MAX_K = 6
 
 
 @dataclass(frozen=True)
@@ -191,80 +191,113 @@ class BadPairStats:
     doubling_ok: bool  # 2 * num_t <= num_bad_masks
 
 
+def _defect_orbit_size(k: int, pair_has_min: bool, nonmin_singles: int) -> int:
+    """Size of a defect-set orbit under G = prod_i Sym(B_i - {min B_i}).
+
+    The doubled pair has k-1 images when it holds its block's minimum and
+    C(k-1, 2) otherwise; each single that is not its block's minimum has k-1.
+    """
+    pair = k - 1 if pair_has_min else (k - 1) * (k - 2) // 2
+    return pair * (k - 1) ** nonmin_singles
+
+
 def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
-    """Exhaustive mask/bad-pair statistics over the local universe.
+    """Mask/bad-pair statistics over the local universe, by orbit representatives.
 
     Defect sets have size k-1, width k-2, avoid the distinguished set: they
     double one block and miss two.  A mask is a distinguished-set-avoiding
     almost-full transversal missing the doubled block and doubling one of the
     two missed ones; a bad pair additionally requires disjointness and that
     the mask's element in the other missed block is not that block's minimum.
+
+    The group G = prod_i Sym(B_i - {min B_i}) keeps every block and every
+    block minimum, so it preserves disjointness, both set types and every
+    minimum flag: all counts here are G-invariant.  A defect-set orbit is
+    fixed by the doubled block, the missed pair, whether the pair holds the
+    block minimum and which singles are block minima; a mask orbit likewise
+    by its missed and doubled blocks, whether its pair holds the block
+    minimum and its minimum flags.  One representative per defect-set orbit
+    is tested against every mask of its two types, each bad pair found adds
+    the defect orbit's size to the mask orbit's total, and double counting
+    gives the per-mask count as that total over the mask orbit's size, which
+    must divide it exactly.
     """
     if frame.k != k:
         raise ValueError("frame and k disagree")
     if k < 3:
         raise ValueError("need k >= 3")
     if k > BAD_PAIR_MAX_K:
-        raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
+        raise ValueError(f"bad-pair statistics need k <= {BAD_PAIR_MAX_K}, got k={k}")
     _, blocks = _local_layout(frame)
-    bmasks = [_mask_of(b) for b in blocks]
-    bmins = [min(b) for b in blocks]
+    bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
 
-    # masks grouped by (missed block, doubled block); each entry carries the
-    # bitmask and, per singleton block, whether its element is the block min
-    masks_by_type: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    all_masks: list[int] = []
-    mask_id = 0
+    # mask orbits by type (missed block, doubled block): (orbit id, minimum
+    # flags of the singles as a bitmask over block indices, its masks)
+    mask_orbits: dict[tuple[int, int], list[tuple[int, int, list[int]]]] = {}
+    orbit_sizes: list[int] = []
     for miss in range(k):
         for dbl in range(k):
             if dbl == miss:
                 continue
             singles = [i for i in range(k) if i not in (miss, dbl)]
+            by_flags: dict[int, list[int]] = {}  # single choices by minimum flags
+            for pos in product(range(k), repeat=len(singles)):  # 0 = block minimum
+                flags = sum(1 << i for i, j in zip(singles, pos) if j == 0)
+                by_flags.setdefault(flags, []).append(
+                    sum(bits[i][j] for i, j in zip(singles, pos))
+                )
+            pairs = [(a == bits[dbl][0], a | b) for a, b in combinations(bits[dbl], 2)]
             bucket = []
-            for pair in combinations(blocks[dbl], 2):
-                for choice in product(*(blocks[i] for i in singles)):
-                    qmask = _mask_of(pair) | _mask_of(choice)
-                    minflags = 0
-                    for i, e in zip(singles, choice):
-                        if e == bmins[i]:
-                            minflags |= 1 << i
-                    bucket.append((mask_id, qmask, minflags))
-                    all_masks.append(qmask)
-                    mask_id += 1
-            masks_by_type[(miss, dbl)] = bucket
+            for has_min in (True, False):
+                pmasks = [pm for hm, pm in pairs if hm == has_min]
+                for flags, ms in sorted(by_flags.items()):
+                    masks = [pm | m for pm in pmasks for m in ms]
+                    bucket.append((len(orbit_sizes), flags, masks))
+                    orbit_sizes.append(len(masks))
+            mask_orbits[(miss, dbl)] = bucket
 
-    pair_counts = [0] * mask_id
+    totals = [0] * len(orbit_sizes)  # bad pairs per mask orbit
     per_t: Optional[int] = None
     num_t = 0
     for dbl_t in range(k):  # block doubled by the defect set
         others = [i for i in range(k) if i != dbl_t]
         for missed in combinations(others, 2):
             singles = [i for i in others if i not in missed]
-            for pair in combinations(blocks[dbl_t], 2):
-                for choice in product(*(blocks[i] for i in singles)):
-                    tmask = _mask_of(pair) | _mask_of(choice)
-                    num_t += 1
+            for has_min in (True, False):
+                lo = 0 if has_min else 1
+                pmask = bits[dbl_t][lo] | bits[dbl_t][lo + 1]
+                for at_min in product((True, False), repeat=len(singles)):
+                    tmask = pmask
+                    for i, m in zip(singles, at_min):
+                        tmask |= bits[i][0 if m else 1]
+                    size = _defect_orbit_size(k, has_min, at_min.count(False))
+                    num_t += size
                     cnt = 0
                     for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
-                        for qid, qmask, minflags in masks_by_type[(dbl_t, f)]:
-                            if qmask & tmask:
+                        for oid, flags, masks in mask_orbits[(dbl_t, f)]:
+                            if flags >> other & 1:
                                 continue
-                            if minflags >> other & 1:
-                                continue
-                            cnt += 1
-                            pair_counts[qid] += 1
+                            hits = sum(1 for q in masks if not q & tmask)
+                            cnt += hits
+                            totals[oid] += size * hits
                     if per_t is None:
                         per_t = cnt
                     elif per_t != cnt:
                         raise AssertionError(
                             f"per-defect-set mask count is not uniform: {per_t} vs {cnt}"
                         )
-    per_mask_max = max(pair_counts) if pair_counts else 0
-    num_bad = sum(1 for c in pair_counts if c)
+    per_mask = []
+    for total, size in zip(totals, orbit_sizes):
+        if total % size:
+            raise AssertionError(
+                f"bad pairs of a mask orbit ({total}) not divisible by its size ({size})"
+            )
+        per_mask.append(total // size)
+    num_bad = sum(size for c, size in zip(per_mask, orbit_sizes) if c)
     bound = Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2)
     return BadPairStats(
         per_t=per_t or 0,
-        per_mask_max=per_mask_max,
+        per_mask_max=max(per_mask, default=0),
         per_mask_bound=bound,
         num_t=num_t,
         num_bad_masks=num_bad,
@@ -410,12 +443,13 @@ def all_shift_collections(t: KSet, frame: WeightFrame) -> Iterator[list[CyclicSh
         yield list(combo)
 
 
-def product_inequality_check(k: int) -> bool:
+def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Shift-count inequality over every admissible intersection profile.
 
     For a0 >= 1, a_i >= 1 with a0 + a1 + ... + a_c = k, checks
     (k-a0)...(k-a_c) k^(k-c) >= max_i a_i (k-a_i) * k^(k-1) exhaustively
-    over integer compositions.
+    over integer compositions.  Returns the number of violating profiles and
+    the first one, (a0, a1, ..., a_c), or None when there is none.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -428,6 +462,8 @@ def product_inequality_check(k: int) -> bool:
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
+    violations = 0
+    first_violation = None
     for a0 in range(1, k):
         rem = k - a0
         for c in range(1, rem + 1):
@@ -438,5 +474,7 @@ def product_inequality_check(k: int) -> bool:
                 lhs *= k ** (k - c)
                 rhs = max(ai * (k - ai) for ai in (a0,) + comp) * k ** (k - 1)
                 if lhs < rhs:
-                    return False
-    return True
+                    violations += 1
+                    if first_violation is None:
+                        first_violation = (a0,) + comp
+    return violations, first_violation

@@ -103,7 +103,9 @@ def test_audit_all_shape():
     k, s = 5, K5_S
     reports = audit_all(k, s, min_window_n(k, s))
     assert overall_pass(reports)
-    assert reports[-1].claim_id == "claim8:product_inequality"
+    claim8 = reports[-1]
+    assert claim8.claim_id == "claim8:product_inequality"
+    assert (claim8.lhs, claim8.witness) == (0, None)  # no violating profile
     # verdicts are recomputable from the stored exact sides
     assert all(r.recheck() == r.passed for r in reports)
 

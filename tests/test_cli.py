@@ -86,6 +86,31 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert row["pass"] is True and row["lhs"] == row["rhs"] == "3"
 
 
+def test_verify_bnb_cap(capsys):
+    argv = ["verify", "--n", "10", "--k", "3", "--s", "2", "--method", "shifted_only"]
+    assert main(argv) == 2  # C(10,3) = 120 > the default cap of 60
+    assert capsys.readouterr().err.startswith("error:")
+    code, out = run(capsys, *argv, "--bnb-cap", "165")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["pass"] is True and row["lhs"] == row["rhs"] == "64"
+
+
+def test_runtime_error_exits_2(monkeypatch, capsys):
+    from emckit import cli
+    from emckit.constructions import TraceCountMismatch
+
+    def boom(args):
+        raise TraceCountMismatch("trace count 3 != family size 4")
+
+    monkeypatch.setattr(cli, "_cmd_crossover", boom)
+    code = main(["crossover", "--k", "2", "--s-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: trace count 3 != family size 4\n"
+    assert captured.out == ""
+
+
 def test_crossover_csv(capsys):
     code, out = run(capsys, "crossover", "--k", "2..3", "--s-max", "6")
     assert code == 0
@@ -102,11 +127,14 @@ def test_transversal_all_k3(capsys):
     ids = [r["claim_id"] for r in data]
     assert "transversal:full_count" in ids
     assert "claim8:product_inequality" in ids
+    claim8 = data[ids.index("claim8:product_inequality")]
+    assert claim8["lhs"] == "0" and "witness" not in claim8
+    assert claim8["note"] == "0 = number of violating profiles"
 
 
 def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
     for check in ("badpairs", "all"):
-        code = main(["transversal", "--k", "6", "--check", check])
+        code = main(["transversal", "--k", "7", "--check", check])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")

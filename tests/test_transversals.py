@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Optional
 
 import pytest
 
+from emckit import transversals
 from emckit.core import KSet
 from emckit.transversals import (
+    BAD_PAIR_MAX_K,
+    BadPairStats,
     CyclicShift,
+    _local_layout,
     all_cyclic_collections,
     all_shift_collections,
     almost_full_transversals,
@@ -21,11 +26,93 @@ from emckit.transversals import (
     shape_profile,
     shifts_of,
 )
-from emckit.weights import WeightFrame
+from emckit.weights import WeightFrame, _mask_of
 
 
 def small_frame(k):
     return WeightFrame((k + 1) * k, k, k)
+
+
+# the pair-by-pair enumeration that bad_pair_stats replaced, kept as its oracle
+def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
+    """Exhaustive mask/bad-pair statistics over the local universe.
+
+    Defect sets have size k-1, width k-2, avoid the distinguished set: they
+    double one block and miss two.  A mask is a distinguished-set-avoiding
+    almost-full transversal missing the doubled block and doubling one of the
+    two missed ones; a bad pair additionally requires disjointness and that
+    the mask's element in the other missed block is not that block's minimum.
+    """
+    if frame.k != k:
+        raise ValueError("frame and k disagree")
+    if k < 3:
+        raise ValueError("need k >= 3")
+    if k > BAD_PAIR_MAX_K:
+        raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
+    _, blocks = _local_layout(frame)
+    bmasks = [_mask_of(b) for b in blocks]
+    bmins = [min(b) for b in blocks]
+
+    # masks grouped by (missed block, doubled block); each entry carries the
+    # bitmask and, per singleton block, whether its element is the block min
+    masks_by_type: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    all_masks: list[int] = []
+    mask_id = 0
+    for miss in range(k):
+        for dbl in range(k):
+            if dbl == miss:
+                continue
+            singles = [i for i in range(k) if i not in (miss, dbl)]
+            bucket = []
+            for pair in combinations(blocks[dbl], 2):
+                for choice in product(*(blocks[i] for i in singles)):
+                    qmask = _mask_of(pair) | _mask_of(choice)
+                    minflags = 0
+                    for i, e in zip(singles, choice):
+                        if e == bmins[i]:
+                            minflags |= 1 << i
+                    bucket.append((mask_id, qmask, minflags))
+                    all_masks.append(qmask)
+                    mask_id += 1
+            masks_by_type[(miss, dbl)] = bucket
+
+    pair_counts = [0] * mask_id
+    per_t: Optional[int] = None
+    num_t = 0
+    for dbl_t in range(k):  # block doubled by the defect set
+        others = [i for i in range(k) if i != dbl_t]
+        for missed in combinations(others, 2):
+            singles = [i for i in others if i not in missed]
+            for pair in combinations(blocks[dbl_t], 2):
+                for choice in product(*(blocks[i] for i in singles)):
+                    tmask = _mask_of(pair) | _mask_of(choice)
+                    num_t += 1
+                    cnt = 0
+                    for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
+                        for qid, qmask, minflags in masks_by_type[(dbl_t, f)]:
+                            if qmask & tmask:
+                                continue
+                            if minflags >> other & 1:
+                                continue
+                            cnt += 1
+                            pair_counts[qid] += 1
+                    if per_t is None:
+                        per_t = cnt
+                    elif per_t != cnt:
+                        raise AssertionError(
+                            f"per-defect-set mask count is not uniform: {per_t} vs {cnt}"
+                        )
+    per_mask_max = max(pair_counts) if pair_counts else 0
+    num_bad = sum(1 for c in pair_counts if c)
+    bound = Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2)
+    return BadPairStats(
+        per_t=per_t or 0,
+        per_mask_max=per_mask_max,
+        per_mask_bound=bound,
+        num_t=num_t,
+        num_bad_masks=num_bad,
+        doubling_ok=2 * num_t <= num_bad,
+    )
 
 
 def test_cyclic_shift_apply():
@@ -115,11 +202,25 @@ def test_bad_pair_stats_small(k):
     assert st.doubling_ok
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_bad_pair_stats_matches_enumeration(k):
+    fr = small_frame(k)
+    assert bad_pair_stats(fr, k) == enumerated_bad_pair_stats(fr, k)
+
+
+def test_bad_pair_stats_divisibility_guard(monkeypatch):
+    # wrong defect-orbit weights leave some mask-orbit total that its orbit
+    # size does not divide; the count must refuse rather than round
+    monkeypatch.setattr(transversals, "_defect_orbit_size", lambda k, has_min, nonmin: 1)
+    with pytest.raises(AssertionError, match="not divisible"):
+        bad_pair_stats(small_frame(4), 4)
+
+
 def test_bad_pair_stats_guards():
     with pytest.raises(ValueError):
         bad_pair_stats(small_frame(2), 2)
-    with pytest.raises(RuntimeError):
-        bad_pair_stats(small_frame(6), 6)
+    with pytest.raises(ValueError):
+        bad_pair_stats(small_frame(7), 7)
 
 
 def test_shape_profile():
@@ -202,4 +303,4 @@ def test_q_family_random_defect_sets():
 
 @pytest.mark.parametrize("k", list(range(2, 11)))
 def test_product_inequality(k):
-    assert product_inequality_check(k)
+    assert product_inequality_check(k) == (0, None)
