@@ -141,12 +141,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = search_mod.verify_conjecture(
-        args.n,
-        args.k,
-        args.s,
-        method=args.method,
-        node_budget=args.node_budget,
-        bnb_cap=args.bnb_cap,
+        args.n, args.k, args.s, method=args.method, node_budget=args.node_budget
     )
     write_reports([report], args.out, args.format)
     return 0 if report.passed else 1
@@ -383,12 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["exhaustive", "bnb", "shifted_only"], default="bnb")
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument(
-        "--bnb-cap",
-        type=int,
-        default=search_mod.DEFAULT_BNB_CAP,
-        help="largest C(n,k) that bnb and shifted_only accept",
-    )
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_verify)
@@ -448,6 +437,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, NotImplementedError):
+        raise  # faults of the program itself keep their traceback
     except RuntimeError as exc:  # e.g. TraceCountMismatch: no verdict was reached
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ shifting keeps |F| and never raises the matching number.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 from .audit import AuditReport, make_report
@@ -21,6 +22,7 @@ from .shifting import _decrements
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_BNB_CAP = 60
+_STACK_HEADROOM = 150  # interpreter frames left for the callers of _bnb_max
 
 
 def _family_mask_better(a: int, b: int) -> bool:
@@ -103,7 +105,8 @@ def _bnb_max(
     maximizer found the colex-least one.  After every decision, sets that can
     no longer join the current branch -- infeasible next to it, or with a
     parent excluded or dropped -- leave the undecided pool, which tightens
-    the size bound.
+    the size bound.  So the head of the pool always has every parent
+    included, and the include test needs only feasibility.
     """
     if parents is None:
         parents = [0] * len(all_masks)
@@ -131,7 +134,7 @@ def _bnb_max(
             return
         i, cand = undecided[0]
         rest = undecided[1:]
-        if not parents[i] & ~incl and feasible(cur, cand):
+        if feasible(cur, cand):
             grown = cur + [cand]
             rec(joinable(rest, incl | 1 << i, grown), grown, incl | 1 << i)
         # excluding a set that is nobody's parent orphans nothing
@@ -169,6 +172,8 @@ def max_family_size(
     Returns the maximum together with a deterministic witness (colex-least
     among maximizers).  Raises :class:`BudgetExceeded` when a node budget is
     given and exhausted -- an explicit unknown, never a wrong answer.
+    ``bnb_cap`` bounds C(n,k) for ``bnb`` and ``shifted_only`` only when no
+    node budget is given; a given budget bounds the work instead.
     """
     if not (n >= k >= 1 and s >= 1):
         raise ValueError("need n >= k >= 1 and s >= 1")
@@ -180,15 +185,21 @@ def max_family_size(
                 f"exhaustive search needs C(n,k) <= {exhaustive_cap}, got {m}"
             )
         best_size, best_incl = _exhaustive_max(all_masks, s)
-    elif method == "bnb":
-        if m > bnb_cap:
-            raise ValueError(f"branch-and-bound needs C(n,k) <= {bnb_cap}, got {m}")
-        best_size, best_incl = _bnb_max(all_masks, s, node_budget)
-    elif method == "shifted_only":
-        if m > bnb_cap:
-            raise ValueError(f"downset search needs C(n,k) <= {bnb_cap}, got {m}")
-        rank = {mm: i for i, mm in enumerate(all_masks)}
-        parents = [sum(1 << rank[p] for p in _decrements(mm)) for mm in all_masks]
+    elif method in ("bnb", "shifted_only"):
+        name = "branch-and-bound" if method == "bnb" else "downset search"
+        if node_budget is None and m > bnb_cap:
+            raise ValueError(
+                f"{name} needs C(n,k) <= {bnb_cap} without a node budget, got {m}"
+            )
+        # one recursion level per decided set, plus at most n/k levels of
+        # the matching test and the caller's frames
+        depth = sys.getrecursionlimit() - _STACK_HEADROOM - n // k
+        if m > depth:
+            raise ValueError(f"{name} recursion needs C(n,k) <= {depth}, got {m}")
+        parents = None
+        if method == "shifted_only":
+            rank = {mm: i for i, mm in enumerate(all_masks)}
+            parents = [sum(1 << rank[p] for p in _decrements(mm)) for mm in all_masks]
         best_size, best_incl = _bnb_max(all_masks, s, node_budget, parents)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -199,17 +210,10 @@ def max_family_size(
 
 
 def verify_conjecture(
-    n: int,
-    k: int,
-    s: int,
-    method: str = "bnb",
-    node_budget: Optional[int] = None,
-    bnb_cap: int = DEFAULT_BNB_CAP,
+    n: int, k: int, s: int, method: str = "bnb", node_budget: Optional[int] = None
 ) -> AuditReport:
     """Check that the exact maximum equals the larger of the two candidates."""
-    maximum, witness = max_family_size(
-        n, k, s, method=method, bnb_cap=bnb_cap, node_budget=node_budget
-    )
+    maximum, witness = max_family_size(n, k, s, method=method, node_budget=node_budget)
     size_a, size_b = extremal_sizes(n, k, s)
     return make_report(
         "conjecture:extremal_bound",

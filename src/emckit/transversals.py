@@ -191,18 +191,15 @@ class BadPairStats:
     doubling_ok: bool  # 2 * num_t <= num_bad_masks
 
 
-def _defect_orbit_size(k: int, pair_has_min: bool, nonmin_singles: int) -> int:
-    """Size of a defect-set orbit under G = prod_i Sym(B_i - {min B_i}).
-
-    The doubled pair has k-1 images when it holds its block's minimum and
-    C(k-1, 2) otherwise; each single that is not its block's minimum has k-1.
-    """
-    pair = k - 1 if pair_has_min else (k - 1) * (k - 2) // 2
-    return pair * (k - 1) ** nonmin_singles
+def _defect_class_size(k: int, nonmin_singles: int) -> int:
+    """Number of defect sets with a given doubled block, missed pair and
+    minimum flags of the singles: C(k, 2) doubled pairs, and k-1 choices for
+    each single that is not its block's minimum."""
+    return k * (k - 1) // 2 * (k - 1) ** nonmin_singles
 
 
 def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
-    """Mask/bad-pair statistics over the local universe, by orbit representatives.
+    """Mask/bad-pair statistics over the local universe, by class representatives.
 
     Defect sets have size k-1, width k-2, avoid the distinguished set: they
     double one block and miss two.  A mask is a distinguished-set-avoiding
@@ -212,15 +209,16 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
 
     The group G = prod_i Sym(B_i - {min B_i}) keeps every block and every
     block minimum, so it preserves disjointness, both set types and every
-    minimum flag: all counts here are G-invariant.  A defect-set orbit is
-    fixed by the doubled block, the missed pair, whether the pair holds the
-    block minimum and which singles are block minima; a mask orbit likewise
-    by its missed and doubled blocks, whether its pair holds the block
-    minimum and its minimum flags.  One representative per defect-set orbit
-    is tested against every mask of its two types, each bad pair found adds
-    the defect orbit's size to the mask orbit's total, and double counting
-    gives the per-mask count as that total over the mask orbit's size, which
-    must divide it exactly.
+    minimum flag.  Moreover a defect set never meets the block its masks
+    double, nor a mask the block the defect set doubles, so swapping the
+    doubled pair of either for another pair of the same block changes no bad
+    pair.  Hence every count is constant on a class: defect sets with the
+    same doubled block, missed pair and minimum flags of the singles, and
+    masks with the same missed and doubled blocks and minimum flags.  One
+    representative per defect-set class is tested against every mask of its
+    two types, each bad pair found adds the defect class's size to the mask
+    class's total, and double counting gives the per-mask count as that
+    total over the mask class's size, which must divide it exactly.
     """
     if frame.k != k:
         raise ValueError("frame and k disagree")
@@ -231,10 +229,10 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
     _, blocks = _local_layout(frame)
     bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
 
-    # mask orbits by type (missed block, doubled block): (orbit id, minimum
+    # mask classes by type (missed block, doubled block): (class id, minimum
     # flags of the singles as a bitmask over block indices, its masks)
-    mask_orbits: dict[tuple[int, int], list[tuple[int, int, list[int]]]] = {}
-    orbit_sizes: list[int] = []
+    mask_classes: dict[tuple[int, int], list[tuple[int, int, list[int]]]] = {}
+    class_sizes: list[int] = []
     for miss in range(k):
         for dbl in range(k):
             if dbl == miss:
@@ -246,54 +244,50 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
                 by_flags.setdefault(flags, []).append(
                     sum(bits[i][j] for i, j in zip(singles, pos))
                 )
-            pairs = [(a == bits[dbl][0], a | b) for a, b in combinations(bits[dbl], 2)]
+            pmasks = [a | b for a, b in combinations(bits[dbl], 2)]
             bucket = []
-            for has_min in (True, False):
-                pmasks = [pm for hm, pm in pairs if hm == has_min]
-                for flags, ms in sorted(by_flags.items()):
-                    masks = [pm | m for pm in pmasks for m in ms]
-                    bucket.append((len(orbit_sizes), flags, masks))
-                    orbit_sizes.append(len(masks))
-            mask_orbits[(miss, dbl)] = bucket
+            for flags, ms in sorted(by_flags.items()):
+                masks = [pm | m for pm in pmasks for m in ms]
+                bucket.append((len(class_sizes), flags, masks))
+                class_sizes.append(len(masks))
+            mask_classes[(miss, dbl)] = bucket
 
-    totals = [0] * len(orbit_sizes)  # bad pairs per mask orbit
+    totals = [0] * len(class_sizes)  # bad pairs per mask class
     per_t: Optional[int] = None
     num_t = 0
     for dbl_t in range(k):  # block doubled by the defect set
         others = [i for i in range(k) if i != dbl_t]
+        pmask = bits[dbl_t][0] | bits[dbl_t][1]
         for missed in combinations(others, 2):
             singles = [i for i in others if i not in missed]
-            for has_min in (True, False):
-                lo = 0 if has_min else 1
-                pmask = bits[dbl_t][lo] | bits[dbl_t][lo + 1]
-                for at_min in product((True, False), repeat=len(singles)):
-                    tmask = pmask
-                    for i, m in zip(singles, at_min):
-                        tmask |= bits[i][0 if m else 1]
-                    size = _defect_orbit_size(k, has_min, at_min.count(False))
-                    num_t += size
-                    cnt = 0
-                    for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
-                        for oid, flags, masks in mask_orbits[(dbl_t, f)]:
-                            if flags >> other & 1:
-                                continue
-                            hits = sum(1 for q in masks if not q & tmask)
-                            cnt += hits
-                            totals[oid] += size * hits
-                    if per_t is None:
-                        per_t = cnt
-                    elif per_t != cnt:
-                        raise AssertionError(
-                            f"per-defect-set mask count is not uniform: {per_t} vs {cnt}"
-                        )
+            for at_min in product((True, False), repeat=len(singles)):
+                tmask = pmask
+                for i, m in zip(singles, at_min):
+                    tmask |= bits[i][0 if m else 1]
+                size = _defect_class_size(k, at_min.count(False))
+                num_t += size
+                cnt = 0
+                for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
+                    for cid, flags, masks in mask_classes[(dbl_t, f)]:
+                        if flags >> other & 1:
+                            continue
+                        hits = sum(1 for q in masks if not q & tmask)
+                        cnt += hits
+                        totals[cid] += size * hits
+                if per_t is None:
+                    per_t = cnt
+                elif per_t != cnt:
+                    raise AssertionError(
+                        f"per-defect-set mask count is not uniform: {per_t} vs {cnt}"
+                    )
     per_mask = []
-    for total, size in zip(totals, orbit_sizes):
+    for total, size in zip(totals, class_sizes):
         if total % size:
             raise AssertionError(
-                f"bad pairs of a mask orbit ({total}) not divisible by its size ({size})"
+                f"bad pairs of a mask class ({total}) not divisible by its size ({size})"
             )
         per_mask.append(total // size)
-    num_bad = sum(size for c, size in zip(per_mask, orbit_sizes) if c)
+    num_bad = sum(size for c, size in zip(per_mask, class_sizes) if c)
     bound = Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2)
     return BadPairStats(
         per_t=per_t or 0,

@@ -86,14 +86,18 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert row["pass"] is True and row["lhs"] == row["rhs"] == "3"
 
 
-def test_verify_bnb_cap(capsys):
+def test_verify_node_budget_lifts_cap(capsys):
     argv = ["verify", "--n", "10", "--k", "3", "--s", "2", "--method", "shifted_only"]
     assert main(argv) == 2  # C(10,3) = 120 > the default cap of 60
     assert capsys.readouterr().err.startswith("error:")
-    code, out = run(capsys, *argv, "--bnb-cap", "165")
+    code, out = run(capsys, *argv, "--node-budget", "1000")
     assert code == 0
     row = json.loads(out)[0]
     assert row["pass"] is True and row["lhs"] == row["rhs"] == "64"
+    # more k-sets than the recursion can decide: refused, not a crash
+    big = ["verify", "--n", "20", "--k", "3", "--s", "2", "--node-budget", "1000"]
+    assert main(big) == 2
+    assert "recursion needs C(n,k)" in capsys.readouterr().err
 
 
 def test_runtime_error_exits_2(monkeypatch, capsys):
@@ -109,6 +113,14 @@ def test_runtime_error_exits_2(monkeypatch, capsys):
     assert code == 2
     assert captured.err == "error: trace count 3 != family size 4\n"
     assert captured.out == ""
+
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    # a fault of the program is not reported as a usage error
+    monkeypatch.setattr(cli, "_cmd_crossover", deep)
+    with pytest.raises(RecursionError):
+        main(["crossover", "--k", "2", "--s-max", "4"])
 
 
 def test_crossover_csv(capsys):

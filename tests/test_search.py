@@ -113,12 +113,16 @@ def test_shifted_only_reaches_three_uniform():
     # join: infeasible ones, and ones with a parent excluded or dropped.  The
     # search takes 561 and 733 nodes here; it needs 3 734 and 5 655 when an
     # exclude leaves the excluded set's up-set in the pool, over 50 000 without
-    # the parent rule and over 300 000 without the infeasibility rule.
+    # the parent rule and over 300 000 without the infeasibility rule.  The
+    # node budget replaces the C(n,k) cap, which refuses 120 and 165 sets.
     for n, expected in [(10, 64), (11, 81)]:
-        mx, _ = max_family_size(
-            n, 3, 2, method="shifted_only", bnb_cap=165, node_budget=1_000
-        )
+        with pytest.raises(ValueError, match="without a node budget"):
+            max_family_size(n, 3, 2, method="shifted_only")
+        mx, _ = max_family_size(n, 3, 2, method="shifted_only", node_budget=1_000)
         assert mx == expected == max(extremal_sizes(n, 3, 2))
+    # more sets than the recursion can decide are refused up front
+    with pytest.raises(ValueError, match="recursion needs"):
+        max_family_size(20, 3, 2, method="bnb", node_budget=10)
 
 
 def test_maximum_equals_closed_form_pair_case():

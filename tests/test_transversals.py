@@ -209,9 +209,9 @@ def test_bad_pair_stats_matches_enumeration(k):
 
 
 def test_bad_pair_stats_divisibility_guard(monkeypatch):
-    # wrong defect-orbit weights leave some mask-orbit total that its orbit
+    # wrong defect-class weights leave some mask-class total that its class
     # size does not divide; the count must refuse rather than round
-    monkeypatch.setattr(transversals, "_defect_orbit_size", lambda k, has_min, nonmin: 1)
+    monkeypatch.setattr(transversals, "_defect_class_size", lambda k, nonmin: 1)
     with pytest.raises(AssertionError, match="not divisible"):
         bad_pair_stats(small_frame(4), 4)
 
