@@ -13,41 +13,33 @@ from .core import (
     Family,
     KSet,
     binom,
-    complete_family,
     enumerate_ksets,
-    precedes,
+    mask_of,
 )
 from .matching import (
     BudgetExceeded,
     MatchingCertificate,
-    is_pairwise_disjoint,
     matching_number,
 )
 from .shifting import compress_ij, is_shifted, shift_to_fixpoint
 from .constructions import (
-    TraceCountMismatch,
     build_A,
     build_B,
     crossover_n,
     extremal_sizes,
-    generate_from_trace,
     prefix_size,
-    size_via_trace,
     trace_of,
 )
 from .weights import (
-    RxCounts,
     WeightFrame,
     block_subset_count,
     candidate_count,
     claim3_bound,
     family_weight_identity,
-    rx_counts,
     wA_of_M,
     weight_cd,
     weight_value,
     wg_envelope,
-    width,
 )
 from .transversals import (
     BadPairStats,

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from . import audit as audit_mod
 from . import search as search_mod
 from .audit import AuditReport, ParameterWindowError, make_report
-from .constructions import build_A, build_B, crossover_n
-from .core import Family, KSet
+from .constructions import build_A, build_B, crossover_n, extremal_sizes
+from .core import Family, KSet, binom
 from .matching import BudgetExceeded
 from .shifting import shift_to_fixpoint
 from .transversals import (
@@ -311,13 +311,14 @@ def _cmd_identities(args) -> int:
     else:
         with open(args.family, encoding="utf-8") as fh:
             fam = Family.from_text(fh.read())
+        if (fam.n, fam.k) != (args.n, args.k):
+            raise ValueError(
+                f"family file has n={fam.n}, k={fam.k}; expected n={args.n}, k={args.k}"
+            )
     frame = WeightFrame(args.n, args.k, args.s)
     lhs, rhs, ok = family_weight_identity(fam, frame)
     wa = wA_of_M(frame)
-    from .core import binom
-    from .constructions import prefix_size
-
-    size_a = binom(prefix_size(args.k, args.s), args.k)
+    size_a = extremal_sizes(args.n, args.k, args.s)[0]
     reports = [
         make_report(
             "identity:family_weight",
@@ -346,8 +347,12 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_find_g0(args) -> int:
+    if args.k < 2 or args.s < 1:
+        raise ValueError(f"need k >= 2 and s >= 1, got k={args.k}, s={args.s}")
     with open(args.infile, encoding="utf-8") as fh:
         fam = Family.from_text(fh.read())
+    if fam.k != args.k:
+        raise ValueError(f"family file has k={fam.k}; expected k={args.k}")
     g0 = search_mod.find_G0(fam, args.k, args.s)
     if g0 is None:
         print("none")
@@ -439,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (RecursionError, NotImplementedError):
         raise  # faults of the program itself keep their traceback
-    except RuntimeError as exc:  # e.g. TraceCountMismatch: no verdict was reached
+    except RuntimeError as exc:  # e.g. a failed cross-check: no verdict was reached
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

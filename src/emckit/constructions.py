@@ -1,21 +1,17 @@
-"""The extremal candidate families, their sizes, and trace machinery.
+"""The extremal candidate families, their sizes, and traces.
 
 Two candidates compete: all k-sets inside the prefix [(s+1)k-1], and all
-k-sets meeting [s].  The trace of a family on the prefix drives the size
-identity sum_d count_d * C(n_bar, k-d) with n_bar = n - (s+1)k + 1.
+k-sets meeting [s].  The trace of a family on the prefix feeds the weight
+identities in ``weights``.
 """
 
 from __future__ import annotations
 
 import logging
 
-from .core import Family, KSet, binom, enumerate_ksets
+from .core import Family, binom, enumerate_ksets
 
 log = logging.getLogger(__name__)
-
-
-class TraceCountMismatch(RuntimeError):
-    """The trace counting identity disagreed with the materialized family."""
 
 
 def prefix_size(k: int, s: int) -> int:
@@ -29,8 +25,7 @@ def build_A(n: int, k: int, s: int) -> Family:
     p = prefix_size(k, s)
     if n < p:
         raise ValueError(f"need n >= (s+1)k-1 = {p}, got n={n}")
-    members = [t.with_ground(n) for t in enumerate_ksets(p, k)]
-    return Family(n, k, members)
+    return Family(n, k, enumerate_ksets(p, k))
 
 
 def build_B(n: int, k: int, s: int) -> Family:
@@ -40,8 +35,7 @@ def build_B(n: int, k: int, s: int) -> Family:
     if s > n or s < 1:
         raise ValueError(f"need 1 <= s <= n, got s={s}")
     head = (1 << s) - 1
-    members = [t for t in enumerate_ksets(n, k) if t.mask & head]
-    return Family(n, k, members)
+    return Family(n, k, [m for m in enumerate_ksets(n, k) if m & head])
 
 
 def extremal_sizes(n: int, k: int, s: int) -> tuple[int, int]:
@@ -82,47 +76,7 @@ def trace_of(fam: Family, k: int, s: int) -> Family:
     if fam.n < p:
         raise ValueError(f"family ground set {fam.n} smaller than prefix {p}")
     head = (1 << p) - 1
-    masks = {m & head for m in fam.masks}
+    masks = {m & head for m in fam.members}
     if 0 in masks and fam.members:
         log.warning("trace contains the empty set (member beyond the prefix)")
     return Family.from_masks(p, None, masks)
-
-
-def generate_from_trace(tr: Family, n: int, k: int) -> Family:
-    """All k-subsets of [n] containing at least one trace member."""
-    tr_masks = sorted(tr.masks)
-    members = []
-    for t in enumerate_ksets(n, k):
-        m = t.mask
-        for tm in tr_masks:
-            if m & tm == tm:
-                members.append(t)
-                break
-    return Family(n, k, members)
-
-
-def size_via_trace(tr: Family, n: int, k: int, s: int, check: bool = False) -> int:
-    """Counting identity: sum over trace sizes d of count_d * C(n_bar, k-d).
-
-    Expects the complete trace (all prefix intersections) of a saturated
-    family; each member of the generated family then contributes through
-    exactly one trace set.  With ``check=True`` the value is compared against
-    the materialized family and a mismatch raises :class:`TraceCountMismatch`.
-    """
-    n_bar = n - (s + 1) * k + 1
-    if n_bar < 0:
-        raise ValueError("need n >= (s+1)k - 1")
-    counts: dict[int, int] = {}
-    for t in tr.members:
-        if t.size == 0 and n_bar < k:
-            raise ValueError("empty trace member needs n_bar >= k")
-        counts[t.size] = counts.get(t.size, 0) + 1
-    total = sum(c * binom(n_bar, k - d) for d, c in counts.items())
-    if check:
-        materialized = len(generate_from_trace(tr, n, k))
-        if materialized != total:
-            raise TraceCountMismatch(
-                f"trace count {total} != materialized size {materialized}; "
-                "input is not the complete trace of a saturated family"
-            )
-    return total

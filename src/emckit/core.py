@@ -1,9 +1,12 @@
-"""Ground-set subsets, families, the precedence order, and exact primitives.
+"""Ground-set subsets, families, colex enumeration, and exact primitives.
 
-Everything downstream works over subsets of [n] = {1, ..., n}.  Subsets are
-stored as bit-vectors (Python ints), families as canonically sorted tuples of
-subsets.  All arithmetic that feeds an identity or inequality is exact:
-integers stay integers, ratios are ``fractions.Fraction``.
+Everything downstream works over subsets of [n] = {1, ..., n}, stored as
+bit-vectors (Python ints): element e is bit e-1.  A ``Family`` is a
+validated, canonically sorted tuple of such masks; ``KSet`` is the small
+single-set value type used at the edges (matching certificates, the pivot
+set, transversal constructions).  All arithmetic that feeds an identity or
+inequality is exact: integers stay integers, ratios are
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -19,14 +22,37 @@ ExactScalar = Union[int, Fraction]
 _MAX_GROUND = 4096
 
 
+def _check_ground(n: int) -> None:
+    if not 0 <= n <= _MAX_GROUND:
+        raise ValueError(f"ground set size {n} outside [0, {_MAX_GROUND}]")
+
+
+def mask_of(n: int, elements: Iterable[int]) -> int:
+    """The bitmask of a set of elements of [n]."""
+    mask = 0
+    for e in elements:
+        if not 1 <= e <= n:
+            raise ValueError(f"element {e} outside [1, {n}]")
+        mask |= 1 << (e - 1)
+    return mask
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
 class KSet:
     """An immutable subset of [n], elements 1..n, stored as a bitmask."""
 
     __slots__ = ("n", "mask", "size")
 
     def __init__(self, n: int, mask: int = 0):
-        if n < 0 or n > _MAX_GROUND:
-            raise ValueError(f"ground set size {n} outside [0, {_MAX_GROUND}]")
+        _check_ground(n)
         if mask < 0 or mask >> n:
             raise ValueError("set bits outside ground set")
         self.n = n
@@ -35,47 +61,14 @@ class KSet:
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "KSet":
-        mask = 0
-        for e in elements:
-            if not 1 <= e <= n:
-                raise ValueError(f"element {e} outside [1, {n}]")
-            mask |= 1 << (e - 1)
-        return cls(n, mask)
+        return cls(n, mask_of(n, elements))
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        return _elements(self.mask)
 
     def __contains__(self, e: int) -> bool:
         return 1 <= e <= self.n and bool(self.mask >> (e - 1) & 1)
-
-    def isdisjoint(self, other: "KSet") -> bool:
-        return not self.mask & other.mask
-
-    def issubset(self, other: "KSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def min_element(self) -> int:
-        if not self.mask:
-            raise ValueError("empty set has no minimum")
-        return (self.mask & -self.mask).bit_length()
-
-    def union(self, other: "KSet") -> "KSet":
-        return KSet(max(self.n, other.n), self.mask | other.mask)
-
-    def intersection(self, other: "KSet") -> "KSet":
-        return KSet(max(self.n, other.n), self.mask & other.mask)
-
-    def difference(self, other: "KSet") -> "KSet":
-        return KSet(self.n, self.mask & ~other.mask)
-
-    def with_ground(self, n: int) -> "KSet":
-        """The same set over a different ground size (must still fit)."""
-        return KSet(n, self.mask)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KSet) and self.mask == other.mask and self.n == other.n
@@ -83,67 +76,59 @@ class KSet:
     def __hash__(self) -> int:
         return hash((self.n, self.mask))
 
-    def __lt__(self, other: "KSet") -> bool:
-        # (size, colex) order; colex on equal-size sets is numeric mask order
-        return (self.size, self.mask) < (other.size, other.mask)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
     def __repr__(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
+def _refuse_member(n: int, k: Optional[int], members: list[int]) -> None:
+    """Raise for the first member, in canonical order, that breaks uniformity
+    or repeats an earlier one."""
+    seen = set()
+    for m in members:
+        if k is not None and m.bit_count() != k:
+            raise ValueError(f"member {KSet(n, m)!r} violates uniformity k={k}")
+        if m in seen:
+            raise ValueError(f"duplicate member {KSet(n, m)!r}")
+        seen.add(m)
+
+
 class Family:
-    """A duplicate-free collection of KSets over a common ground set.
+    """A duplicate-free collection of subsets of [n], as bitmasks.
 
     ``k`` is the uniformity: every member has size k, or ``None`` for mixed
-    families (traces).  Members are kept sorted by (size, colex), which makes
-    equality and diffing canonical.
+    families (traces).  ``members`` holds the masks sorted by (size, colex),
+    which makes equality and diffing canonical; ``mask_set`` holds them as a
+    frozenset for membership tests.
     """
 
-    __slots__ = ("n", "k", "members", "_mask_set")
+    __slots__ = ("n", "k", "members", "mask_set")
 
-    def __init__(self, n: int, k: Optional[int], members: Iterable[KSet]):
-        members = sorted(members)
-        masks = set()
-        for m in members:
-            if m.n != n:
-                raise ValueError("member ground set differs from family ground set")
-            if k is not None and m.size != k:
-                raise ValueError(f"member {m!r} violates uniformity k={k}")
-            if m.mask in masks:
-                raise ValueError(f"duplicate member {m!r}")
-            masks.add(m.mask)
+    def __init__(self, n: int, k: Optional[int], masks: Iterable[int]):
+        _check_ground(n)
+        if k is not None and not 0 <= k <= n:
+            raise ValueError(f"uniformity k={k} outside [0, {n}]")
+        # colex on equal-size sets is numeric mask order; both sorts are stable
+        members = sorted(masks)
+        if members and (members[0] < 0 or members[-1] >> n):
+            raise ValueError("set bits outside ground set")
+        members.sort(key=int.bit_count)
+        mask_set = frozenset(members)
+        if len(mask_set) != len(members) or (
+            k is not None and members and not members[0].bit_count() == k == members[-1].bit_count()
+        ):
+            _refuse_member(n, k, members)
         self.n = n
         self.k = k
         self.members = tuple(members)
-        self._mask_set = frozenset(masks)
+        self.mask_set = mask_set
 
     @classmethod
     def from_masks(cls, n: int, k: Optional[int], masks: Iterable[int]) -> "Family":
-        return cls(n, k, (KSet(n, m) for m in masks))
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(m.mask for m in self.members)
-
-    def mask_set(self) -> frozenset:
-        return self._mask_set
+        """Alias of the constructor."""
+        return cls(n, k, masks)
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[KSet]:
-        return iter(self.members)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, KSet):
-            return item.mask in self._mask_set
-        return False
 
     def __eq__(self, other) -> bool:
         return (
@@ -163,8 +148,7 @@ class Family:
         """Serialize in the shared family text format."""
         k_field = "*" if self.k is None else str(self.k)
         lines = [f"{self.n} {k_field}"]
-        for m in self.members:
-            lines.append(",".join(map(str, m.elements)))
+        lines.extend(",".join(map(str, _elements(m))) for m in self.members)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -175,7 +159,7 @@ class Family:
         line is a strictly increasing comma-separated list of elements.
         """
         header = None
-        members = []
+        masks = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -185,16 +169,17 @@ class Family:
                 if len(parts) != 2:
                     raise ValueError(f"line {lineno}: header must be 'n k'")
                 n = int(parts[0])
+                _check_ground(n)
                 k = None if parts[1] == "*" else int(parts[1])
                 header = (n, k)
                 continue
             elems = [int(tok) for tok in line.split(",") if tok.strip() != ""]
             if any(a >= b for a, b in zip(elems, elems[1:])):
                 raise ValueError(f"line {lineno}: elements must be strictly increasing")
-            members.append(KSet.from_elements(header[0], elems))
+            masks.append(mask_of(header[0], elems))
         if header is None:
             raise ValueError("missing header line")
-        return cls(header[0], header[1], members)
+        return cls(header[0], header[1], masks)
 
 
 def binom(a: int, b: int) -> int:
@@ -206,31 +191,20 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def precedes(f: KSet, g: KSet) -> bool:
-    """Coordinatewise order on sorted elements: f_i <= g_i for every i."""
-    if f.size != g.size:
-        raise ValueError("precedes is only defined for equal-size sets")
-    return all(a <= b for a, b in zip(f.elements, g.elements))
+def enumerate_ksets(n: int, k: int) -> Iterator[int]:
+    """The masks of all k-subsets of [n] in colexicographic order.
 
-
-def _colex_masks(n: int, k: int) -> Iterator[int]:
+    Colex order on equal-size sets is numeric mask order; each mask is the
+    next larger integer with k bits set (Gosper's step).
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
     if k == 0:
         yield 0
         return
-    for top in range(k, n + 1):
-        high = 1 << (top - 1)
-        for rest in _colex_masks(top - 1, k - 1):
-            yield rest | high
-
-
-def enumerate_ksets(n: int, k: int) -> Iterator[KSet]:
-    """All k-subsets of [n] in colexicographic order."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    for mask in _colex_masks(n, k):
-        yield KSet(n, mask)
-
-
-def complete_family(n: int, k: int) -> Family:
-    """The family of all k-subsets of [n]."""
-    return Family(n, k, enumerate_ksets(n, k))
+    mask, limit = (1 << k) - 1, 1 << n
+    while mask < limit:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ((ripple ^ mask) >> 2) // low | ripple

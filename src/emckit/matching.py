@@ -25,16 +25,6 @@ class MatchingCertificate:
     sets: tuple[KSet, ...]
 
 
-def is_pairwise_disjoint(sets) -> bool:
-    """True iff all pairwise intersections are empty (vacuously for <= 1 set)."""
-    seen = 0
-    for s in sets:
-        if seen & s.mask:
-            return False
-        seen |= s.mask
-    return True
-
-
 def _greedy_hitting_size(masks: list[int]) -> int:
     """Size of a greedily built hitting set of the given sets.
 
@@ -88,7 +78,7 @@ def matching_number(
     colex ranks among maximum matchings.  Raises :class:`BudgetExceeded` when
     the node budget runs out; never returns a silently wrong answer.
     """
-    masks = sorted(m.mask for m in fam.members)
+    masks = sorted(fam.members)
     base: list[int] = []
     if masks and masks[0] == 0:
         # the empty set is disjoint from everything and colex-least

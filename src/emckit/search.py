@@ -177,7 +177,7 @@ def max_family_size(
     """
     if not (n >= k >= 1 and s >= 1):
         raise ValueError("need n >= k >= 1 and s >= 1")
-    all_masks = [t.mask for t in enumerate_ksets(n, k)]
+    all_masks = list(enumerate_ksets(n, k))
     m = len(all_masks)
     if method == "exhaustive":
         if m > exhaustive_cap:
@@ -215,13 +215,14 @@ def verify_conjecture(
     """Check that the exact maximum equals the larger of the two candidates."""
     maximum, witness = max_family_size(n, k, s, method=method, node_budget=node_budget)
     size_a, size_b = extremal_sizes(n, k, s)
+    bound = max(size_a, size_b)
     return make_report(
         "conjecture:extremal_bound",
         {"n": n, "k": k, "s": s, "method": method, "size_a": size_a, "size_b": size_b},
         maximum,
-        max(size_a, size_b),
+        bound,
         "==",
-        witness=tuple(t.elements for t in witness.members) if maximum != max(size_a, size_b) else None,
+        witness=None if maximum == bound else tuple(KSet(n, m).elements for m in witness.members),
     )
 
 
@@ -232,15 +233,13 @@ def find_G0(fam: Family, k: int, s: int) -> Optional[KSet]:
     p = prefix_size(k, s)
     if fam.n < p:
         raise ValueError("family ground set smaller than prefix")
-    tr_masks = trace_of(fam, k, s).mask_set() if len(fam) else frozenset()
-    fam_masks = fam.mask_set()
-    members = fam.masks
-    for cand in enumerate_ksets(p, k - 1):
-        cmask = cand.mask
+    tr_masks = trace_of(fam, k, s).mask_set if len(fam) else frozenset()
+    fam_masks = fam.mask_set
+    for cmask in enumerate_ksets(p, k - 1):
         if cmask in tr_masks:
             continue
         ok = True
-        for m in members:
+        for m in fam.members:
             if m & cmask:
                 continue
             b = (m & -m).bit_length()
@@ -248,5 +247,5 @@ def find_G0(fam: Family, k: int, s: int) -> Optional[KSet]:
                 ok = False
                 break
         if ok:
-            return cand.with_ground(fam.n)
+            return KSet(fam.n, cmask)
     return None

@@ -35,7 +35,7 @@ def compress_ij(fam: Family, i: int, j: int) -> Family:
     """
     if not 1 <= i < j <= fam.n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={fam.n}")
-    present = fam.mask_set()
+    present = fam.mask_set
     movers = _movers(present, i, j)
     bij = 1 << (i - 1) | 1 << (j - 1)
     return Family.from_masks(
@@ -50,7 +50,7 @@ def shift_to_fixpoint(fam: Family) -> Family:
     change, so the normal form is deterministic.  The sweep rewrites a plain
     set of masks in place and builds a single ``Family`` at the end.
     """
-    present = set(fam.mask_set())
+    present = set(fam.mask_set)
     changed = True
     while changed:
         changed = False
@@ -76,5 +76,5 @@ def is_shifted(fam: Family) -> bool:
     """
     if fam.k is None:
         raise ValueError("is_shifted requires a uniform family")
-    present = fam.mask_set()
-    return all(d in present for m in fam.masks for d in _decrements(m))
+    present = fam.mask_set
+    return all(d in present for m in fam.members for d in _decrements(m))

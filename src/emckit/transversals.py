@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
-from .core import KSet
-from .weights import WeightFrame, _mask_of
+from .core import KSet, mask_of
+from .weights import WeightFrame
 
 # largest k whose bad-pair statistics are counted; k = 7 needs about 2.4e9 pair tests
 BAD_PAIR_MAX_K = 6
@@ -62,20 +62,24 @@ def _local_layout(frame: WeightFrame):
     return g0, blocks
 
 
-def _profile(mask: int, g0: tuple[int, ...], blocks: list[tuple[int, ...]]) -> tuple[int, ...]:
-    out = [bin(mask & _mask_of(g0)).count("1")]
-    for b in blocks:
-        out.append(bin(mask & _mask_of(b)).count("1"))
-    return tuple(out)
+def _part_masks(frame: WeightFrame) -> list[int]:
+    """Masks of the distinguished set and the selected blocks, in that order."""
+    g0, blocks = _local_layout(frame)
+    return [mask_of(frame.prefix, part) for part in (g0, *blocks)]
+
+
+def _profile(mask: int, parts: list[int]) -> tuple[int, ...]:
+    return tuple((mask & part).bit_count() for part in parts)
 
 
 def full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
     """All k^k sets taking exactly one element from each selected block."""
-    g0, blocks = _local_layout(frame)
+    _, blocks = _local_layout(frame)
+    parts = _part_masks(frame)
     ground = frame.prefix
     for choice in product(*blocks):
         ks = KSet.from_elements(ground, choice)
-        yield Transversal(ks, "full", _profile(ks.mask, g0, blocks), Fraction(1))
+        yield Transversal(ks, "full", _profile(ks.mask, parts), Fraction(1))
 
 
 def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
@@ -87,6 +91,7 @@ def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
     g0, blocks = _local_layout(frame)
     k, s = frame.k, frame.s
     w = Fraction(1, s - k + 1)
+    parts = _part_masks(frame)
     ground = frame.prefix
     universe = sorted(g0 + tuple(e for b in blocks for e in b))
     block_of = {}
@@ -99,7 +104,17 @@ def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
         v = len({block_of[e] for e in combo} - {0})
         if v == k - 1:
             ks = KSet.from_elements(ground, combo)
-            yield Transversal(ks, "almost_full", _profile(ks.mask, g0, blocks), w)
+            yield Transversal(ks, "almost_full", _profile(ks.mask, parts), w)
+
+
+def _split_blocks(frame: WeightFrame, t: KSet) -> tuple[list, list]:
+    """The selected blocks that t meets, then those it misses, in M order."""
+    _, blocks = _local_layout(frame)
+    met: list[tuple[int, ...]] = []
+    missed: list[tuple[int, ...]] = []
+    for b in blocks:
+        (met if t.mask & mask_of(frame.prefix, b) else missed).append(b)
+    return met, missed
 
 
 def blocks_missing_last(frame: WeightFrame, t: KSet) -> list[tuple[int, ...]]:
@@ -108,9 +123,7 @@ def blocks_missing_last(frame: WeightFrame, t: KSet) -> list[tuple[int, ...]]:
     Relabeling utility for the cyclic-shift construction, which distinguishes
     the missed block.
     """
-    g0, blocks = _local_layout(frame)
-    touched = [b for b in blocks if t.mask & _mask_of(b)]
-    missed = [b for b in blocks if not t.mask & _mask_of(b)]
+    touched, missed = _split_blocks(frame, t)
     if len(missed) != 1:
         raise ValueError("set must miss exactly one selected block")
     return touched + missed
@@ -131,11 +144,11 @@ def cyclic_collection(
     g0, _ = _local_layout(frame)
     if t.size != k - 1:
         raise ValueError("need |t| = k-1")
-    if t.mask & _mask_of(g0):
+    if t.mask & mask_of(frame.prefix, g0):
         raise ValueError("t must avoid the distinguished set")
     blocks = blocks_missing_last(frame, t)
     for b in blocks[:-1]:
-        if bin(t.mask & _mask_of(b)).count("1") != 1:
+        if (t.mask & mask_of(frame.prefix, b)).bit_count() != 1:
             raise ValueError("t must meet each touched block exactly once")
     if len(sigmas) != k - 1:
         raise ValueError("need k-1 cyclic shifts")
@@ -319,15 +332,11 @@ class ShapeProfile:
 
 
 def shape_profile(t: KSet, frame: WeightFrame) -> ShapeProfile:
-    g0, blocks = _local_layout(frame)
     k = frame.k
     if t.size != k - 1:
         raise ValueError("need |t| = k-1")
-    a = tuple(
-        bin(t.mask & _mask_of(b)).count("1")
-        for b in blocks
-        if t.mask & _mask_of(b)
-    )
+    touched, _ = _split_blocks(frame, t)
+    a = tuple((t.mask & mask_of(frame.prefix, b)).bit_count() for b in touched)
     p = sum(a)
     a0 = k - p
     if a0 < 1:
@@ -353,11 +362,10 @@ def q_family(
     ``pis`` holds k+1 cyclic shifts: one on the free distinguished elements,
     then one per block residual, canonical increasing numeration.
     """
-    g0, blocks = _local_layout(frame)
+    g0, _ = _local_layout(frame)
     k = frame.k
     prof = shape_profile(t, frame)  # validates size and a0 >= 1
-    touched = [b for b in blocks if t.mask & _mask_of(b)]
-    untouched = [b for b in blocks if not t.mask & _mask_of(b)]
+    touched, untouched = _split_blocks(frame, t)
     ordered = touched + untouched
     c = len(touched)
     a = prof.a
@@ -425,9 +433,8 @@ def all_shift_collections(t: KSet, frame: WeightFrame) -> Iterator[list[CyclicSh
 
     There are (k - a0)(k - a1)...(k - a_c) * k^(k-c) of them.
     """
-    g0, blocks = _local_layout(frame)
-    touched = [b for b in blocks if t.mask & _mask_of(b)]
-    untouched = [b for b in blocks if not t.mask & _mask_of(b)]
+    g0, _ = _local_layout(frame)
+    touched, untouched = _split_blocks(frame, t)
     ordered = touched + untouched
     g0_free = [e for e in g0 if e not in t]
     pools = [shifts_of(g0_free)]

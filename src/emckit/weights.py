@@ -2,14 +2,10 @@
 
 A frame fixes the proof context: parameters (n, k, s), a partition of the
 prefix [(s+1)k-1] into a distinguished (k-1)-set and s blocks of size k, and
-a selected k-subset M of block indices.  Widths count blocks met; weights are
-the exact rationals C(n_bar, k-d) / C(s-c, k-c).
-
-Frames come in two validity levels.  A *partition frame* (any partition of
-the prefix) suffices for the bookkeeping identities.  An *anchored frame*
-additionally certifies that the blocks belong to the trace of a concrete
-family and the distinguished set has the pivot property; the transversal
-arguments need that level.
+a selected k-subset M of block indices.  The width of a prefix subset is the
+number of blocks it meets; weights are the exact rationals
+C(n_bar, k-d) / C(s-c, k-c) of width-c, size-d sets.  Any partition of the
+prefix suffices for the bookkeeping identities.
 """
 
 from __future__ import annotations
@@ -19,8 +15,9 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Optional
 
-from .core import ExactScalar, Family, KSet, binom
+from .core import Family, binom, mask_of
 from .constructions import prefix_size, trace_of
+
 
 class WeightFrame:
     """Parameters plus a prefix partition and a selected index set M.
@@ -31,7 +28,7 @@ class WeightFrame:
     so frames with astronomically large s never materialize bit-vectors.
     """
 
-    __slots__ = ("n", "k", "s", "m_indices", "_g0", "_blocks", "anchored")
+    __slots__ = ("n", "k", "s", "m_indices", "_g0", "_blocks")
 
     def __init__(
         self,
@@ -41,7 +38,6 @@ class WeightFrame:
         m_indices: Optional[Iterable[int]] = None,
         g0: Optional[tuple[int, ...]] = None,
         blocks: Optional[tuple[tuple[int, ...], ...]] = None,
-        anchored: bool = False,
     ):
         if k < 1 or s < k:
             raise ValueError("need 1 <= k <= s")
@@ -62,7 +58,6 @@ class WeightFrame:
             self._validate_partition(g0, blocks)
         self._g0 = g0
         self._blocks = blocks
-        self.anchored = anchored
 
     def _validate_partition(self, g0, blocks):
         p = prefix_size(self.k, self.s)
@@ -122,66 +117,11 @@ class WeightFrame:
             elems.extend(b)
         return tuple(sorted(elems))
 
-    def gm_kset(self) -> KSet:
-        return KSet.from_elements(self.prefix, self.gm_elements())
-
     def with_m(self, m_indices: Iterable[int]) -> "WeightFrame":
-        return WeightFrame(
-            self.n, self.k, self.s, m_indices, self._g0, self._blocks, self.anchored
-        )
-
-    def check_invariants(self) -> None:
-        assert len(self.gm_elements()) == self.k * self.k + self.k - 1
-        assert self.n_bar >= 0
-
-    # -- anchoring -------------------------------------------------------
-
-    def anchor(self, fam: Family) -> "WeightFrame":
-        """Verify the frame against a family and mark it anchored.
-
-        Requires every block to be a trace member and the distinguished set
-        to be outside the trace with the pivot property: for every member
-        disjoint from it, adjoining the member's minimum gives a member.
-        """
-        tr = trace_of(fam, self.k, self.s)
-        tr_masks = tr.mask_set()
-        for i in range(1, self.s + 1):
-            bmask = _mask_of(self.block_elements(i))
-            if bmask not in tr_masks:
-                raise ValueError(f"block {i} is not a trace member")
-        g0 = _mask_of(self.g0_elements())
-        if g0 in tr_masks:
-            raise ValueError("distinguished set must not be a trace member")
-        fam_masks = fam.mask_set()
-        for m in fam.masks:
-            if m & g0:
-                continue
-            b = (m & -m).bit_length()
-            if (g0 | (1 << (b - 1))) not in fam_masks:
-                raise ValueError("pivot property fails for the distinguished set")
-        return WeightFrame(
-            self.n, self.k, self.s, self.m_indices, self._g0, self._blocks, anchored=True
-        )
+        return WeightFrame(self.n, self.k, self.s, m_indices, self._g0, self._blocks)
 
     def __repr__(self) -> str:
-        return (
-            f"WeightFrame(n={self.n}, k={self.k}, s={self.s}, "
-            f"M={self.m_indices}, anchored={self.anchored})"
-        )
-
-
-def _mask_of(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << (e - 1)
-    return m
-
-
-def width(t: KSet, frame: WeightFrame) -> int:
-    """Number of blocks (indices in [s]) met by a prefix subset."""
-    if any(e > frame.prefix for e in t.elements):
-        raise ValueError("set extends beyond the prefix")
-    return len({frame.block_index(e) for e in t.elements} - {0})
+        return f"WeightFrame(n={self.n}, k={self.k}, s={self.s}, M={self.m_indices})"
 
 
 def weight_value(k: int, s: int, n_bar: int, c: int, d: int) -> Fraction:
@@ -218,12 +158,12 @@ def family_weight_identity(
     multiplies the count by the class weight once.
     """
     k, s = frame.k, frame.s
-    blocks = [_mask_of(frame.block_elements(i)) for i in range(1, s + 1)]
+    p = frame.prefix
+    blocks = [mask_of(p, frame.block_elements(i)) for i in range(1, s + 1)]
     classes: dict[tuple[int, int], list[int]] = {}
-    for t in trace_of(fam, k, s).members:
-        mask = t.mask
+    for mask in trace_of(fam, k, s).members:
         v = sum(1 for b in blocks if mask & b)
-        classes.setdefault((v, t.size), []).append(mask)
+        classes.setdefault((v, mask.bit_count()), []).append(mask)
     class_weight = {
         (v, d): _width_zero_weight(frame, d) if v == 0 else weight_cd(v, d, frame)
         for v, d in classes
@@ -234,7 +174,7 @@ def family_weight_identity(
     rhs = len(fam)
     if binom(s, k) <= direct_limit:
         outside = [
-            ~_mask_of(frame.with_m(m_combo).gm_elements())
+            ~mask_of(p, frame.with_m(m_combo).gm_elements())
             for m_combo in combinations(range(1, s + 1), k)
         ]
         direct = Fraction(0)
@@ -321,42 +261,3 @@ def wg_envelope(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
         / (s**g * factorial(g))
     )
     return lhs, rhs, lhs <= rhs
-
-
-class RxCounts:
-    """Counts of defect-one trace members inside the local universe.
-
-    ``r[d]``: size d, width d-1, meeting the distinguished set;
-    ``x[d]``: size d, width d-1, avoiding it.  ``chain_ok`` records whether
-    the incidence chain k(k-d+1) r_d <= d r_{d+1} holds for d = 2..k-2.
-    """
-
-    __slots__ = ("r", "x", "chain_ok")
-
-    def __init__(self, r: dict[int, int], x: dict[int, int], chain_ok: bool):
-        self.r = r
-        self.x = x
-        self.chain_ok = chain_ok
-
-
-def rx_counts(fam: Family, frame: WeightFrame) -> RxCounts:
-    k = frame.k
-    tr = trace_of(fam, k, frame.s)
-    gm = _mask_of(frame.gm_elements())
-    g0 = _mask_of(frame.g0_elements())
-    r = {d: 0 for d in range(2, k)}
-    x = {d: 0 for d in range(2, k)}
-    for t in tr.members:
-        if t.mask & ~gm:
-            continue
-        d = t.size
-        if d < 2 or d > k - 1:
-            continue
-        if width(t, frame) != d - 1:
-            continue
-        if t.mask & g0:
-            r[d] += 1
-        else:
-            x[d] += 1
-    chain_ok = all(k * (k - d + 1) * r[d] <= d * r[d + 1] for d in range(2, k - 1))
-    return RxCounts(r, x, chain_ok)

@@ -102,16 +102,15 @@ def test_verify_node_budget_lifts_cap(capsys):
 
 def test_runtime_error_exits_2(monkeypatch, capsys):
     from emckit import cli
-    from emckit.constructions import TraceCountMismatch
+    from emckit.weights import WeightFrame
 
-    def boom(args):
-        raise TraceCountMismatch("trace count 3 != family size 4")
-
-    monkeypatch.setattr(cli, "_cmd_crossover", boom)
-    code = main(["crossover", "--k", "2", "--s-max", "4"])
+    # a frame that ignores M makes the direct M-sum of the weight identity
+    # disagree with the reduced sum: weights raises a plain RuntimeError
+    monkeypatch.setattr(WeightFrame, "with_m", lambda self, m_indices: self)
+    code = main(["identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: trace count 3 != family size 4\n"
+    assert captured.err == "error: direct M-sum 57/2 disagrees with reduced sum 21\n"
     assert captured.out == ""
 
     def deep(args):
@@ -183,3 +182,45 @@ def test_shift_and_find_g0_roundtrip(tmp_path, capsys):
 def test_missing_file_fails(capsys):
     code = main(["shift", "--in", "/nonexistent/f.txt"])
     assert code == 1
+
+
+def _star_file(tmp_path):
+    from emckit.constructions import build_B
+
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text(build_B(20, 3, 5).to_text())
+    return fam_file
+
+
+def test_identities_refuses_mismatched_family_file(tmp_path, capsys):
+    fam_file = _star_file(tmp_path)
+    for n, k, s in (("30", "3", "5"), ("20", "4", "4")):
+        code = main(["identities", "--family", str(fam_file), "--n", n, "--k", k, "--s", s])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: family file has n=20, k=3")
+        assert captured.out == ""
+
+
+def test_find_g0_refuses_out_of_domain(tmp_path, capsys):
+    fam_file = _star_file(tmp_path)
+    singletons = tmp_path / "k1.txt"
+    singletons.write_text("7 1\n" + "".join(f"{e}\n" for e in range(1, 8)))
+    for path, k, s in ((fam_file, "3", "0"), (fam_file, "4", "3"), (singletons, "1", "3")):
+        code = main(["find-g0", "--in", str(path), "--k", k, "--s", s])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+    assert run(capsys, "find-g0", "--in", str(fam_file), "--k", "3", "--s", "5") == (0, "6,7\n")
+
+
+def test_family_header_out_of_domain_exits_2(tmp_path, capsys):
+    for header in ("5 6", "5 -1", "4097 *"):
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(header + "\n")
+        code = main(["shift", "--in", str(fam_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""

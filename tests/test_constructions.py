@@ -5,18 +5,55 @@ import random
 import pytest
 
 from emckit.constructions import (
-    TraceCountMismatch,
     build_A,
     build_B,
     crossover_n,
     extremal_sizes,
-    generate_from_trace,
     prefix_size,
-    size_via_trace,
     trace_of,
 )
-from emckit.core import Family, KSet, binom, enumerate_ksets
+from emckit.core import Family, binom, enumerate_ksets, mask_of
 from emckit.matching import matching_number
+
+
+class TraceCountMismatch(RuntimeError):
+    """The trace counting identity disagreed with the materialized family."""
+
+
+def generate_from_trace(tr: Family, n: int, k: int) -> Family:
+    """All k-subsets of [n] containing at least one trace member."""
+    tr_masks = sorted(tr.members)
+    return Family(
+        n, k, [m for m in enumerate_ksets(n, k) if any(m & tm == tm for tm in tr_masks)]
+    )
+
+
+def size_via_trace(tr: Family, n: int, k: int, s: int, check: bool = False) -> int:
+    """Counting identity: sum over trace sizes d of count_d * C(n_bar, k-d).
+
+    Expects the complete trace (all prefix intersections) of a saturated
+    family; each member of the generated family then contributes through
+    exactly one trace set.  With ``check=True`` the value is compared against
+    the materialized family and a mismatch raises :class:`TraceCountMismatch`.
+    """
+    n_bar = n - (s + 1) * k + 1
+    if n_bar < 0:
+        raise ValueError("need n >= (s+1)k - 1")
+    counts: dict[int, int] = {}
+    for t in tr.members:
+        d = t.bit_count()
+        if d == 0 and n_bar < k:
+            raise ValueError("empty trace member needs n_bar >= k")
+        counts[d] = counts.get(d, 0) + 1
+    total = sum(c * binom(n_bar, k - d) for d, c in counts.items())
+    if check:
+        materialized = len(generate_from_trace(tr, n, k))
+        if materialized != total:
+            raise TraceCountMismatch(
+                f"trace count {total} != materialized size {materialized}; "
+                "input is not the complete trace of a saturated family"
+            )
+    return total
 
 
 def test_prefix_size():
@@ -60,9 +97,9 @@ def test_crossover_definition():
 def test_trace_of_B():
     tr = trace_of(build_B(9, 2, 3), 2, 3)
     # pairs meeting [3] inside the prefix, plus singleton stubs {1},{2},{3}
-    sizes = sorted(t.size for t in tr.members)
+    sizes = sorted(t.bit_count() for t in tr.members)
     assert sizes.count(1) == 3
-    assert all(t.min_element() <= 3 for t in tr.members)
+    assert all((t & -t).bit_length() <= 3 for t in tr.members)
 
 
 def test_trace_requires_prefix():
@@ -87,7 +124,7 @@ def test_size_via_trace_on_candidates():
 def test_size_via_trace_detects_unsaturated_input():
     # a bare trace that misses supersets inside the prefix overcounts
     p = prefix_size(2, 3)
-    tr = Family(p, None, [KSet.from_elements(p, [1])])
+    tr = Family(p, None, [mask_of(p, [1])])
     with pytest.raises(TraceCountMismatch):
         size_via_trace(tr, 9, 2, 3, check=True)
 

@@ -3,16 +3,35 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from emckit.core import (
-    Family,
-    KSet,
-    binom,
-    complete_family,
-    enumerate_ksets,
-    precedes,
-)
+from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
+
+
+def precedes(f: KSet, g: KSet) -> bool:
+    """Coordinatewise order on sorted elements: f_i <= g_i for every i."""
+    if f.size != g.size:
+        raise ValueError("precedes is only defined for equal-size sets")
+    return all(a <= b for a, b in zip(f.elements, g.elements))
+
+
+def complete_family(n: int, k: int) -> Family:
+    """The family of all k-subsets of [n]."""
+    return Family(n, k, enumerate_ksets(n, k))
+
+
+def oracle_members(masks) -> tuple[int, ...]:
+    """Oracle: the canonical order of the object representation, (size, mask)
+    as ``KSet.__lt__`` compared members."""
+    return tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
+
+
+def oracle_to_text(n: int, k, masks) -> str:
+    """Oracle: the element-wise rendering, element e for each set bit e-1."""
+    lines = [f"{n} {'*' if k is None else k}"]
+    for m in oracle_members(masks):
+        lines.append(",".join(str(i + 1) for i in range(n) if m >> i & 1))
+    return "\n".join(lines) + "\n"
 
 
 def test_kset_basics():
@@ -20,7 +39,6 @@ def test_kset_basics():
     assert t.size == 3
     assert t.elements == (2, 5, 7)
     assert 5 in t and 3 not in t
-    assert t.min_element() == 2
     assert t.mask == 0b1010010
 
 
@@ -31,29 +49,26 @@ def test_kset_rejects_out_of_range():
         KSet(5, 1 << 5)
 
 
-def test_kset_set_algebra():
-    a = KSet.from_elements(6, [1, 2, 3])
-    b = KSet.from_elements(6, [3, 4])
-    assert (a & b).elements == (3,)
-    assert (a | b).elements == (1, 2, 3, 4)
-    assert (a - b).elements == (1, 2)
-    assert not a.isdisjoint(b)
-    assert (a - b).isdisjoint(b)
-    assert KSet.from_elements(6, [1, 3]).issubset(a)
+def test_mask_of():
+    assert mask_of(7, [2, 5, 7]) == 0b1010010
+    assert mask_of(3, []) == 0
+    for bad in ([0], [4], [-1]):
+        with pytest.raises(ValueError):
+            mask_of(3, bad)
 
 
 def test_family_canonical_order_and_dedup():
-    members = [KSet.from_elements(5, e) for e in ([3, 4], [1, 2], [1, 5])]
+    members = [mask_of(5, e) for e in ([3, 4], [1, 2], [1, 5])]
     fam = Family(5, 2, members)
-    assert [m.elements for m in fam.members] == [(1, 2), (3, 4), (1, 5)]
+    assert [KSet(5, m).elements for m in fam.members] == [(1, 2), (3, 4), (1, 5)]
     with pytest.raises(ValueError):
-        Family(5, 2, members + [KSet.from_elements(5, [1, 2])])
+        Family(5, 2, members + [mask_of(5, [1, 2])])
     with pytest.raises(ValueError):
-        Family(5, 2, [KSet.from_elements(5, [1, 2, 3])])
+        Family(5, 2, [mask_of(5, [1, 2, 3])])
 
 
 def test_family_text_roundtrip():
-    fam = Family(6, 2, [KSet.from_elements(6, e) for e in ([1, 2], [2, 6])])
+    fam = Family(6, 2, [mask_of(6, e) for e in ([1, 2], [2, 6])])
     text = fam.to_text()
     assert text.splitlines()[0] == "6 2"
     assert Family.from_text(text) == fam
@@ -63,13 +78,82 @@ def test_family_text_mixed_and_comments():
     text = "5 *  # header\n# a comment line\n1,2\n\n3\n"
     fam = Family.from_text(text)
     assert fam.k is None
-    assert [m.elements for m in fam.members] == [(3,), (1, 2)]
+    assert [KSet(5, m).elements for m in fam.members] == [(3,), (1, 2)]
     assert Family.from_text(fam.to_text()) == fam
 
 
 def test_family_text_rejects_unsorted():
     with pytest.raises(ValueError):
         Family.from_text("5 2\n2,1\n")
+
+
+def test_family_text_rejects_out_of_range_and_bad_header():
+    bad = ("5 2\n1,6\n", "5 2\n0,1\n", "4097 2\n1,2\n", "4097 *\n", "-1 *\n", "5 6\n", "1,2\n")
+    for text in bad:
+        with pytest.raises(ValueError):
+            Family.from_text(text)
+
+
+@st.composite
+def mask_lists(draw):
+    """(n, k, masks): a duplicate-free list over [n], n <= 12, uniform
+    (k given) or mixed (k None), in random order."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        pool = list(enumerate_ksets(n, k))
+    else:
+        k = None
+        pool = list(range(1 << n))
+    masks = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
+    return n, k, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_lists(), st.randoms(use_true_random=False))
+def test_family_matches_object_oracle(case, rng):
+    n, k, masks = case
+    fam = Family(n, k, masks)
+    assert fam.members == oracle_members(masks)
+    assert fam.mask_set == frozenset(masks)
+    text = fam.to_text()
+    assert text.encode() == oracle_to_text(n, k, masks).encode()
+    # the format writes the empty set as a blank line, which parsing skips
+    assert Family.from_text(text) == Family(n, k, [m for m in masks if m])
+    shuffled = list(masks)
+    rng.shuffle(shuffled)
+    assert Family(n, k, shuffled) == fam
+    assert Family.from_masks(n, k, iter(shuffled)) == fam
+    if masks:
+        fewer = Family(n, k, masks[1:])
+        assert (fewer == fam) == (oracle_members(masks[1:]) == oracle_members(masks))
+        assert fewer != fam
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_lists(), st.data())
+def test_family_refuses_invalid_masks(case, data):
+    n, k, masks = case
+    if masks:
+        dup = data.draw(st.sampled_from(masks))
+        with pytest.raises(ValueError, match="duplicate"):
+            Family(n, k, masks + [dup])
+    beyond = data.draw(st.integers(n, n + 8))
+    with pytest.raises(ValueError):
+        Family(n, k, masks + [1 << beyond])
+    with pytest.raises(ValueError):
+        Family(n, k, masks + [-data.draw(st.integers(1, 1 << 13))])
+    if k is not None and n:
+        wrong = data.draw(st.integers(0, (1 << n) - 1).filter(lambda m: m.bit_count() != k))
+        with pytest.raises(ValueError, match="uniformity"):
+            Family(n, k, masks + [wrong])
+    for bad_k in (-1, n + 1):
+        with pytest.raises(ValueError, match="uniformity"):
+            Family(n, bad_k, [])
+    with pytest.raises(ValueError):
+        Family(4097, k, masks)
+    with pytest.raises(ValueError):
+        Family.from_text(f"4097 {'*' if k is None else k}\n")
 
 
 def test_binom_conventions():
@@ -81,10 +165,10 @@ def test_binom_conventions():
 
 
 def test_colex_enumeration_order():
-    got = [t.elements for t in enumerate_ksets(4, 2)]
+    got = [KSet(4, m).elements for m in enumerate_ksets(4, 2)]
     assert got == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
     # colex on equal-size sets coincides with numeric mask order
-    masks = [t.mask for t in enumerate_ksets(6, 3)]
+    masks = list(enumerate_ksets(6, 3))
     assert masks == sorted(masks)
 
 
@@ -94,7 +178,9 @@ def test_enumeration_count(n, k):
         with pytest.raises(ValueError):
             list(enumerate_ksets(n, k))
     else:
-        assert sum(1 for _ in enumerate_ksets(n, k)) == math.comb(n, k)
+        got = list(enumerate_ksets(n, k))
+        assert len(got) == math.comb(n, k)
+        assert got == sorted(m for m in range(1 << n) if m.bit_count() == k)
 
 
 def test_precedes():
@@ -109,7 +195,7 @@ def test_precedes():
 
 @given(st.integers(2, 7))
 def test_precedence_has_colex_as_linear_extension(n):
-    sets = list(enumerate_ksets(n, 2))
+    sets = [KSet(n, m) for m in enumerate_ksets(n, 2)]
     for i, f in enumerate(sets):
         for g in sets[i + 1 :]:
             assert not (precedes(g, f) and f != g)

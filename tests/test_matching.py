@@ -5,8 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from emckit.core import Family, KSet, enumerate_ksets
-from emckit.matching import BudgetExceeded, is_pairwise_disjoint, matching_number
+from emckit.core import Family, KSet, enumerate_ksets, mask_of
+from emckit.matching import BudgetExceeded, matching_number
+
+
+def is_pairwise_disjoint(sets) -> bool:
+    """True iff all pairwise intersections are empty (vacuously for <= 1 set)."""
+    seen = 0
+    for s in sets:
+        if seen & s.mask:
+            return False
+        seen |= s.mask
+    return True
 
 
 def brute_force_matching_number(fam: Family) -> int:
@@ -14,7 +24,7 @@ def brute_force_matching_number(fam: Family) -> int:
 
     Exponential; for test instances only.
     """
-    masks = [m.mask for m in fam.members]
+    masks = list(fam.members)
     best = 0
     for t in range(1, len(masks) + 1):
         found = False
@@ -36,7 +46,7 @@ def brute_force_matching_number(fam: Family) -> int:
 
 
 def fam_of(n, k, *element_lists):
-    return Family(n, k, [KSet.from_elements(n, e) for e in element_lists])
+    return Family(n, k, [mask_of(n, e) for e in element_lists])
 
 
 def test_pairwise_disjoint():
@@ -58,7 +68,7 @@ def test_matching_number_simple():
 def test_empty_family_and_empty_member():
     assert matching_number(Family(5, 2, []))[0] == 0
     # an empty set is disjoint from everything
-    fam = Family(5, None, [KSet(5, 0), KSet.from_elements(5, [1, 2])])
+    fam = Family(5, None, [0, mask_of(5, [1, 2])])
     nu, cert = matching_number(fam)
     assert nu == 2
     assert KSet(5, 0) in cert.sets

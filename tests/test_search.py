@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from emckit.constructions import build_B, extremal_sizes
-from emckit.core import Family, KSet, binom, enumerate_ksets
+from emckit.core import Family, binom, enumerate_ksets, mask_of
 from emckit.matching import BudgetExceeded, matching_number
 from emckit.search import (
     _bnb_max,
@@ -89,12 +89,12 @@ def test_shifted_only_matches_downset_oracle():
         for k in range(1, min(n, 3) + 1):
             if comb(n, k) > 45:
                 continue
-            masks = [t.mask for t in enumerate_ksets(n, k)]
+            masks = list(enumerate_ksets(n, k))
             for s in range(1, 4):
                 size, incl = downset_max(masks, s)
                 mx, wit = max_family_size(n, k, s, method="shifted_only")
                 assert mx == size, (n, k, s)
-                assert wit.masks == tuple(m for i, m in enumerate(masks) if incl >> i & 1)
+                assert wit.members == tuple(m for i, m in enumerate(masks) if incl >> i & 1)
                 cases += 1
     assert cases == 3 * 24
 
@@ -189,7 +189,7 @@ def test_find_g0_on_star_family():
 def test_find_g0_none_when_everything_traced():
     # k = 1: the only candidate is the empty set, and it is a trace member
     # as soon as some member lies entirely beyond the prefix
-    fam = Family(7, 1, [KSet.from_elements(7, [e]) for e in range(1, 8)])
+    fam = Family(7, 1, [mask_of(7, [e]) for e in range(1, 8)])
     assert find_G0(fam, 1, 3) is None
 
 

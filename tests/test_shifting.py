@@ -6,17 +6,18 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emckit.core import Family, KSet, enumerate_ksets, precedes
+from emckit.core import Family, KSet, enumerate_ksets, mask_of
 from emckit.matching import matching_number
 from emckit.shifting import compress_ij, is_shifted, shift_to_fixpoint
+from test_core import precedes
 
 
 def rebuilding_compress_ij(fam: Family, i: int, j: int) -> Family:
     """Oracle: the (i,j)-compression member by member, as a new Family."""
     bi, bj = 1 << (i - 1), 1 << (j - 1)
-    present = fam.mask_set()
+    present = fam.mask_set
     out = []
-    for m in fam.masks:
+    for m in fam.members:
         if m & bj and not m & bi:
             repl = (m & ~bj) | bi
             out.append(m if repl in present else repl)
@@ -34,7 +35,7 @@ def rebuilding_shift_to_fixpoint(fam: Family) -> Family:
         for j in range(2, fam.n + 1):
             for i in range(1, j):
                 nxt = rebuilding_compress_ij(current, i, j)
-                if nxt.mask_set() != current.mask_set():
+                if nxt.mask_set != current.mask_set:
                     current = nxt
                     changed = True
                     break
@@ -47,8 +48,8 @@ def precedence_downset_closure(fam: Family) -> Family:
     """Oracle: BFS closure of a uniform family under the precedence order."""
     if fam.k is None:
         raise ValueError("closure requires a uniform family")
-    seen = set(fam.masks)
-    queue = deque(fam.masks)
+    seen = set(fam.members)
+    queue = deque(fam.members)
     while queue:
         m = queue.popleft()
         mm = m
@@ -73,7 +74,7 @@ def is_precedence_closed(fam: Family) -> bool:
         raise ValueError("requires a uniform family")
     for g in fam.members:
         for f in enumerate_ksets(fam.n, fam.k):
-            if precedes(f, g) and f not in fam:
+            if precedes(KSet(fam.n, f), KSet(fam.n, g)) and f not in fam.mask_set:
                 return False
     return True
 
@@ -93,20 +94,20 @@ def random_family(rng, n, k, max_size=12):
 
 
 def test_compress_basic():
-    fam = Family(4, 2, [KSet.from_elements(4, e) for e in ([2, 4], [1, 3])])
+    fam = Family(4, 2, [mask_of(4, e) for e in ([2, 4], [1, 3])])
     out = compress_ij(fam, 1, 4)
-    assert {m.elements for m in out.members} == {(1, 2), (1, 3)}
+    assert {KSet(4, m).elements for m in out.members} == {(1, 2), (1, 3)}
 
 
 def test_compress_collision_keeps_original():
-    fam = Family(4, 2, [KSet.from_elements(4, e) for e in ([1, 2], [2, 4])])
+    fam = Family(4, 2, [mask_of(4, e) for e in ([1, 2], [2, 4])])
     out = compress_ij(fam, 1, 4)
     # {2,4} -> {1,2} collides, so {2,4} stays
     assert out == fam
 
 
 def test_compress_validates_indices():
-    fam = Family(4, 2, [KSet.from_elements(4, [1, 2])])
+    fam = Family(4, 2, [mask_of(4, [1, 2])])
     with pytest.raises(ValueError):
         compress_ij(fam, 2, 2)
     with pytest.raises(ValueError):
@@ -152,15 +153,15 @@ def test_decrement_criterion_matches_precedence_closure():
 
 
 def test_closure_is_superset_and_minimal():
-    fam = Family(5, 2, [KSet.from_elements(5, [3, 5])])
+    fam = Family(5, 2, [mask_of(5, [3, 5])])
     closed = precedence_downset_closure(fam)
-    assert fam.mask_set() <= closed.mask_set()
+    assert fam.mask_set <= closed.mask_set
     # {3,5} dominates exactly the pairs (a,b) with a<=3, b<=5
     assert len(closed) == 9
 
 
 def test_is_shifted_rejects_mixed():
-    fam = Family(5, None, [KSet.from_elements(5, [1]), KSet.from_elements(5, [1, 2])])
+    fam = Family(5, None, [mask_of(5, [1]), mask_of(5, [1, 2])])
     with pytest.raises(ValueError):
         is_shifted(fam)
 
@@ -174,7 +175,7 @@ def test_fixpoint_members_precede_or_equal_originals_in_bulk(data):
     fam = Family(n, k, [pool[i] for i in idx])
     fixed = shift_to_fixpoint(fam)
     # total colex weight never increases under compression
-    assert sum(m.mask for m in fixed.members) <= sum(m.mask for m in fam.members)
+    assert sum(fixed.members) <= sum(fam.members)
 
 
 @settings(max_examples=150, deadline=None)

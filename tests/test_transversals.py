@@ -8,7 +8,7 @@ from typing import Optional
 import pytest
 
 from emckit import transversals
-from emckit.core import KSet
+from emckit.core import KSet, mask_of
 from emckit.transversals import (
     BAD_PAIR_MAX_K,
     BadPairStats,
@@ -26,7 +26,7 @@ from emckit.transversals import (
     shape_profile,
     shifts_of,
 )
-from emckit.weights import WeightFrame, _mask_of
+from emckit.weights import WeightFrame
 
 
 def small_frame(k):
@@ -50,7 +50,7 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
     if k > BAD_PAIR_MAX_K:
         raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
     _, blocks = _local_layout(frame)
-    bmasks = [_mask_of(b) for b in blocks]
+    bmasks = [mask_of(frame.prefix, b) for b in blocks]
     bmins = [min(b) for b in blocks]
 
     # masks grouped by (missed block, doubled block); each entry carries the
@@ -66,7 +66,7 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
             bucket = []
             for pair in combinations(blocks[dbl], 2):
                 for choice in product(*(blocks[i] for i in singles)):
-                    qmask = _mask_of(pair) | _mask_of(choice)
+                    qmask = mask_of(frame.prefix, pair + choice)
                     minflags = 0
                     for i, e in zip(singles, choice):
                         if e == bmins[i]:
@@ -85,7 +85,7 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
             singles = [i for i in others if i not in missed]
             for pair in combinations(blocks[dbl_t], 2):
                 for choice in product(*(blocks[i] for i in singles)):
-                    tmask = _mask_of(pair) | _mask_of(choice)
+                    tmask = mask_of(frame.prefix, pair + choice)
                     num_t += 1
                     cnt = 0
                     for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):

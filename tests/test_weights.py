@@ -4,26 +4,96 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emckit.constructions import build_A, build_B, generate_from_trace, prefix_size, trace_of
-from emckit.core import Family, KSet, binom, enumerate_ksets
+from emckit.constructions import build_A, build_B, prefix_size, trace_of
+from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
 from emckit.weights import (
     WeightFrame,
     block_subset_count,
     candidate_count,
     claim3_bound,
     family_weight_identity,
-    rx_counts,
     wA_of_M,
     weight_cd,
     weight_value,
     wg_envelope,
-    width,
 )
+from test_constructions import generate_from_trace
+
+
+def check_invariants(frame: WeightFrame) -> None:
+    assert len(frame.gm_elements()) == frame.k * frame.k + frame.k - 1
+    assert frame.n_bar >= 0
+
+
+def width(t: int, frame: WeightFrame) -> int:
+    """Number of blocks (indices in [s]) met by a prefix subset, given as a mask."""
+    elements = KSet(frame.prefix, t).elements  # refuses bits beyond the prefix
+    return len({frame.block_index(e) for e in elements} - {0})
+
+
+def anchor(frame: WeightFrame, fam: Family) -> None:
+    """Verify the frame against a family, or raise ValueError.
+
+    Requires every block to be a trace member and the distinguished set to
+    be outside the trace with the pivot property: for every member disjoint
+    from it, adjoining the member's minimum gives a member.
+    """
+    p = frame.prefix
+    tr_masks = trace_of(fam, frame.k, frame.s).mask_set
+    for i in range(1, frame.s + 1):
+        if mask_of(p, frame.block_elements(i)) not in tr_masks:
+            raise ValueError(f"block {i} is not a trace member")
+    g0 = mask_of(p, frame.g0_elements())
+    if g0 in tr_masks:
+        raise ValueError("distinguished set must not be a trace member")
+    for m in fam.members:
+        if m & g0:
+            continue
+        b = (m & -m).bit_length()
+        if (g0 | (1 << (b - 1))) not in fam.mask_set:
+            raise ValueError("pivot property fails for the distinguished set")
+
+
+class RxCounts(NamedTuple):
+    """Counts of defect-one trace members inside the local universe.
+
+    ``r[d]``: size d, width d-1, meeting the distinguished set;
+    ``x[d]``: size d, width d-1, avoiding it.  ``chain_ok`` records whether
+    the incidence chain k(k-d+1) r_d <= d r_{d+1} holds for d = 2..k-2.
+    """
+
+    r: dict[int, int]
+    x: dict[int, int]
+    chain_ok: bool
+
+
+def rx_counts(fam: Family, frame: WeightFrame) -> RxCounts:
+    k = frame.k
+    tr = trace_of(fam, k, frame.s)
+    gm = mask_of(frame.prefix, frame.gm_elements())
+    g0 = mask_of(frame.prefix, frame.g0_elements())
+    r = {d: 0 for d in range(2, k)}
+    x = {d: 0 for d in range(2, k)}
+    for t in tr.members:
+        if t & ~gm:
+            continue
+        d = t.bit_count()
+        if d < 2 or d > k - 1:
+            continue
+        if width(t, frame) != d - 1:
+            continue
+        if t & g0:
+            r[d] += 1
+        else:
+            x[d] += 1
+    chain_ok = all(k * (k - d + 1) * r[d] <= d * r[d + 1] for d in range(2, k - 1))
+    return RxCounts(r, x, chain_ok)
 
 
 def test_frame_canonical_layout():
@@ -35,7 +105,7 @@ def test_frame_canonical_layout():
     assert fr.g0_elements() == (10, 11)
     assert fr.block_index(5) == 2
     assert fr.block_index(10) == 0
-    fr.check_invariants()
+    check_invariants(fr)
 
 
 def test_frame_huge_s_is_lazy():
@@ -64,9 +134,9 @@ def test_frame_m_subset_validation():
 
 def test_width():
     fr = WeightFrame(12, 3, 3)
-    t = KSet.from_elements(fr.prefix, [1, 4, 10])
+    t = mask_of(fr.prefix, [1, 4, 10])
     assert width(t, fr) == 2
-    assert width(KSet(fr.prefix, 0), fr) == 0
+    assert width(0, fr) == 0
 
 
 def test_weight_values():
@@ -108,8 +178,8 @@ def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fractio
     def weight(t, fr):
         v = width(t, fr)
         if v == 0:
-            return Fraction(binom(fr.n_bar, k - t.size), binom(s, k))
-        return weight_cd(v, t.size, fr)
+            return Fraction(binom(fr.n_bar, k - t.bit_count()), binom(s, k))
+        return weight_cd(v, t.bit_count(), fr)
 
     lhs = Fraction(0)
     for t in tr.members:
@@ -118,9 +188,9 @@ def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fractio
     direct = Fraction(0)
     for m_combo in combinations(range(1, s + 1), k):
         sub = frame.with_m(m_combo)
-        gm = sub.gm_kset()
+        gm = mask_of(sub.prefix, sub.gm_elements())
         for t in tr.members:
-            if t.issubset(gm):
+            if t & ~gm == 0:
                 direct += weight(t, sub)
     assert direct == lhs
     return lhs, len(fam), lhs == len(fam)
@@ -175,22 +245,21 @@ def test_wA_symmetry_recovers_prefix_family_size():
 def test_anchor_accepts_B():
     n, k, s = 9, 2, 3
     fr = WeightFrame(n, k, s, g0=(4,), blocks=((1, 5), (2, 6), (3, 7)))
-    anchored = fr.anchor(build_B(n, k, s))
-    assert anchored.anchored
+    anchor(fr, build_B(n, k, s))  # raises if the frame does not fit
 
 
 def test_anchor_rejects_missing_block_and_trace_member_g0():
     n, k, s = 9, 2, 3
     fr = WeightFrame(n, k, s, g0=(4,), blocks=((1, 5), (2, 6), (3, 7)))
     # only one block present in the trace
-    small = Family(n, 2, [KSet.from_elements(n, [1, 5])])
-    with pytest.raises(ValueError):
-        fr.anchor(small)
+    small = Family(n, 2, [mask_of(n, [1, 5])])
+    with pytest.raises(ValueError, match="block 2 is not a trace member"):
+        anchor(fr, small)
     # distinguished set inside the trace ({1,8} leaves the stub {1})
     fr2 = WeightFrame(n, k, s, g0=(1,), blocks=((2, 5), (3, 6), (4, 7)))
-    fam = Family(n, 2, [KSet.from_elements(n, e) for e in ([2, 5], [3, 6], [4, 7], [1, 8])])
-    with pytest.raises(ValueError):
-        fr2.anchor(fam)
+    fam = Family(n, 2, [mask_of(n, e) for e in ([2, 5], [3, 6], [4, 7], [1, 8])])
+    with pytest.raises(ValueError, match="distinguished set must not be a trace member"):
+        anchor(fr2, fam)
 
 
 def test_candidate_counts_total():
