@@ -148,7 +148,7 @@ class Family:
         """Serialize in the shared family text format."""
         k_field = "*" if self.k is None else str(self.k)
         lines = [f"{self.n} {k_field}"]
-        lines.extend(",".join(map(str, _elements(m))) for m in self.members)
+        lines.extend(",".join(map(str, _elements(m))) or "-" for m in self.members)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -156,7 +156,8 @@ class Family:
         """Parse the shared family text format.
 
         Line 1 is "n k" (k may be "*"), each further non-blank, non-comment
-        line is a strictly increasing comma-separated list of elements.
+        line is a strictly increasing comma-separated list of elements, or
+        "-" for the empty set.
         """
         header = None
         masks = []
@@ -173,7 +174,10 @@ class Family:
                 k = None if parts[1] == "*" else int(parts[1])
                 header = (n, k)
                 continue
-            elems = [int(tok) for tok in line.split(",") if tok.strip() != ""]
+            try:
+                elems = [] if line == "-" else [int(tok) for tok in line.split(",")]
+            except ValueError:
+                raise ValueError(f"line {lineno}: members are '-' or integers joined by ','") from None
             if any(a >= b for a, b in zip(elems, elems[1:])):
                 raise ValueError(f"line {lineno}: elements must be strictly increasing")
             masks.append(mask_of(header[0], elems))

@@ -7,12 +7,17 @@ branch-and-bound over inclusion decisions.  Method ``shifted_only`` is the
 same branch-and-bound restricted to precedence downsets: a set may join only
 after all its single-element decrements.  The restriction is exact because
 shifting keeps |F| and never raises the matching number.
+
+The branch-and-bound keeps only sets that can still join in its undecided
+pool, and updates that pool incrementally: after an include, a new
+(s+1)-matching must use the added set, so a pooled set leaves iff it misses
+the added set and some union of s-1 disjoint members that also miss it.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import Collection, Optional
 
 from .audit import AuditReport, make_report
 from .constructions import extremal_sizes, prefix_size, trace_of
@@ -52,27 +57,6 @@ def _disjoint_tuples(masks: list[int], t: int) -> list[int]:
     return out
 
 
-def _has_matching(masks: list[int], t: int, forbidden_overlap: int = 0) -> bool:
-    """Does the list contain t pairwise disjoint sets (avoiding the given bits)?"""
-    if t == 0:
-        return True
-    pool = [m for m in masks if not m & forbidden_overlap]
-
-    def rec(idx: int, used: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if len(pool) - idx < need:
-            return False
-        for i in range(idx, len(pool)):
-            if pool[i] & used:
-                continue
-            if rec(i + 1, used | pool[i], need - 1):
-                return True
-        return False
-
-    return rec(0, 0, t)
-
-
 def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
     """Scan all 2^m subfamilies; returns (max size, best inclusion mask)."""
     m = len(all_masks)
@@ -91,6 +75,44 @@ def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
     return best_size, best_incl
 
 
+def _blocking_unions(cur: list[int], cand: int, s: int) -> set[int]:
+    """Distinct unions of the (s-1)-matchings of ``cur`` that avoid ``cand``.
+
+    Built level by level, so the work is bounded by the number of distinct
+    unions times |cur|, not by the number of matchings.
+    """
+    pool = [x for x in cur if not x & cand]
+    level = {0}
+    for _ in range(s - 1):
+        level = {u | x for u in level for x in pool if not u & x}
+    return level
+
+
+def _joinable(
+    rest: list[tuple[int, int]],
+    alive: int,
+    parents: list[int],
+    cand: int = 0,
+    unions: Collection[int] = (),
+) -> list[tuple[int, int]]:
+    """The sets of ``rest`` that can still join, in one forward pass.
+
+    Parents precede children in ``rest``, so a set whose parent was dropped
+    earlier in the pass is dropped too.  After the include of ``cand``, a set
+    disjoint from it and from one of the ``unions`` of
+    :func:`_blocking_unions` would close an (s+1)-matching, so it is dropped.
+    """
+    kept = []
+    for j, m in rest:
+        if parents[j] & ~alive:
+            continue
+        if not m & cand and any(not m & u for u in unions):
+            continue
+        kept.append((j, m))
+        alive |= 1 << j
+    return kept
+
+
 def _bnb_max(
     all_masks: list[int],
     s: int,
@@ -105,8 +127,16 @@ def _bnb_max(
     maximizer found the colex-least one.  After every decision, sets that can
     no longer join the current branch -- infeasible next to it, or with a
     parent excluded or dropped -- leave the undecided pool, which tightens
-    the size bound.  So the head of the pool always has every parent
-    included, and the include test needs only feasibility.
+    the size bound.
+
+    Invariant: no pooled set has a parent excluded or dropped, and every
+    pooled set is feasible next to the current members (adding it keeps the
+    matching number <= s).  So the head of the pool, whose parents are all
+    decided, can always be included without a test.  After the include of
+    ``cand``, any new (s+1)-matching uses ``cand``, so a pooled set m becomes
+    infeasible iff m misses ``cand`` and some (s-1)-matching of the current
+    members that avoids ``cand``.  The prune tests exactly that, against the
+    distinct unions of those matchings, computed once per include.
     """
     if parents is None:
         parents = [0] * len(all_masks)
@@ -116,11 +146,6 @@ def _bnb_max(
     best_size = -1
     best_incl = 0
     nodes = 0
-
-    def feasible(cur: list[int], cand: int) -> bool:
-        # adding cand keeps the matching number <= s iff there is no
-        # s-matching among current members disjoint from cand
-        return not _has_matching(cur, s, forbidden_overlap=cand)
 
     def rec(undecided: list[tuple[int, int]], cur: list[int], incl: int):
         nonlocal best_size, best_incl, nodes
@@ -134,25 +159,11 @@ def _bnb_max(
             return
         i, cand = undecided[0]
         rest = undecided[1:]
-        if feasible(cur, cand):
-            grown = cur + [cand]
-            rec(joinable(rest, incl | 1 << i, grown), grown, incl | 1 << i)
+        added = incl | 1 << i
+        unions = _blocking_unions(cur, cand, s)
+        rec(_joinable(rest, added, parents, cand, unions), cur + [cand], added)
         # excluding a set that is nobody's parent orphans nothing
-        rec(joinable(rest, incl, None) if is_parent >> i & 1 else rest, cur, incl)
-
-    def joinable(
-        rest: list[tuple[int, int]], alive: int, grown: Optional[list[int]]
-    ) -> list[tuple[int, int]]:
-        # one forward pass: parents precede children in ``rest``, so a set
-        # whose parent was dropped earlier in the pass is dropped too; after
-        # an include, a set infeasible next to the grown family can never join
-        kept = []
-        for j, m in rest:
-            if parents[j] & ~alive or (grown is not None and not feasible(grown, m)):
-                continue
-            kept.append((j, m))
-            alive |= 1 << j
-        return kept
+        rec(_joinable(rest, incl, parents) if is_parent >> i & 1 else rest, cur, incl)
 
     rec(list(enumerate(all_masks)), [], 0)
     return best_size, best_incl
@@ -191,9 +202,8 @@ def max_family_size(
             raise ValueError(
                 f"{name} needs C(n,k) <= {bnb_cap} without a node budget, got {m}"
             )
-        # one recursion level per decided set, plus at most n/k levels of
-        # the matching test and the caller's frames
-        depth = sys.getrecursionlimit() - _STACK_HEADROOM - n // k
+        # one recursion level per decided set, plus the caller's frames
+        depth = sys.getrecursionlimit() - _STACK_HEADROOM
         if m > depth:
             raise ValueError(f"{name} recursion needs C(n,k) <= {depth}, got {m}")
         parents = None

@@ -27,10 +27,11 @@ def oracle_members(masks) -> tuple[int, ...]:
 
 
 def oracle_to_text(n: int, k, masks) -> str:
-    """Oracle: the element-wise rendering, element e for each set bit e-1."""
+    """Oracle: the element-wise rendering, element e for each set bit e-1,
+    and "-" for the empty set."""
     lines = [f"{n} {'*' if k is None else k}"]
     for m in oracle_members(masks):
-        lines.append(",".join(str(i + 1) for i in range(n) if m >> i & 1))
+        lines.append(",".join(str(i + 1) for i in range(n) if m >> i & 1) or "-")
     return "\n".join(lines) + "\n"
 
 
@@ -82,6 +83,13 @@ def test_family_text_mixed_and_comments():
     assert Family.from_text(fam.to_text()) == fam
 
 
+def test_family_text_keeps_empty_set():
+    for fam in (Family(3, None, [0, 0b101]), Family(2, 0, [0])):
+        text = fam.to_text()
+        assert "\n-\n" in text
+        assert Family.from_text(text) == fam
+
+
 def test_family_text_rejects_unsorted():
     with pytest.raises(ValueError):
         Family.from_text("5 2\n2,1\n")
@@ -89,6 +97,7 @@ def test_family_text_rejects_unsorted():
 
 def test_family_text_rejects_out_of_range_and_bad_header():
     bad = ("5 2\n1,6\n", "5 2\n0,1\n", "4097 2\n1,2\n", "4097 *\n", "-1 *\n", "5 6\n", "1,2\n")
+    bad += ("5 2\n1,,2\n", "5 2\n1,2,\n", "5 *\n,\n", "5 *\n-,1\n", "5 *\n--\n")
     for text in bad:
         with pytest.raises(ValueError):
             Family.from_text(text)
@@ -118,8 +127,7 @@ def test_family_matches_object_oracle(case, rng):
     assert fam.mask_set == frozenset(masks)
     text = fam.to_text()
     assert text.encode() == oracle_to_text(n, k, masks).encode()
-    # the format writes the empty set as a blank line, which parsing skips
-    assert Family.from_text(text) == Family(n, k, [m for m in masks if m])
+    assert Family.from_text(text) == fam
     shuffled = list(masks)
     rng.shuffle(shuffled)
     assert Family(n, k, shuffled) == fam

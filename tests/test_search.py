@@ -1,20 +1,45 @@
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emckit.constructions import build_B, extremal_sizes
 from emckit.core import Family, binom, enumerate_ksets, mask_of
 from emckit.matching import BudgetExceeded, matching_number
 from emckit.search import (
+    _blocking_unions,
     _bnb_max,
-    _has_matching,
+    _joinable,
     find_G0,
     max_family_size,
     max_family_size as mfs,
     verify_conjecture,
 )
+
+
+def _has_matching(masks: list[int], t: int, forbidden_overlap: int = 0) -> bool:
+    """Oracle: does the list contain t pairwise disjoint sets (avoiding the
+    given bits)?  A plain DFS over the sets."""
+    if t == 0:
+        return True
+    pool = [m for m in masks if not m & forbidden_overlap]
+
+    def rec(idx: int, used: int, need: int) -> bool:
+        if need == 0:
+            return True
+        if len(pool) - idx < need:
+            return False
+        for i in range(idx, len(pool)):
+            if pool[i] & used:
+                continue
+            if rec(i + 1, used | pool[i], need - 1):
+                return True
+        return False
+
+    return rec(0, 0, t)
 
 
 def erdos_gallai_max(n: int, s: int) -> int:
@@ -106,6 +131,72 @@ def test_bnb_max_respects_parents():
     masks = [0b0011, 0b1100, 0b0110]
     assert _bnb_max(masks, 1, None) == (2, 0b101)
     assert _bnb_max(masks, 1, None, [0, 0b001, 0b010]) == (1, 0b001)
+
+
+@st.composite
+def prune_cases(draw):
+    """(s, cur, cand, pool): k-sets over [n] with n <= 9, where cur has
+    matching number <= s and cand and every pooled set are feasible next to
+    cur, as the branch-and-bound keeps them."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(n, 3)))
+    s = draw(st.integers(1, 3))
+    order = draw(st.permutations(list(enumerate_ksets(n, k))))
+    cur = []
+    for m in order[: draw(st.integers(0, len(order)))]:
+        if not _has_matching(cur, s, forbidden_overlap=m):
+            cur.append(m)
+    feasible = [
+        m for m in order if m not in cur and not _has_matching(cur, s, forbidden_overlap=m)
+    ]
+    if not feasible:
+        return s, cur, None, []
+    cand = draw(st.sampled_from(feasible))
+    pool = draw(st.lists(st.sampled_from(feasible), unique=True).map(sorted))
+    return s, cur, cand, [m for m in pool if m != cand]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prune_cases())
+# s = 1: the only union is 0, so the set {3,4}, disjoint from cand, leaves
+@example((1, [0b0101], 0b0011, [0b0110, 0b1100, 0b1001]))
+def test_incremental_prune_matches_matching_oracle(case):
+    # after the include of cand, the prune keeps exactly the pooled sets
+    # that are still feasible next to the grown family
+    s, cur, cand, pool = case
+    if cand is None:
+        return
+    unions = _blocking_unions(cur, cand, s)
+    avoiding = [x for x in cur if not x & cand]
+    assert unions == {
+        sum(c)  # the sum of pairwise disjoint masks is their union
+        for c in combinations(avoiding, s - 1)
+        if all(not a & b for a, b in combinations(c, 2))
+    }
+    kept = _joinable(list(enumerate(pool)), 0, [0] * len(pool), cand, unions)
+    grown = cur + [cand]
+    assert [m for _, m in kept] == [
+        m for m in pool if not _has_matching(grown, s, forbidden_overlap=m)
+    ]
+
+
+def test_node_counts_pinned():
+    # the smallest node budget that finishes; a change here changes what a
+    # --node-budget buys, so it must be deliberate
+    for n, k, s, method, nodes, expected in [
+        (8, 2, 3, "bnb", 38_973, 21),
+        (10, 3, 2, "shifted_only", 561, 64),
+    ]:
+        mx, _ = max_family_size(n, k, s, method=method, node_budget=nodes)
+        assert mx == expected
+        with pytest.raises(BudgetExceeded):
+            max_family_size(n, k, s, method=method, node_budget=nodes - 1)
+
+
+def test_shifted_only_reaches_12_3_3():
+    mx, wit = max_family_size(12, 3, 3, method="shifted_only", node_budget=2_500)
+    assert mx == 165 == max(extremal_sizes(12, 3, 3))
+    assert matching_number(wit)[0] <= 3
 
 
 def test_shifted_only_reaches_three_uniform():
