@@ -9,15 +9,18 @@ after all its single-element decrements.  The restriction is exact because
 shifting keeps |F| and never raises the matching number.
 
 The branch-and-bound keeps only sets that can still join in its undecided
-pool, and updates that pool incrementally: after an include, a new
-(s+1)-matching must use the added set, so a pooled set leaves iff it misses
-the added set and some union of s-1 disjoint members that also miss it.
+pool, a bitset over colex positions, and updates that pool incrementally:
+after an include, a new (s+1)-matching must use the added set, so a pooled
+set leaves iff it misses the added set and some union of s-1 disjoint
+members that also miss it.  Two pooled sets conflict iff they are disjoint
+and s-1 disjoint members miss both, so they cannot both join; a greedy
+clique cover of these conflicts bounds how many pooled sets can.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Collection, Optional
+from typing import Iterator, Optional
 
 from .audit import AuditReport, make_report
 from .constructions import extremal_sizes, prefix_size, trace_of
@@ -75,42 +78,108 @@ def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
     return best_size, best_incl
 
 
-def _blocking_unions(cur: list[int], cand: int, s: int) -> set[int]:
-    """Distinct unions of the (s-1)-matchings of ``cur`` that avoid ``cand``.
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    Built level by level, so the work is bounded by the number of distinct
-    unions times |cur|, not by the number of matchings.
+
+def _disjointness(all_masks: list[int]) -> list[int]:
+    """``disj[j]``: bitset over list positions of the sets disjoint from set j."""
+    holders: dict[int, int] = {}  # element bit -> positions of the sets holding it
+    for j, x in enumerate(all_masks):
+        for e in _bits(x):
+            holders[e] = holders.get(e, 0) | 1 << j
+    full = (1 << len(all_masks)) - 1
+    disj = []
+    for x in all_masks:
+        hit = 0
+        for e in _bits(x):
+            hit |= holders[e]
+        disj.append(full & ~hit)
+    return disj
+
+
+def _include(
+    c: int, incl: int, pool: int, conf: list[int], s: int, all_masks: list[int], disj: list[int]
+) -> tuple[int, list[int]]:
+    """The pool and the conflicts once set c joins the members ``incl``.
+
+    ``pool`` holds the other undecided sets, each feasible next to ``incl``.
+    A new (s+1)-matching must use c, so a pooled set leaves iff it is
+    disjoint from c and from the union of some (s-1)-matching of the members
+    that avoids c.  Likewise the new conflicts are the disjoint pairs of
+    pooled sets that miss c and the union u of some (s-2)-matching that
+    avoids c.  The unions u are built level by level, each with D(c | u),
+    the pooled sets disjoint from c and u, so the work is bounded by the
+    number of distinct unions times |incl|, not by the number of matchings.
+    ``conf`` is copied before it is changed.
     """
-    pool = [x for x in cur if not x & cand]
-    level = {0}
-    for _ in range(s - 1):
-        level = {u | x for u in level for x in pool if not u & x}
-    return level
+    dc = disj[c]
+    if s == 1:
+        return pool & ~dc, conf
+    avoiding = [(all_masks[j], disj[j]) for j in _bits(incl & dc)]
+    level = {0: pool & dc}
+    for _ in range(s - 2):
+        level = {u | x: d & dx for u, d in level.items() for x, dx in avoiding if not u & x}
+    drop = 0
+    for u, d in level.items():
+        blocked = 0
+        for x, dx in avoiding:
+            if not u & x:
+                blocked |= dx
+        drop |= d & blocked
+    pool &= ~drop
+    inherited = conf
+    for d in level.values():
+        t = rest = d & pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            new = disj[j] & t
+            if new & ~conf[j]:
+                if conf is inherited:
+                    conf = conf[:]
+                conf[j] |= new
+    return pool, conf
 
 
-def _joinable(
-    rest: list[tuple[int, int]],
-    alive: int,
-    parents: list[int],
-    cand: int = 0,
-    unions: Collection[int] = (),
-) -> list[tuple[int, int]]:
-    """The sets of ``rest`` that can still join, in one forward pass.
+def _without_orphans(pool: int, alive: int, parents: list[int]) -> int:
+    """``pool`` less the sets with a parent neither in ``alive`` nor kept.
 
-    Parents precede children in ``rest``, so a set whose parent was dropped
-    earlier in the pass is dropped too.  After the include of ``cand``, a set
-    disjoint from it and from one of the ``unions`` of
-    :func:`_blocking_unions` would close an (s+1)-matching, so it is dropped.
+    One in-order pass: parents precede their children, so a set whose parent
+    was dropped earlier in the pass is dropped too.
     """
-    kept = []
-    for j, m in rest:
+    alive |= pool
+    for j in _bits(pool):
         if parents[j] & ~alive:
-            continue
-        if not m & cand and any(not m & u for u in unions):
-            continue
-        kept.append((j, m))
-        alive |= 1 << j
-    return kept
+            alive ^= 1 << j
+    return pool & alive
+
+
+def _clique_cover(pool: int, conf: list[int], limit: int) -> int:
+    """Number of cliques of a greedy cover of ``pool`` in the conflict graph.
+
+    Each clique starts at the lowest uncovered set and grows by the lowest
+    set that conflicts with all of it.  At most one set per clique can join,
+    so the count bounds how many pooled sets can.  Counting stops once it
+    exceeds ``limit``.
+    """
+    count = 0
+    while pool and count <= limit:
+        count += 1
+        low = pool & -pool
+        clique = low
+        rest = pool & conf[low.bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            clique |= low
+            rest &= conf[low.bit_length() - 1]
+        pool &= ~clique
+    return count
 
 
 def _bnb_max(
@@ -123,49 +192,59 @@ def _bnb_max(
 
     ``parents[i]`` is a bitmask over list positions of the sets that must be
     included before set i (none when omitted); the list order must decide
-    every parent before its child.  Include-first DFS makes the first
-    maximizer found the colex-least one.  After every decision, sets that can
-    no longer join the current branch -- infeasible next to it, or with a
-    parent excluded or dropped -- leave the undecided pool, which tightens
-    the size bound.
+    every parent before its child.  The undecided pool is a bitset over list
+    positions, and include-first DFS on its lowest set makes the first
+    maximizer found the colex-least one.  After every decision, sets that
+    can no longer join the current branch -- infeasible next to it, or with
+    a parent excluded or dropped -- leave the pool.
 
     Invariant: no pooled set has a parent excluded or dropped, and every
     pooled set is feasible next to the current members (adding it keeps the
     matching number <= s).  So the head of the pool, whose parents are all
-    decided, can always be included without a test.  After the include of
-    ``cand``, any new (s+1)-matching uses ``cand``, so a pooled set m becomes
-    infeasible iff m misses ``cand`` and some (s-1)-matching of the current
-    members that avoids ``cand``.  The prune tests exactly that, against the
-    distinct unions of those matchings, computed once per include.
+    decided, can always be included without a test.
+
+    Bounds: a node is cut when the members plus the pool cannot beat the
+    best family, and otherwise when the members plus the cliques of a greedy
+    cover of the pool cannot.  Two pooled sets conflict iff they are
+    disjoint and some (s-1)-matching of the members avoids both, so no two
+    sets of a clique can join together.  Conflicts only grow with the
+    members: a child inherits its parent's and adds those through the new
+    member (see :func:`_include`).
     """
     if parents is None:
         parents = [0] * len(all_masks)
     is_parent = 0
     for p in parents:
         is_parent |= p
-    best_size = -1
+    disj = _disjointness(all_masks)
+    best_size = 0  # the empty family
     best_incl = 0
     nodes = 0
 
-    def rec(undecided: list[tuple[int, int]], cur: list[int], incl: int):
+    def rec(pool: int, incl: int, size: int, conf: list[int]):
         nonlocal best_size, best_incl, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            raise BudgetExceeded(f"max_family_size: node budget {node_budget} exhausted")
-        if len(cur) > best_size:
-            best_size = len(cur)
+            raise BudgetExceeded(
+                f"max_family_size: node budget {node_budget} exhausted; "
+                f"largest family found has {best_size} sets"
+            )
+        if size > best_size:
+            best_size = size
             best_incl = incl
-        if not undecided or len(cur) + len(undecided) <= best_size:
+        slack = best_size - size
+        if pool.bit_count() <= slack or _clique_cover(pool, conf, slack) <= slack:
             return
-        i, cand = undecided[0]
-        rest = undecided[1:]
-        added = incl | 1 << i
-        unions = _blocking_unions(cur, cand, s)
-        rec(_joinable(rest, added, parents, cand, unions), cur + [cand], added)
+        low = pool & -pool
+        rest = pool ^ low
+        grown, grown_conf = _include(low.bit_length() - 1, incl, rest, conf, s, all_masks, disj)
+        if is_parent & rest & ~grown:
+            grown = _without_orphans(grown, incl | low, parents)
+        rec(grown, incl | low, size + 1, grown_conf)
         # excluding a set that is nobody's parent orphans nothing
-        rec(_joinable(rest, incl, parents) if is_parent >> i & 1 else rest, cur, incl)
+        rec(_without_orphans(rest, incl, parents) if is_parent & low else rest, incl, size, conf)
 
-    rec(list(enumerate(all_masks)), [], 0)
+    rec((1 << len(all_masks)) - 1, 0, 0, disj if s == 1 else [0] * len(all_masks))
     return best_size, best_incl
 
 

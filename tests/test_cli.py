@@ -100,6 +100,27 @@ def test_verify_node_budget_lifts_cap(capsys):
     assert "recursion needs C(n,k)" in capsys.readouterr().err
 
 
+def test_verify_budgeted_9_2_3_passes(capsys):
+    argv = ["verify", "--n", "9", "--k", "2", "--s", "3", "--method", "bnb"]
+    code, out = run(capsys, *argv, "--node-budget", "30000")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["pass"] is True and row["lhs"] == row["rhs"] == "21"
+
+
+def test_exhausted_budget_names_largest_family_found(tmp_path, capsys):
+    # the size found so far is a lower bound on stderr; no report is written
+    out = tmp_path / "r.json"
+    argv = ["verify", "--n", "9", "--k", "2", "--s", "3", "--node-budget", "10"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "unknown: max_family_size: node budget 10 exhausted; largest family found has 9 sets\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_runtime_error_exits_2(monkeypatch, capsys):
     from emckit import cli
     from emckit.weights import WeightFrame

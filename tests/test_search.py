@@ -2,17 +2,21 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Collection, Optional
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from emckit.constructions import build_B, extremal_sizes
 from emckit.core import Family, binom, enumerate_ksets, mask_of
 from emckit.matching import BudgetExceeded, matching_number
+from emckit.shifting import _decrements
+from emckit import search
 from emckit.search import (
-    _blocking_unions,
     _bnb_max,
-    _joinable,
+    _clique_cover,
+    _disjointness,
+    _include,
     find_G0,
     max_family_size,
     max_family_size as mfs,
@@ -40,6 +44,101 @@ def _has_matching(masks: list[int], t: int, forbidden_overlap: int = 0) -> bool:
         return False
 
     return rec(0, 0, t)
+
+
+def _blocking_unions(cur: list[int], cand: int, s: int) -> set[int]:
+    """Distinct unions of the (s-1)-matchings of ``cur`` that avoid ``cand``.
+
+    Built level by level, so the work is bounded by the number of distinct
+    unions times |cur|, not by the number of matchings.
+    """
+    pool = [x for x in cur if not x & cand]
+    level = {0}
+    for _ in range(s - 1):
+        level = {u | x for u in level for x in pool if not u & x}
+    return level
+
+
+def _joinable(
+    rest: list[tuple[int, int]],
+    alive: int,
+    parents: list[int],
+    cand: int = 0,
+    unions: Collection[int] = (),
+) -> list[tuple[int, int]]:
+    """The sets of ``rest`` that can still join, in one forward pass.
+
+    Parents precede children in ``rest``, so a set whose parent was dropped
+    earlier in the pass is dropped too.  After the include of ``cand``, a set
+    disjoint from it and from one of the ``unions`` of
+    :func:`_blocking_unions` would close an (s+1)-matching, so it is dropped.
+    """
+    kept = []
+    for j, m in rest:
+        if parents[j] & ~alive:
+            continue
+        if not m & cand and any(not m & u for u in unions):
+            continue
+        kept.append((j, m))
+        alive |= 1 << j
+    return kept
+
+
+def list_pool_bnb_max(
+    all_masks: list[int],
+    s: int,
+    node_budget: Optional[int],
+    parents: Optional[list[int]] = None,
+) -> tuple[int, int]:
+    """Oracle for ``_bnb_max``: the same branch-and-bound with the undecided
+    pool as a list and no bound beyond ``len(cur) + len(undecided)``.
+
+    ``parents[i]`` is a bitmask over list positions of the sets that must be
+    included before set i (none when omitted); the list order must decide
+    every parent before its child.  Include-first DFS makes the first
+    maximizer found the colex-least one.  After every decision, sets that can
+    no longer join the current branch -- infeasible next to it, or with a
+    parent excluded or dropped -- leave the undecided pool, which tightens
+    the size bound.
+
+    Invariant: no pooled set has a parent excluded or dropped, and every
+    pooled set is feasible next to the current members (adding it keeps the
+    matching number <= s).  So the head of the pool, whose parents are all
+    decided, can always be included without a test.  After the include of
+    ``cand``, any new (s+1)-matching uses ``cand``, so a pooled set m becomes
+    infeasible iff m misses ``cand`` and some (s-1)-matching of the current
+    members that avoids ``cand``.  The prune tests exactly that, against the
+    distinct unions of those matchings, computed once per include.
+    """
+    if parents is None:
+        parents = [0] * len(all_masks)
+    is_parent = 0
+    for p in parents:
+        is_parent |= p
+    best_size = -1
+    best_incl = 0
+    nodes = 0
+
+    def rec(undecided: list[tuple[int, int]], cur: list[int], incl: int):
+        nonlocal best_size, best_incl, nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExceeded(f"max_family_size: node budget {node_budget} exhausted")
+        if len(cur) > best_size:
+            best_size = len(cur)
+            best_incl = incl
+        if not undecided or len(cur) + len(undecided) <= best_size:
+            return
+        i, cand = undecided[0]
+        rest = undecided[1:]
+        added = incl | 1 << i
+        unions = _blocking_unions(cur, cand, s)
+        rec(_joinable(rest, added, parents, cand, unions), cur + [cand], added)
+        # excluding a set that is nobody's parent orphans nothing
+        rec(_joinable(rest, incl, parents) if is_parent >> i & 1 else rest, cur, incl)
+
+    rec(list(enumerate(all_masks)), [], 0)
+    return best_size, best_incl
 
 
 def erdos_gallai_max(n: int, s: int) -> int:
@@ -156,6 +255,10 @@ def prune_cases(draw):
     return s, cur, cand, [m for m in pool if m != cand]
 
 
+def _positions(bits: int) -> list[int]:
+    return [j for j in range(bits.bit_length()) if bits >> j & 1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(prune_cases())
 # s = 1: the only union is 0, so the set {3,4}, disjoint from cand, leaves
@@ -166,6 +269,8 @@ def test_incremental_prune_matches_matching_oracle(case):
     s, cur, cand, pool = case
     if cand is None:
         return
+    grown = cur + [cand]
+    feasible = [m for m in pool if not _has_matching(grown, s, forbidden_overlap=m)]
     unions = _blocking_unions(cur, cand, s)
     avoiding = [x for x in cur if not x & cand]
     assert unions == {
@@ -174,23 +279,170 @@ def test_incremental_prune_matches_matching_oracle(case):
         if all(not a & b for a, b in combinations(c, 2))
     }
     kept = _joinable(list(enumerate(pool)), 0, [0] * len(pool), cand, unions)
-    grown = cur + [cand]
-    assert [m for _, m in kept] == [
-        m for m in pool if not _has_matching(grown, s, forbidden_overlap=m)
+    assert [m for _, m in kept] == feasible
+    # the bitset prune of the package: positions 0.. hold cur, then cand,
+    # then the pool
+    masks = grown + pool
+    c = len(cur)
+    pool_bits = (1 << len(masks)) - (1 << c + 1)
+    kept_bits, _ = _include(c, (1 << c) - 1, pool_bits, [0] * len(masks), s, masks, _disjointness(masks))
+    assert [masks[j] for j in _positions(kept_bits)] == feasible
+
+
+@st.composite
+def bound_cases(draw):
+    """(s, masks, cur, sub): all k-sets over [n] with n <= 9, the positions
+    of members with matching number <= s in the order they join, and at
+    most ten positions of sets feasible next to them."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(n, 3)))
+    s = draw(st.integers(1, 3))
+    masks = list(enumerate_ksets(n, k))
+    order = draw(st.permutations(range(len(masks))))
+    cur = []
+    for j in order[: draw(st.integers(0, len(order)))]:
+        if not _has_matching([masks[i] for i in cur], s, forbidden_overlap=masks[j]):
+            cur.append(j)
+    members = [masks[i] for i in cur]
+    feasible = [
+        j
+        for j in range(len(masks))
+        if j not in cur and not _has_matching(members, s, forbidden_overlap=masks[j])
     ]
+    sub = draw(st.lists(st.sampled_from(feasible), unique=True, max_size=10)) if feasible else []
+    return s, masks, cur, sub
 
 
-def test_node_counts_pinned():
-    # the smallest node budget that finishes; a change here changes what a
-    # --node-budget buys, so it must be deliberate
+@settings(max_examples=200, deadline=None)
+@given(bound_cases())
+# s = 2 with one member {1,2}: {3,4} and {5,6} conflict, {3,4} and {3,5} do not
+@example((2, [0b11, 0b1100, 0b10100, 0b110000], [0], [1, 2, 3]))
+def test_clique_cover_bounds_joinable_sets(case):
+    # grow the pool and the conflicts as the branch-and-bound does, one
+    # include at a time from the empty family
+    s, masks, cur, sub = case
+    disj = _disjointness(masks)
+    incl, pool = 0, (1 << len(masks)) - 1
+    conf = disj if s == 1 else [0] * len(masks)
+    for c in cur:
+        assert pool >> c & 1
+        pool, conf = _include(c, incl, pool & ~(1 << c), conf, s, masks, disj)
+        incl |= 1 << c
+    members = [masks[c] for c in cur]
+    # the pool is exactly the feasible sets
+    assert _positions(pool) == [
+        j
+        for j in range(len(masks))
+        if j not in cur and not _has_matching(members, s, forbidden_overlap=masks[j])
+    ]
+    # X and Y conflict iff disjoint and some (s-1)-matching of cur avoids both
+    for x in _positions(pool):
+        assert _positions(conf[x] & pool) == [
+            y
+            for y in _positions(pool)
+            if not masks[x] & masks[y]
+            and _has_matching(members, s - 1, forbidden_overlap=masks[x] | masks[y])
+        ]
+    # at most one set per clique can join, so the cover bounds the largest
+    # subset of the pool that keeps the matching number <= s
+    most = max(
+        r
+        for r in range(len(sub) + 1)
+        for chosen in combinations([masks[j] for j in sub], r)
+        if not _has_matching(members + list(chosen), s + 1)
+    )
+    sub_bits = sum(1 << j for j in sub)
+    cliques = _clique_cover(sub_bits, conf, len(sub))
+    assert cliques >= most
+    # counting stops once it passes the limit
+    for limit in range(cliques + 1):
+        assert _clique_cover(sub_bits, conf, limit) == min(cliques, limit + 1)
+
+
+BNB_GRID = [(n, k) for n in range(1, 11) for k in range(1, min(n, 4) + 1) if comb(n, k) <= 45]
+
+
+@st.composite
+def bnb_cases(draw):
+    """(masks, s, parents): k-sets over [n] in colex order with n <= 10,
+    k <= 4 and C(n,k) <= 45, all of them or a random part, with no parents,
+    the single-element decrements, or random earlier sets as parents."""
+    n, k = draw(st.sampled_from(BNB_GRID))
+    s = draw(st.integers(1, 4))
+    masks = list(enumerate_ksets(n, k))
+    if draw(st.booleans()):
+        masks = [m for m in masks if draw(st.integers(0, 3))]
+    kind = draw(st.sampled_from(["none", "decrements", "random"]))
+    if kind == "none":
+        return masks, s, None
+    if kind == "decrements":
+        # the largest downset inside the drawn sets; colex order lists every
+        # decrement before the set
+        rank: dict[int, int] = {}
+        for m in masks:
+            if all(p in rank for p in _decrements(m)):
+                rank[m] = len(rank)
+        parents = [sum(1 << rank[p] for p in _decrements(m)) for m in rank]
+        return list(rank), s, parents
+    parents = [
+        sum(1 << p for p in draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True))) if i else 0
+        for i in range(len(masks))
+    ]
+    return masks, s, parents
+
+
+@settings(max_examples=150, deadline=None)
+@given(bnb_cases())
+@example((list(enumerate_ksets(8, 2)), 3, None))
+def test_bnb_max_matches_list_pool_oracle(case):
+    # same maximum and same colex-least witness as the list-pool search
+    masks, s, parents = case
+    try:
+        expected = list_pool_bnb_max(masks, s, 20_000, parents)
+    except BudgetExceeded:
+        assume(False)  # the oracle alone would take seconds
+    assert _bnb_max(masks, s, None, parents) == expected
+
+
+def test_node_counts_without_clique_bound(monkeypatch):
+    # with a cover that never prunes, the bitset pool takes exactly the
+    # decisions of the list pool it replaced
+    monkeypatch.setattr(search, "_clique_cover", lambda pool, conf, limit: limit + 1)
     for n, k, s, method, nodes, expected in [
         (8, 2, 3, "bnb", 38_973, 21),
+        (8, 3, 1, "bnb", 12_473, 21),
         (10, 3, 2, "shifted_only", 561, 64),
     ]:
         mx, _ = max_family_size(n, k, s, method=method, node_budget=nodes)
         assert mx == expected
         with pytest.raises(BudgetExceeded):
             max_family_size(n, k, s, method=method, node_budget=nodes - 1)
+
+
+def test_node_counts_pinned():
+    # the smallest node budget that finishes; a change here changes what a
+    # --node-budget buys, so it must be deliberate
+    for n, k, s, method, nodes, expected in [
+        (8, 2, 3, "bnb", 1_531, 21),
+        (8, 3, 1, "bnb", 487, 21),  # s = 1: every disjoint pair conflicts
+        (10, 3, 2, "shifted_only", 299, 64),
+    ]:
+        mx, _ = max_family_size(n, k, s, method=method, node_budget=nodes)
+        assert mx == expected
+        with pytest.raises(BudgetExceeded):
+            max_family_size(n, k, s, method=method, node_budget=nodes - 1)
+
+
+def test_clique_bound_reach():
+    # 27 641 and 1 037 nodes; without the clique-cover bound `bnb` (9,2,3)
+    # takes 847 691 and `shifted_only` (12,4,2) 291 365
+    for n, k, s, method, nodes, expected in [
+        (9, 2, 3, "bnb", 30_000, 21),
+        (12, 4, 2, "shifted_only", 2_000, 330),
+    ]:
+        mx, wit = max_family_size(n, k, s, method=method, node_budget=nodes)
+        assert mx == expected == max(extremal_sizes(n, k, s))
+        assert matching_number(wit)[0] <= s
 
 
 def test_shifted_only_reaches_12_3_3():
@@ -202,10 +454,12 @@ def test_shifted_only_reaches_12_3_3():
 def test_shifted_only_reaches_three_uniform():
     # after every decision the undecided pool drops sets that can no longer
     # join: infeasible ones, and ones with a parent excluded or dropped.  The
-    # search takes 561 and 733 nodes here; it needs 3 734 and 5 655 when an
-    # exclude leaves the excluded set's up-set in the pool, over 50 000 without
-    # the parent rule and over 300 000 without the infeasibility rule.  The
-    # node budget replaces the C(n,k) cap, which refuses 120 and 165 sets.
+    # search takes 299 and 461 nodes here, and 561 and 733 without the
+    # clique-cover bound.  Without that bound it needs 3 734 and 5 655 when
+    # an exclude leaves the excluded set's up-set in the pool, over 50 000
+    # without the parent rule and over 300 000 without the infeasibility
+    # rule.  The node budget replaces the C(n,k) cap, which refuses 120 and
+    # 165 sets.
     for n, expected in [(10, 64), (11, 81)]:
         with pytest.raises(ValueError, match="without a node budget"):
             max_family_size(n, 3, 2, method="shifted_only")
