@@ -1,15 +1,17 @@
 """Exact matching numbers with disjoint-set certificates.
 
-The solver is a branch-and-bound over the disjointness structure: branch on
-the colex-least member still available, prune with cheap exact upper bounds
-(pool size, free-element count, and a greedy hitting set -- any explicit
-hitting set bounds the matching number, since disjoint members consume
-distinct hitting elements).
+This module owns disjointness over list positions (:func:`_holders`,
+:func:`_disjointness`), which the search module shares.  The solver is a
+branch-and-bound on these bitsets: branch on the colex-least member still
+available, prune with cheap exact upper bounds (pool size, covered-element
+count, and a greedy hitting set -- any explicit hitting set bounds the
+matching number, since disjoint members consume distinct hitting elements).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Family, KSet
 
@@ -25,48 +27,34 @@ class MatchingCertificate:
     sets: tuple[KSet, ...]
 
 
-def _greedy_hitting_size(masks: list[int]) -> int:
-    """Size of a greedily built hitting set of the given sets.
-
-    Any hitting set upper-bounds the matching number.
-    """
-    remaining = list(masks)
-    cover = 0
-    while remaining:
-        counts: dict[int, int] = {}
-        for m in remaining:
-            mm = m
-            while mm:
-                low = mm & -mm
-                counts[low] = counts.get(low, 0) + 1
-                mm ^= low
-        # deterministic tie-break: lowest bit among the most frequent
-        best_bit = min(b for b, c in counts.items() if c == max(counts.values()))
-        remaining = [m for m in remaining if not m & best_bit]
-        cover += 1
-    return cover
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def _upper_bound(pool: list[int], sizes: dict[int, int], need: int) -> int:
-    """An exact upper bound on the matching number of ``pool``.
+def _holders(all_masks: list[int]) -> list[int]:
+    """``holders[e]``: bitset over list positions of the sets holding element bit e."""
+    holders = [0] * max(all_masks, default=0).bit_length()
+    for j, x in enumerate(all_masks):
+        for e in _bits(x):
+            holders[e] |= 1 << j
+    return holders
 
-    ``need`` is the bound at which the caller stops caring; the cheaper
-    bounds short-circuit the greedy hitting set when they already decide.
-    """
-    b = len(pool)
-    if b < need:
-        return b
-    union = 0
-    min_size = None
-    for m in pool:
-        union |= m
-        sz = sizes[m]
-        if min_size is None or sz < min_size:
-            min_size = sz
-    b = min(b, union.bit_count() // min_size)
-    if b < need:
-        return b
-    return min(b, _greedy_hitting_size(pool))
+
+def _disjointness(all_masks: list[int]) -> list[int]:
+    """``disj[j]``: bitset over list positions of the sets disjoint from set j."""
+    holders = _holders(all_masks)
+    full = (1 << len(all_masks)) - 1
+    disj = []
+    for x in all_masks:
+        hit = 0
+        for e in _bits(x):
+            hit |= holders[e]
+        disj.append(full & ~hit)
+    return disj
 
 
 def matching_number(
@@ -84,27 +72,49 @@ def matching_number(
         # the empty set is disjoint from everything and colex-least
         base = [0]
         masks = masks[1:]
-    sizes = {m: m.bit_count() for m in masks}
+    holders = _holders(masks)
+    disj = _disjointness(masks)
+    by_size: dict[int, int] = {}  # member size -> positions of the members of that size
+    for j, x in enumerate(masks):
+        by_size[x.bit_count()] = by_size.get(x.bit_count(), 0) | 1 << j
 
-    best: list[int] = []
+    best = 0
+    best_size = 0
     nodes = 0
 
-    def dfs(pool: list[int], current: list[int]) -> None:
-        nonlocal best, nodes
+    def pruned(pool: int, slack: int) -> bool:
+        """True when ``pool`` surely holds no matching of more than ``slack`` sets."""
+        if pool.bit_count() <= slack:
+            return True
+        covered = sum(1 for h in holders if h & pool)
+        least = min(size for size, at in by_size.items() if at & pool)
+        if covered // least <= slack:
+            return True
+        for _ in range(slack):
+            count, hit = 0, 0
+            for h in holders:
+                c = (h & pool).bit_count()
+                if c > count:
+                    count, hit = c, h
+            pool &= ~hit
+            if not pool:
+                return True
+        return False
+
+    def dfs(pool: int, current: int, size: int) -> None:
+        nonlocal best, best_size, nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded(f"matching_number: node budget {budget} exhausted")
-        if len(current) > len(best):
-            best = list(current)
-        if not pool:
+        if size > best_size:
+            best, best_size = current, size
+        if not pool or pruned(pool, best_size - size):
             return
-        if len(current) + _upper_bound(pool, sizes, len(best) - len(current) + 1) <= len(best):
-            return
-        pivot = pool[0]
-        dfs([m for m in pool[1:] if not m & pivot], current + [pivot])
-        dfs(pool[1:], current)
+        low = pool & -pool
+        dfs(pool & disj[low.bit_length() - 1], current | low, size + 1)
+        dfs(pool ^ low, current, size)
 
-    dfs(masks, [])
-    chosen = base + best
-    cert = MatchingCertificate(tuple(KSet(fam.n, m) for m in sorted(chosen)))
+    dfs((1 << len(masks)) - 1, 0, 0)
+    chosen = base + [masks[j] for j in _bits(best)]
+    cert = MatchingCertificate(tuple(KSet(fam.n, m) for m in chosen))
     return len(chosen), cert

@@ -20,12 +20,12 @@ clique cover of these conflicts bounds how many pooled sets can.
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Optional
+from typing import Optional
 
 from .audit import AuditReport, make_report
 from .constructions import extremal_sizes, prefix_size, trace_of
 from .core import Family, KSet, enumerate_ksets
-from .matching import BudgetExceeded
+from .matching import BudgetExceeded, _bits, _disjointness
 from .shifting import _decrements
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -42,28 +42,28 @@ def _family_mask_better(a: int, b: int) -> bool:
     return bool(a & low)
 
 
-def _disjoint_tuples(masks: list[int], t: int) -> list[int]:
+def _disjoint_tuples(disj: list[int], t: int) -> list[int]:
     """Inclusion masks (over list positions) of all t-tuples of pairwise
-    disjoint sets."""
+    disjoint sets: the t-cliques of the disjointness graph ``disj``."""
     out = []
 
-    def rec(start: int, used: int, chosen: int, depth: int):
+    def rec(cand: int, chosen: int, depth: int):
         if depth == t:
             out.append(chosen)
             return
-        for i in range(start, len(masks) - (t - depth) + 1):
-            if masks[i] & used:
-                continue
-            rec(i + 1, used | masks[i], chosen | (1 << i), depth + 1)
+        while cand.bit_count() >= t - depth:
+            low = cand & -cand
+            cand ^= low
+            rec(cand & disj[low.bit_length() - 1], chosen | low, depth + 1)
 
-    rec(0, 0, 0, 0)
+    rec((1 << len(disj)) - 1, 0, 0)
     return out
 
 
 def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
     """Scan all 2^m subfamilies; returns (max size, best inclusion mask)."""
     m = len(all_masks)
-    forbidden = _disjoint_tuples(all_masks, s + 1)
+    forbidden = _disjoint_tuples(_disjointness(all_masks), s + 1)
     best_size = -1
     best_incl = 0
     for incl in range(1 << m):
@@ -76,30 +76,6 @@ def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
             best_size = size
             best_incl = incl
     return best_size, best_incl
-
-
-def _bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of ``x``, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def _disjointness(all_masks: list[int]) -> list[int]:
-    """``disj[j]``: bitset over list positions of the sets disjoint from set j."""
-    holders: dict[int, int] = {}  # element bit -> positions of the sets holding it
-    for j, x in enumerate(all_masks):
-        for e in _bits(x):
-            holders[e] = holders.get(e, 0) | 1 << j
-    full = (1 << len(all_masks)) - 1
-    disj = []
-    for x in all_masks:
-        hit = 0
-        for e in _bits(x):
-            hit |= holders[e]
-        disj.append(full & ~hit)
-    return disj
 
 
 def _include(
@@ -253,8 +229,6 @@ def max_family_size(
     k: int,
     s: int,
     method: str = "bnb",
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    bnb_cap: int = DEFAULT_BNB_CAP,
     node_budget: Optional[int] = None,
 ) -> tuple[int, Family]:
     """Exact maximum size of a k-uniform family on [n] with matching number <= s.
@@ -262,24 +236,24 @@ def max_family_size(
     Returns the maximum together with a deterministic witness (colex-least
     among maximizers).  Raises :class:`BudgetExceeded` when a node budget is
     given and exhausted -- an explicit unknown, never a wrong answer.
-    ``bnb_cap`` bounds C(n,k) for ``bnb`` and ``shifted_only`` only when no
-    node budget is given; a given budget bounds the work instead.
+    ``DEFAULT_BNB_CAP`` bounds C(n,k) for ``bnb`` and ``shifted_only`` only
+    when no node budget is given; a given budget bounds the work instead.
     """
     if not (n >= k >= 1 and s >= 1):
         raise ValueError("need n >= k >= 1 and s >= 1")
     all_masks = list(enumerate_ksets(n, k))
     m = len(all_masks)
     if method == "exhaustive":
-        if m > exhaustive_cap:
+        if m > DEFAULT_EXHAUSTIVE_CAP:
             raise ValueError(
-                f"exhaustive search needs C(n,k) <= {exhaustive_cap}, got {m}"
+                f"exhaustive search needs C(n,k) <= {DEFAULT_EXHAUSTIVE_CAP}, got {m}"
             )
         best_size, best_incl = _exhaustive_max(all_masks, s)
     elif method in ("bnb", "shifted_only"):
         name = "branch-and-bound" if method == "bnb" else "downset search"
-        if node_budget is None and m > bnb_cap:
+        if node_budget is None and m > DEFAULT_BNB_CAP:
             raise ValueError(
-                f"{name} needs C(n,k) <= {bnb_cap} without a node budget, got {m}"
+                f"{name} needs C(n,k) <= {DEFAULT_BNB_CAP} without a node budget, got {m}"
             )
         # one recursion level per decided set, plus the caller's frames
         depth = sys.getrecursionlimit() - _STACK_HEADROOM

@@ -192,16 +192,14 @@ def wA_of_M(frame: WeightFrame) -> Fraction:
     """Weighted count of all k-subsets of the local universe.
 
     By symmetry over M, C(s, k) times this value is the size of the prefix
-    candidate family.
+    candidate family.  Every partition gives the local universe k blocks of
+    size k plus a (k-1)-set, so the count of width-c k-subsets is
+    :func:`candidate_count`; width 0 is impossible at size k.
     """
-    k = frame.k
-    elems = frame.gm_elements()
-    block_of = {e: frame.block_index(e) for e in elems}
-    total = Fraction(0)
-    for combo in combinations(elems, k):
-        v = len({block_of[e] for e in combo} - {0})
-        total += weight_value(k, frame.s, frame.n_bar, v, k)
-    return total
+    k, s, n_bar = frame.k, frame.s, frame.n_bar
+    return sum(
+        weight_value(k, s, n_bar, c, k) * candidate_count(c, k, k) for c in range(1, k + 1)
+    )
 
 
 def block_subset_count(k: int, c: int, m: int) -> int:

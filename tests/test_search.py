@@ -9,13 +9,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from emckit.constructions import build_B, extremal_sizes
 from emckit.core import Family, binom, enumerate_ksets, mask_of
-from emckit.matching import BudgetExceeded, matching_number
+from emckit.matching import BudgetExceeded, _disjointness, matching_number
 from emckit.shifting import _decrements
 from emckit import search
 from emckit.search import (
     _bnb_max,
     _clique_cover,
-    _disjointness,
+    _disjoint_tuples,
     _include,
     find_G0,
     max_family_size,
@@ -230,6 +230,26 @@ def test_bnb_max_respects_parents():
     masks = [0b0011, 0b1100, 0b0110]
     assert _bnb_max(masks, 1, None) == (2, 0b101)
     assert _bnb_max(masks, 1, None, [0, 0b001, 0b010]) == (1, 0b001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 0b111111), max_size=12), st.integers(0, 4))
+@example([0b11, 0b11, 0, 0b1100, 0b110], 2)
+def test_disjoint_tuples_matches_combinations(masks, t):
+    def pairwise_disjoint(combo):
+        seen = 0
+        for j in combo:
+            if seen & masks[j]:
+                return False
+            seen |= masks[j]
+        return True
+
+    expected = [
+        sum(1 << j for j in combo)
+        for combo in combinations(range(len(masks)), t)
+        if pairwise_disjoint(combo)
+    ]
+    assert _disjoint_tuples(_disjointness(masks), t) == expected
 
 
 @st.composite

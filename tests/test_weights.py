@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -240,6 +241,40 @@ def test_wA_symmetry_recovers_prefix_family_size():
         n = (s + 1) * k
         fr = WeightFrame(n, k, s)
         assert binom(s, k) * wA_of_M(fr) == binom(prefix_size(k, s), k)
+
+
+def enumerated_wA_of_M(frame: WeightFrame) -> Fraction:
+    """Oracle: weighted count of the k-subsets of the local universe, one by one."""
+    k = frame.k
+    elems = frame.gm_elements()
+    block_of = {e: frame.block_index(e) for e in elems}
+    widths = Counter(len({block_of[e] for e in combo} - {0}) for combo in combinations(elems, k))
+    return sum(weight_value(k, frame.s, frame.n_bar, v, k) * count for v, count in widths.items())
+
+
+@st.composite
+def wA_frames(draw):
+    """A frame with k <= 5, the canonical partition or a permuted one, and any M."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    s = draw(st.integers(min_value=k, max_value=k + 2))
+    p = prefix_size(k, s)
+    n = draw(st.integers(min_value=p, max_value=p + 4))
+    m_indices = draw(st.lists(st.integers(1, s), min_size=k, max_size=k, unique=True))
+    if not draw(st.booleans()):
+        return WeightFrame(n, k, s, m_indices)
+    order = draw(st.permutations(range(1, p + 1)))
+    g0 = tuple(order[: k - 1])
+    blocks = tuple(tuple(order[k - 1 + i * k : k - 1 + (i + 1) * k]) for i in range(s))
+    return WeightFrame(n, k, s, m_indices, g0, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wA_frames())
+@example(WeightFrame(30, 4, 6))
+@example(WeightFrame(20, 3, 5))
+@example(WeightFrame(9, 2, 3))
+def test_wA_of_M_matches_enumeration(frame):
+    assert wA_of_M(frame) == enumerated_wA_of_M(frame)
 
 
 def test_anchor_accepts_B():
