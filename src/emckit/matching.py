@@ -101,20 +101,20 @@ def matching_number(
                 return True
         return False
 
-    def dfs(pool: int, current: int, size: int) -> None:
-        nonlocal best, best_size, nodes
+    # the include child is pushed last, so it is searched first
+    stack = [((1 << len(masks)) - 1, 0, 0)]
+    while stack:
+        pool, current, size = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded(f"matching_number: node budget {budget} exhausted")
         if size > best_size:
             best, best_size = current, size
         if not pool or pruned(pool, best_size - size):
-            return
+            continue
         low = pool & -pool
-        dfs(pool & disj[low.bit_length() - 1], current | low, size + 1)
-        dfs(pool ^ low, current, size)
-
-    dfs((1 << len(masks)) - 1, 0, 0)
+        stack.append((pool ^ low, current, size))
+        stack.append((pool & disj[low.bit_length() - 1], current | low, size + 1))
     chosen = base + [masks[j] for j in _bits(best)]
     cert = MatchingCertificate(tuple(KSet(fam.n, m) for m in chosen))
     return len(chosen), cert

@@ -19,18 +19,16 @@ clique cover of these conflicts bounds how many pooled sets can.
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 from .audit import AuditReport, make_report
 from .constructions import extremal_sizes, prefix_size, trace_of
-from .core import Family, KSet, enumerate_ksets
+from .core import _MAX_GROUND, Family, KSet, binom, enumerate_ksets
 from .matching import BudgetExceeded, _bits, _disjointness
 from .shifting import _decrements
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_BNB_CAP = 60
-_STACK_HEADROOM = 150  # interpreter frames left for the callers of _bnb_max
 
 
 def _family_mask_better(a: int, b: int) -> bool:
@@ -196,9 +194,10 @@ def _bnb_max(
     best_size = 0  # the empty family
     best_incl = 0
     nodes = 0
-
-    def rec(pool: int, incl: int, size: int, conf: list[int]):
-        nonlocal best_size, best_incl, nodes
+    # the include child is pushed last, so it is searched first
+    stack = [((1 << len(all_masks)) - 1, 0, 0, disj if s == 1 else [0] * len(all_masks))]
+    while stack:
+        pool, incl, size, conf = stack.pop()
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceeded(
@@ -210,17 +209,16 @@ def _bnb_max(
             best_incl = incl
         slack = best_size - size
         if pool.bit_count() <= slack or _clique_cover(pool, conf, slack) <= slack:
-            return
+            continue
         low = pool & -pool
         rest = pool ^ low
+        # excluding a set that is nobody's parent orphans nothing
+        excluded = _without_orphans(rest, incl, parents) if is_parent & low else rest
+        stack.append((excluded, incl, size, conf))
         grown, grown_conf = _include(low.bit_length() - 1, incl, rest, conf, s, all_masks, disj)
         if is_parent & rest & ~grown:
             grown = _without_orphans(grown, incl | low, parents)
-        rec(grown, incl | low, size + 1, grown_conf)
-        # excluding a set that is nobody's parent orphans nothing
-        rec(_without_orphans(rest, incl, parents) if is_parent & low else rest, incl, size, conf)
-
-    rec((1 << len(all_masks)) - 1, 0, 0, disj if s == 1 else [0] * len(all_masks))
+        stack.append((grown, incl | low, size + 1, grown_conf))
     return best_size, best_incl
 
 
@@ -237,17 +235,18 @@ def max_family_size(
     among maximizers).  Raises :class:`BudgetExceeded` when a node budget is
     given and exhausted -- an explicit unknown, never a wrong answer.
     ``DEFAULT_BNB_CAP`` bounds C(n,k) for ``bnb`` and ``shifted_only`` only
-    when no node budget is given; a given budget bounds the work instead.
+    when no node budget is given; a budget bounds the work instead, up to
+    C(n,k) <= ``_MAX_GROUND``.  No k-set is built before these gates pass.
     """
     if not (n >= k >= 1 and s >= 1):
         raise ValueError("need n >= k >= 1 and s >= 1")
-    all_masks = list(enumerate_ksets(n, k))
-    m = len(all_masks)
+    m = binom(n, k)
     if method == "exhaustive":
         if m > DEFAULT_EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive search needs C(n,k) <= {DEFAULT_EXHAUSTIVE_CAP}, got {m}"
             )
+        all_masks = list(enumerate_ksets(n, k))
         best_size, best_incl = _exhaustive_max(all_masks, s)
     elif method in ("bnb", "shifted_only"):
         name = "branch-and-bound" if method == "bnb" else "downset search"
@@ -255,10 +254,10 @@ def max_family_size(
             raise ValueError(
                 f"{name} needs C(n,k) <= {DEFAULT_BNB_CAP} without a node budget, got {m}"
             )
-        # one recursion level per decided set, plus the caller's frames
-        depth = sys.getrecursionlimit() - _STACK_HEADROOM
-        if m > depth:
-            raise ValueError(f"{name} recursion needs C(n,k) <= {depth}, got {m}")
+        # the pool and conflict bitsets range over C(n,k) positions
+        if m > _MAX_GROUND:
+            raise ValueError(f"{name} needs C(n,k) <= {_MAX_GROUND} with any budget, got {m}")
+        all_masks = list(enumerate_ksets(n, k))
         parents = None
         if method == "shifted_only":
             rank = {mm: i for i, mm in enumerate(all_masks)}

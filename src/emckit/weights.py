@@ -18,6 +18,8 @@ from typing import Iterable, Optional
 from .core import Family, binom, mask_of
 from .constructions import prefix_size, trace_of
 
+_DIRECT_SUM_LIMIT = 400  # most index sets M the weight identity cross-checks one by one
+
 
 class WeightFrame:
     """Parameters plus a prefix partition and a selected index set M.
@@ -142,13 +144,11 @@ def _width_zero_weight(frame: WeightFrame, d: int) -> Fraction:
     return Fraction(binom(frame.n_bar, frame.k - d), binom(frame.s, frame.k))
 
 
-def family_weight_identity(
-    fam: Family, frame: WeightFrame, direct_limit: int = 400
-) -> tuple[Fraction, int, bool]:
+def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
     """Double-counting identity: total weighted trace mass equals the family size.
 
     The reduced sum weighs each trace member by the number of index sets M
-    whose local universe contains it.  When C(s, k) <= ``direct_limit`` the
+    whose local universe contains it.  When C(s, k) <= ``_DIRECT_SUM_LIMIT`` the
     direct sum over all M is evaluated as well and must agree exactly.
 
     Width and weight depend on the member and the partition, never on M, so
@@ -172,7 +172,7 @@ def family_weight_identity(
     for (v, d), masks in classes.items():
         lhs += binom(s - v, k - v) * len(masks) * class_weight[v, d]
     rhs = len(fam)
-    if binom(s, k) <= direct_limit:
+    if binom(s, k) <= _DIRECT_SUM_LIMIT:
         outside = [
             ~mask_of(p, frame.with_m(m_combo).gm_elements())
             for m_combo in combinations(range(1, s + 1), k)

@@ -94,10 +94,18 @@ def test_verify_node_budget_lifts_cap(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert row["pass"] is True and row["lhs"] == row["rhs"] == "64"
-    # more k-sets than the recursion can decide: refused, not a crash
-    big = ["verify", "--n", "20", "--k", "3", "--s", "2", "--node-budget", "1000"]
-    assert main(big) == 2
-    assert "recursion needs C(n,k)" in capsys.readouterr().err
+    # C(20,3) = 1 140 k-sets: a small budget ends unknown, a large one decides
+    big = ["verify", "--n", "20", "--k", "3", "--s", "2"]
+    assert main([*big, "--node-budget", "1000"]) == 1
+    assert "largest family found has 113 sets" in capsys.readouterr().err
+    code, out = run(capsys, *big, "--method", "shifted_only", "--node-budget", "100000")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["pass"] is True and row["lhs"] == row["rhs"] == "324"
+    # C(30,4) = 27 405 k-sets: above the bitset ceiling, refused with any budget
+    huge = ["verify", "--n", "30", "--k", "4", "--s", "2", "--node-budget", "1000"]
+    assert main(huge) == 2
+    assert "needs C(n,k) <= 4096 with any budget" in capsys.readouterr().err
 
 
 def test_verify_budgeted_9_2_3_passes(capsys):

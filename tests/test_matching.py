@@ -198,6 +198,15 @@ def test_budget_none_disables_cap():
     assert matching_number(fam, budget=None)[0] == 2
 
 
+def test_deep_search_on_many_disjoint_sets():
+    # one decided member per search level: 1 001 levels, deeper than the
+    # interpreter's default recursion limit
+    fam = Family(2002, 2, [0b11 << 2 * i for i in range(1001)])
+    nu, cert = matching_number(fam)
+    assert nu == 1001
+    assert [t.elements for t in cert.sets] == [(2 * i + 1, 2 * i + 2) for i in range(1001)]
+
+
 def smallest_finishing_budget(solve, fam: Family) -> int:
     """The least node budget under which ``solve(fam, budget)`` finishes."""
     hi = 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from math import comb
 from typing import Collection, Optional
@@ -446,6 +447,7 @@ def test_node_counts_pinned():
         (8, 2, 3, "bnb", 1_531, 21),
         (8, 3, 1, "bnb", 487, 21),  # s = 1: every disjoint pair conflicts
         (10, 3, 2, "shifted_only", 299, 64),
+        (20, 3, 2, "shifted_only", 3_003, 324),  # C(20,3) = 1 140 sets deep
     ]:
         mx, _ = max_family_size(n, k, s, method=method, node_budget=nodes)
         assert mx == expected
@@ -485,9 +487,9 @@ def test_shifted_only_reaches_three_uniform():
             max_family_size(n, 3, 2, method="shifted_only")
         mx, _ = max_family_size(n, 3, 2, method="shifted_only", node_budget=1_000)
         assert mx == expected == max(extremal_sizes(n, 3, 2))
-    # more sets than the recursion can decide are refused up front
-    with pytest.raises(ValueError, match="recursion needs"):
-        max_family_size(20, 3, 2, method="bnb", node_budget=10)
+    # more sets than the pool bitsets cover are refused up front, budget or not
+    with pytest.raises(ValueError, match="with any budget"):
+        max_family_size(30, 4, 2, method="bnb", node_budget=10)
 
 
 def test_maximum_equals_closed_form_pair_case():
@@ -527,6 +529,21 @@ def test_caps_and_method_validation():
         max_family_size(6, 2, 2, method="annealing")
     with pytest.raises(ValueError):
         max_family_size(2, 3, 1)
+
+
+def test_size_gates_checked_before_enumeration(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("k-sets enumerated before the size gates")
+
+    monkeypatch.setattr(search, "enumerate_ksets", refuse)
+    for n, k, method, budget, message in [
+        (60, 5, "exhaustive", None, "exhaustive search needs C(n,k) <= 24, got 5461512"),
+        (60, 5, "bnb", None, "branch-and-bound needs C(n,k) <= 60 without a node budget"),
+        (60, 5, "shifted_only", 10, "downset search needs C(n,k) <= 4096 with any budget, got 5461512"),
+        (100, 5, "annealing", None, "unknown method 'annealing'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            max_family_size(n, k, 2, method=method, node_budget=budget)
 
 
 def test_node_budget_raises():
