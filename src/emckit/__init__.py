@@ -48,7 +48,6 @@ from .transversals import (
     Transversal,
     all_cyclic_collections,
     all_shift_collections,
-    almost_full_transversals,
     bad_pair_stats,
     cyclic_collection,
     full_transversals,

@@ -8,9 +8,8 @@ evaluated in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ExactScalar
 from .weights import (
@@ -32,8 +31,7 @@ _CMP = {
 }
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     claim_id: str
     params: dict
     lhs: ExactScalar

@@ -7,11 +7,9 @@ identities in ``weights``.
 
 from __future__ import annotations
 
-import logging
+import sys
 
 from .core import Family, binom, enumerate_ksets
-
-log = logging.getLogger(__name__)
 
 
 def prefix_size(k: int, s: int) -> int:
@@ -70,7 +68,7 @@ def trace_of(fam: Family, k: int, s: int) -> Family:
     """The family of intersections of members with the prefix, duplicates removed.
 
     An empty trace member (a member entirely beyond the prefix) is retained
-    and flagged via a warning; it only makes counting sense when n_bar >= k.
+    and flagged by a warning on stderr; it only makes counting sense when n_bar >= k.
     """
     p = prefix_size(k, s)
     if fam.n < p:
@@ -78,5 +76,5 @@ def trace_of(fam: Family, k: int, s: int) -> Family:
     head = (1 << p) - 1
     masks = {m & head for m in fam.members}
     if 0 in masks and fam.members:
-        log.warning("trace contains the empty set (member beyond the prefix)")
+        sys.stderr.write("trace contains the empty set (member beyond the prefix)\n")
     return Family.from_masks(p, None, masks)

@@ -10,8 +10,7 @@ matching number, since disjoint members consume distinct hitting elements).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Family, KSet
 
@@ -22,8 +21,7 @@ class BudgetExceeded(RuntimeError):
     """Raised when a search exhausts its node budget: the answer is unknown."""
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(NamedTuple):
     sets: tuple[KSet, ...]
 
 

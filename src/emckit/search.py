@@ -19,6 +19,7 @@ clique cover of these conflicts bounds how many pooled sets can.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Optional
 
 from .audit import AuditReport, make_report
@@ -27,6 +28,9 @@ from .core import _MAX_GROUND, Family, KSet, binom, enumerate_ksets
 from .matching import BudgetExceeded, _bits, _disjointness
 from .shifting import _decrements
 
+# The exhaustive scan tests each of the 2^C(n,k) subfamilies against every
+# forbidden (s+1)-matching; it is refused above 2^DEFAULT_EXHAUSTIVE_CAP tests
+# (about a second), and so above DEFAULT_EXHAUSTIVE_CAP k-sets.
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_BNB_CAP = 60
 
@@ -38,6 +42,13 @@ def _family_mask_better(a: int, b: int) -> bool:
         return False
     low = diff & -diff
     return bool(a & low)
+
+
+def _matching_count(n: int, k: int, r: int) -> int:
+    """Number of r-sets of pairwise disjoint k-subsets of [n]."""
+    if r * k > n:
+        return 0
+    return binom(n, r * k) * factorial(r * k) // (factorial(k) ** r * factorial(r))
 
 
 def _disjoint_tuples(disj: list[int], t: int) -> list[int]:
@@ -245,6 +256,12 @@ def max_family_size(
         if m > DEFAULT_EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive search needs C(n,k) <= {DEFAULT_EXHAUSTIVE_CAP}, got {m}"
+            )
+        tuples = _matching_count(n, k, s + 1)
+        if (tuples + 1) << m > 1 << DEFAULT_EXHAUSTIVE_CAP:
+            raise ValueError(
+                "exhaustive search needs 2^C(n,k) * (number of (s+1)-matchings + 1)"
+                f" <= 2^{DEFAULT_EXHAUSTIVE_CAP}, got 2^{m} * {tuples + 1}"
             )
         all_masks = list(enumerate_ksets(n, k))
         best_size, best_incl = _exhaustive_max(all_masks, s)

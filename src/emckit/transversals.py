@@ -1,4 +1,4 @@
-"""Full and almost-full transversals of the local universe, cyclic-shift
+"""Full transversals of the local universe, cyclic-shift
 collections, mask/bad-pair statistics, and the disjoint-cover construction
 for defect sets, together with its multiplicity bounds.
 
@@ -8,10 +8,9 @@ distinguished (k-1)-set plus the k selected blocks B_1..B_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import KSet, mask_of
 from .weights import WeightFrame
@@ -20,16 +19,21 @@ from .weights import WeightFrame
 BAD_PAIR_MAX_K = 6
 
 
-@dataclass(frozen=True)
-class CyclicShift:
-    """A rotation of a listed set: element at position i maps to position i+offset."""
-
+class _Rotation(NamedTuple):
     base: tuple[int, ...]
     offset: int
 
-    def __post_init__(self):
-        if self.base and not 0 <= self.offset < len(self.base):
+
+# a NamedTuple cannot override __new__, so the offset check lives in a subclass
+class CyclicShift(_Rotation):
+    """A rotation of a listed set: element at position i maps to position i+offset."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: tuple[int, ...], offset: int):
+        if base and not 0 <= offset < len(base):
             raise ValueError("offset outside [0, len(base))")
+        return super().__new__(cls, base, offset)
 
     def apply(self, x: int) -> int:
         i = self.base.index(x)
@@ -44,16 +48,11 @@ def shifts_of(elements: Sequence[int]) -> list[CyclicShift]:
     return [CyclicShift(base, j) for j in range(len(base))]
 
 
-def identity_shift(elements: Sequence[int]) -> CyclicShift:
-    return CyclicShift(tuple(sorted(elements)), 0)
-
-
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     set: KSet
     kind: str  # "full" | "almost_full"
     profile: tuple[int, ...]  # intersection sizes with G0, B_1, ..., B_k
-    weight: Fraction = field(default=Fraction(1))
+    weight: Fraction = Fraction(1)
 
 
 def _local_layout(frame: WeightFrame):
@@ -80,31 +79,6 @@ def full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
     for choice in product(*blocks):
         ks = KSet.from_elements(ground, choice)
         yield Transversal(ks, "full", _profile(ks.mask, parts), Fraction(1))
-
-
-def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
-    """All k-subsets of the local universe with width k-1.
-
-    Either one block is doubled and one untouched, or one element sits in the
-    distinguished set and one block is untouched.  Weight 1/(s-k+1).
-    """
-    g0, blocks = _local_layout(frame)
-    k, s = frame.k, frame.s
-    w = Fraction(1, s - k + 1)
-    parts = _part_masks(frame)
-    ground = frame.prefix
-    universe = sorted(g0 + tuple(e for b in blocks for e in b))
-    block_of = {}
-    for i, b in enumerate(blocks, start=1):
-        for e in b:
-            block_of[e] = i
-    for e in g0:
-        block_of[e] = 0
-    for combo in combinations(universe, k):
-        v = len({block_of[e] for e in combo} - {0})
-        if v == k - 1:
-            ks = KSet.from_elements(ground, combo)
-            yield Transversal(ks, "almost_full", _profile(ks.mask, parts), w)
 
 
 def _split_blocks(frame: WeightFrame, t: KSet) -> tuple[list, list]:
@@ -194,8 +168,7 @@ def all_cyclic_collections(t: KSet, frame: WeightFrame) -> Iterator[list[KSet]]:
         yield cyclic_collection(t, list(sigmas), frame)
 
 
-@dataclass(frozen=True)
-class BadPairStats:
+class BadPairStats(NamedTuple):
     per_t: int  # masks in a bad pair with any fixed defect set (uniform)
     per_mask_max: int  # maximum defect sets paired with one mask
     per_mask_bound: Fraction  # k(k-1)^(k-2)(k-2)/2
@@ -312,8 +285,7 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
     )
 
 
-@dataclass(frozen=True)
-class ShapeProfile:
+class ShapeProfile(NamedTuple):
     """Intersection shape of a size-(k-1) defect set, padding convention.
 
     ``a`` lists (a_1, ..., a_c) block intersections (positive, touched blocks

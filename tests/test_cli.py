@@ -3,7 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +16,28 @@ from emckit.audit import make_report
 
 K5_S = 101 * 5**3 + 1
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the same check runs in CI; modules that site or .pth files load are not counted
+IMPORT_GUARD = (
+    "import sys; before = set(sys.modules); import emckit.cli; "
+    "heavy = {'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before); "
+    "assert not heavy, sorted(heavy)"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", IMPORT_GUARD],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_fmt_exact():

@@ -108,6 +108,18 @@ def test_trace_requires_prefix():
         trace_of(fam, 2, 3)
 
 
+def test_trace_of_warns_on_member_beyond_prefix(capsys):
+    # prefix [5] for k = 2, s = 2; {6, 7} leaves the empty set in the trace
+    fam = Family(7, 2, [mask_of(7, [1, 2]), mask_of(7, [6, 7])])
+    tr = trace_of(fam, 2, 2)
+    assert 0 in tr.mask_set
+    captured = capsys.readouterr()
+    assert captured.err == "trace contains the empty set (member beyond the prefix)\n"
+    assert captured.out == ""
+    trace_of(build_B(9, 2, 3), 2, 3)
+    assert capsys.readouterr().err == ""
+
+
 def test_generate_from_trace_round_trip():
     B = build_B(9, 2, 3)
     tr = trace_of(B, 2, 3)

@@ -18,6 +18,7 @@ from emckit.search import (
     _clique_cover,
     _disjoint_tuples,
     _include,
+    _matching_count,
     find_G0,
     max_family_size,
     max_family_size as mfs,
@@ -538,12 +539,22 @@ def test_size_gates_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(search, "enumerate_ksets", refuse)
     for n, k, method, budget, message in [
         (60, 5, "exhaustive", None, "exhaustive search needs C(n,k) <= 24, got 5461512"),
+        # 2^16 subfamilies against 560 forbidden triples of singletons
+        (16, 1, "exhaustive", None, "(number of (s+1)-matchings + 1) <= 2^24, got 2^16 * 561"),
         (60, 5, "bnb", None, "branch-and-bound needs C(n,k) <= 60 without a node budget"),
         (60, 5, "shifted_only", 10, "downset search needs C(n,k) <= 4096 with any budget, got 5461512"),
         (100, 5, "annealing", None, "unknown method 'annealing'"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             max_family_size(n, k, 2, method=method, node_budget=budget)
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (7, 2), (8, 2), (7, 3), (9, 3), (8, 4)])
+def test_matching_count_closed_form(n, k):
+    masks = list(enumerate_ksets(n, k))
+    disj = _disjointness(masks)
+    for r in range(1, n // k + 2):
+        assert _matching_count(n, k, r) == len(_disjoint_tuples(disj, r)), r
 
 
 def test_node_budget_raises():

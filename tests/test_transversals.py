@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
@@ -13,14 +13,15 @@ from emckit.transversals import (
     BAD_PAIR_MAX_K,
     BadPairStats,
     CyclicShift,
+    Transversal,
     _local_layout,
+    _part_masks,
+    _profile,
     all_cyclic_collections,
     all_shift_collections,
-    almost_full_transversals,
     bad_pair_stats,
     cyclic_collection,
     full_transversals,
-    identity_shift,
     product_inequality_check,
     q_family,
     shape_profile,
@@ -31,6 +32,35 @@ from emckit.weights import WeightFrame
 
 def small_frame(k):
     return WeightFrame((k + 1) * k, k, k)
+
+
+def identity_shift(elements: Sequence[int]) -> CyclicShift:
+    return CyclicShift(tuple(sorted(elements)), 0)
+
+
+def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
+    """All k-subsets of the local universe with width k-1.
+
+    Either one block is doubled and one untouched, or one element sits in the
+    distinguished set and one block is untouched.  Weight 1/(s-k+1).
+    """
+    g0, blocks = _local_layout(frame)
+    k, s = frame.k, frame.s
+    w = Fraction(1, s - k + 1)
+    parts = _part_masks(frame)
+    ground = frame.prefix
+    universe = sorted(g0 + tuple(e for b in blocks for e in b))
+    block_of = {}
+    for i, b in enumerate(blocks, start=1):
+        for e in b:
+            block_of[e] = i
+    for e in g0:
+        block_of[e] = 0
+    for combo in combinations(universe, k):
+        v = len({block_of[e] for e in combo} - {0})
+        if v == k - 1:
+            ks = KSet.from_elements(ground, combo)
+            yield Transversal(ks, "almost_full", _profile(ks.mask, parts), w)
 
 
 # the pair-by-pair enumeration that bad_pair_stats replaced, kept as its oracle
