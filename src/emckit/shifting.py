@@ -19,12 +19,12 @@ def _decrements(m: int) -> Iterator[int]:
                 yield m ^ low | by
 
 
-def _movers(present, i: int, j: int) -> list[int]:
-    """Members that the (i,j)-compression rewrites: j in m, i not in m, and
-    m - j + i not already present.  Rewriting m is m ^ (bit i | bit j)."""
+def _movers(candidates, present, i: int, j: int) -> list[int]:
+    """The candidates that the (i,j)-compression rewrites: j in m, i not in m,
+    and m - j + i not already present.  Rewriting m is m ^ (bit i | bit j)."""
     bj = 1 << (j - 1)
     bij = 1 << (i - 1) | bj
-    return [m for m in present if m & bij == bj and m ^ bij not in present]
+    return [m for m in candidates if m & bij == bj and m ^ bij not in present]
 
 
 def compress_ij(fam: Family, i: int, j: int) -> Family:
@@ -36,7 +36,7 @@ def compress_ij(fam: Family, i: int, j: int) -> Family:
     if not 1 <= i < j <= fam.n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={fam.n}")
     present = fam.mask_set
-    movers = _movers(present, i, j)
+    movers = _movers(present, present, i, j)
     bij = 1 << (i - 1) | 1 << (j - 1)
     return Family.from_masks(
         fam.n, fam.k, present.difference(movers).union(m ^ bij for m in movers)
@@ -46,25 +46,37 @@ def compress_ij(fam: Family, i: int, j: int) -> Family:
 def shift_to_fixpoint(fam: Family) -> Family:
     """Apply compressions over all i < j until nothing changes.
 
-    Sweep order is fixed: j ascending, then i ascending, restarting after any
-    change, so the normal form is deterministic.  The sweep rewrites a plain
-    set of masks in place and builds a single ``Family`` at the end.
+    The result is the normal form of the restart sweep: scan the pairs j
+    ascending, then i ascending, compress at the first pair that has a mover,
+    and start again from (1,2).  After a compression at (i,j), the pair (i,j)
+    has no mover, and neither has any earlier pair (a,b) if none had before:
+
+    - a new member x = m - j + i with b in x, a not in x has x - b + a
+      present.  For b = i it is m - j + a, present since (a,j) had no mover.
+      Otherwise y = m - b + a was present since (a,b) had no mover, and
+      x - b + a = y - j + i is y's image, or the member that blocked y.
+    - a removed member r unblocks y = r - a + b only if y stays, which needs
+      z = y - j + i present (b != i) or y itself present (b = i).  Then z at
+      (a,b), or y at (a,j), had a mover before, as its image r - j + i was
+      absent.
+
+    So the restart sweep never compresses an earlier pair again, and one pass
+    over the pairs in that order applies exactly its sequence of compressions.
+    Within each j the candidates for ``_movers`` are the members holding j.
+    The sweep rewrites a plain set of masks and builds a single ``Family`` at
+    the end.
     """
     present = set(fam.mask_set)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(2, fam.n + 1):
-            for i in range(1, j):
-                movers = _movers(present, i, j)
-                if movers:
-                    bij = 1 << (i - 1) | 1 << (j - 1)
-                    present.difference_update(movers)
-                    present.update(m ^ bij for m in movers)
-                    changed = True
-                    break
-            if changed:
-                break
+    for j in range(2, fam.n + 1):
+        bj = 1 << (j - 1)
+        holding_j = {m for m in present if m & bj}
+        for i in range(1, j):
+            movers = _movers(holding_j, present, i, j)
+            if movers:
+                bij = 1 << (i - 1) | bj
+                holding_j.difference_update(movers)
+                present.difference_update(movers)
+                present.update(m ^ bij for m in movers)
     return Family.from_masks(fam.n, fam.k, present)
 
 

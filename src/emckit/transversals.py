@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import KSet, mask_of
-from .weights import WeightFrame
+from .weights import WeightFrame, weight_cd
 
 # largest k whose bad-pair statistics are counted; k = 7 needs about 2.4e9 pair tests
 BAD_PAIR_MAX_K = 6
@@ -72,13 +72,17 @@ def _profile(mask: int, parts: list[int]) -> tuple[int, ...]:
 
 
 def full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
-    """All k^k sets taking exactly one element from each selected block."""
+    """All k^k sets taking exactly one element from each selected block.
+
+    Each has width k and size k, so its weight is C(n_bar, 0) / C(s - k, 0) = 1.
+    """
     _, blocks = _local_layout(frame)
     parts = _part_masks(frame)
     ground = frame.prefix
+    weight = weight_cd(frame.k, frame.k, frame)
     for choice in product(*blocks):
         ks = KSet.from_elements(ground, choice)
-        yield Transversal(ks, "full", _profile(ks.mask, parts), Fraction(1))
+        yield Transversal(ks, "full", _profile(ks.mask, parts), weight)
 
 
 def _split_blocks(frame: WeightFrame, t: KSet) -> tuple[list, list]:

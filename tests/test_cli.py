@@ -193,6 +193,22 @@ def test_transversal_all_k3(capsys):
     assert claim8["note"] == "0 = number of violating profiles"
 
 
+def test_transversal_full_weight_fails_on_a_wrong_weight(capsys, monkeypatch):
+    import emckit.transversals as transversals
+
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
+    rows = {r["claim_id"]: r for r in json.loads(out)}
+    assert code == 0 and rows["transversal:full_weight"]["pass"] is True
+
+    monkeypatch.setattr(transversals, "weight_cd", lambda c, d, frame: Fraction(2))
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
+    rows = {r["claim_id"]: r for r in json.loads(out)}
+    assert code == 1
+    row = rows["transversal:full_weight"]
+    assert (row["lhs"], row["rhs"], row["pass"]) == ("1", "0", False)
+    assert rows["transversal:full_count"]["pass"] is True
+
+
 def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
     for check in ("badpairs", "all"):
         code = main(["transversal", "--k", "7", "--check", check])
@@ -227,6 +243,46 @@ def test_shift_and_find_g0_roundtrip(tmp_path, capsys):
     code, out = run(capsys, "find-g0", "--in", str(full), "--k", "2", "--s", "3")
     assert code == 0
     assert out.strip() == "4"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 0\n",  # n = 0: no pair (i,j)
+        "1 1\n1\n",  # n = 1: no pair (i,j)
+        "5 2\n",  # an empty family
+        "0 0\n-\n",  # only the empty set
+    ],
+)
+def test_shift_edge_cases_write_the_family_back(tmp_path, capsys, text):
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text(text)
+    code, out = run(capsys, "shift", "--in", str(fam_file))
+    assert code == 0
+    assert out == text
+
+
+def test_shift_of_shifted_family_makes_no_compression(tmp_path, capsys, monkeypatch):
+    import emckit.shifting as shifting
+    from emckit.constructions import build_B
+
+    calls = []
+
+    def counting_movers(*args):
+        movers = real_movers(*args)
+        calls.append(len(movers))
+        return movers
+
+    real_movers = shifting._movers
+    monkeypatch.setattr(shifting, "_movers", counting_movers)
+    text = build_B(24, 3, 6).to_text()
+    src, dst = tmp_path / "b.txt", tmp_path / "shifted.txt"
+    src.write_text(text)
+    code, out = run(capsys, "shift", "--in", str(src), "--out", str(dst))
+    assert code == 0 and out == ""
+    assert len(text.splitlines()) == 1 + 1208
+    assert dst.read_bytes() == src.read_bytes()
+    assert len(calls) == 24 * 23 // 2 and not any(calls)
 
 
 def test_missing_file_fails(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from emckit.core import Family, KSet, enumerate_ksets, mask_of
 from emckit.matching import matching_number
-from emckit.shifting import compress_ij, is_shifted, shift_to_fixpoint
+from emckit.shifting import _movers, compress_ij, is_shifted, shift_to_fixpoint
 from test_core import precedes
 
 
@@ -42,6 +42,31 @@ def rebuilding_shift_to_fixpoint(fam: Family) -> Family:
             if changed:
                 break
     return current
+
+
+def restart_sweep_shift_to_fixpoint(fam: Family) -> Family:
+    """Oracle: the restart sweep on a plain set of masks, back to (1,2) after each change.
+
+    Sweep order is fixed: j ascending, then i ascending, restarting after any
+    change, so the normal form is deterministic.  The sweep rewrites a plain
+    set of masks in place and builds a single ``Family`` at the end.
+    """
+    present = set(fam.mask_set)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(2, fam.n + 1):
+            for i in range(1, j):
+                movers = _movers(present, present, i, j)
+                if movers:
+                    bij = 1 << (i - 1) | 1 << (j - 1)
+                    present.difference_update(movers)
+                    present.update(m ^ bij for m in movers)
+                    changed = True
+                    break
+            if changed:
+                break
+    return Family.from_masks(fam.n, fam.k, present)
 
 
 def precedence_downset_closure(fam: Family) -> Family:
@@ -86,6 +111,23 @@ def uniform_families(draw, max_n=10, max_k=4, max_size=40):
     pool = list(enumerate_ksets(n, k))
     idx = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=max_size))
     return Family(n, k, [pool[i] for i in idx])
+
+
+@st.composite
+def sampled_families(draw, max_n=14, max_k=5, max_size=150, uniform=True):
+    """Families of 0..max_size sets drawn at random from all k-sets of [n]
+    (uniform) or from all subsets of [n] (k = None, some holding the empty set)."""
+    n = draw(st.integers(0, max_n))
+    if uniform:
+        k = draw(st.integers(0, min(max_k, n)))
+        pool = list(enumerate_ksets(n, k))
+    else:
+        k, pool = None, range(1 << n)
+    rnd = draw(st.randoms(use_true_random=False))
+    masks = set(rnd.sample(pool, rnd.randint(0, min(len(pool), max_size))))
+    if k is None and draw(st.booleans()):
+        masks.add(0)
+    return Family(n, k, masks)
 
 
 def random_family(rng, n, k, max_size=12):
@@ -193,3 +235,38 @@ def test_compress_ij_matches_rebuilding_oracle(fam):
     for j in range(2, fam.n + 1):
         for i in range(1, j):
             assert compress_ij(fam, i, j) == rebuilding_compress_ij(fam, i, j)
+
+
+def assert_same_fixpoint(fam):
+    fixed = shift_to_fixpoint(fam)
+    expected = restart_sweep_shift_to_fixpoint(fam)
+    assert fixed == expected
+    assert fixed.to_text() == expected.to_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_families())
+def test_one_pass_sweep_matches_restart_sweep(fam):
+    assert_same_fixpoint(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_families(max_n=10, max_size=60, uniform=False))
+def test_one_pass_sweep_matches_restart_sweep_on_mixed_families(fam):
+    assert_same_fixpoint(fam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_families(max_n=8, max_size=40) | sampled_families(max_n=6, max_size=40, uniform=False))
+def test_compression_leaves_earlier_pairs_without_movers(fam):
+    pairs = [(i, j) for j in range(2, fam.n + 1) for i in range(1, j)]
+    for t, (i, j) in enumerate(pairs):
+        fam = compress_ij(fam, i, j)
+        for a, b in pairs[: t + 1]:
+            assert not _movers(fam.mask_set, fam.mask_set, a, b)
+
+
+def test_one_pass_sweep_matches_restart_sweep_at_18_3_300():
+    rng = random.Random(2024)
+    fam = Family(18, 3, rng.sample(list(enumerate_ksets(18, 3)), 300))
+    assert_same_fixpoint(fam)
