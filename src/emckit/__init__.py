@@ -53,6 +53,7 @@ from .transversals import (
     full_transversals,
     product_inequality_check,
     q_family,
+    q_family_check,
     shape_profile,
     shifts_of,
 )

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,10 +26,9 @@ from .shifting import shift_to_fixpoint
 from .transversals import (
     BAD_PAIR_MAX_K,
     all_cyclic_collections,
-    all_shift_collections,
     bad_pair_stats,
     full_transversals,
-    q_family,
+    q_family_check,
 )
 from .weights import WeightFrame, family_weight_identity, wA_of_M
 
@@ -164,13 +162,14 @@ def _small_frame(k: int) -> WeightFrame:
     return WeightFrame((k + 1) * k, k, k)
 
 
-def _transversal_reports(k: int, checks: list[str], seed: int) -> list[AuditReport]:
+def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
     frame = _small_frame(k)
     reports = []
     if "counts" in checks:
         fulls = list(full_transversals(frame))
+        distinct = {t.set.mask for t in fulls if t.profile == (0,) + (1,) * k}
         reports.append(
-            make_report("transversal:full_count", {"k": k}, len(fulls), k**k, "==")
+            make_report("transversal:full_count", {"k": k}, len(distinct), k**k, "==")
         )
         all_weight_one = all(t.weight == 1 for t in fulls)
         reports.append(
@@ -243,51 +242,13 @@ def _transversal_reports(k: int, checks: list[str], seed: int) -> list[AuditRepo
             )
         )
     if "q" in checks:
-        rng = random.Random(seed)
-        blocks = frame.b_blocks()
-        g0 = frame.g0_elements()
-        failures = 0
-        trials = 50
-        for _ in range(trials):
-            # random size-(k-1) subset of the local universe with a0 >= 1
-            c = rng.randrange(0, k)  # touched blocks
-            sizes = _random_composition(rng, k - 1, c)
-            elems = []
-            chosen_blocks = rng.sample(range(k), c)
-            for bi, cnt in zip(chosen_blocks, sizes):
-                elems.extend(rng.sample(blocks[bi], cnt))
-            need_g0 = (k - 1) - sum(sizes)
-            elems.extend(rng.sample(g0, need_g0))
-            t = KSet.from_elements(frame.prefix, elems)
-            collections = list(all_shift_collections(t, frame))
-            pis = collections[rng.randrange(len(collections))]
-            try:
-                q_family(t, pis, frame)
-            except AssertionError:
-                failures += 1
+        failures, first = q_family_check(k)
         reports.append(
-            make_report(
-                "transversal:q_family_disjoint",
-                {"k": k, "trials": trials, "seed": seed},
-                failures,
-                0,
-                "==",
-            )
+            make_report("transversal:q_family_disjoint", {"k": k}, failures, 0, "==", witness=first)
         )
     if "product" in checks:
         reports.append(audit_mod.product_inequality_report(k))
     return reports
-
-
-def _random_composition(rng: random.Random, total_max: int, parts: int) -> list[int]:
-    """Random positive part sizes, at most total_max in total (possibly fewer)."""
-    if parts == 0:
-        return []
-    sizes = [1] * parts
-    for _ in range(total_max - parts):
-        if rng.random() < 0.5:
-            sizes[rng.randrange(parts)] += 1
-    return sizes
 
 
 def _cmd_transversal(args) -> int:
@@ -298,7 +259,7 @@ def _cmd_transversal(args) -> int:
     )
     if "badpairs" in checks and args.k > BAD_PAIR_MAX_K:
         raise ValueError(f"--check badpairs supports k <= {BAD_PAIR_MAX_K}, got k={args.k}")
-    reports = _transversal_reports(args.k, checks, args.seed)
+    reports = _transversal_reports(args.k, checks)
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -400,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["counts", "cyclic", "badpairs", "q", "product", "all"],
         default="all",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored; kept for old command lines")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_transversal)

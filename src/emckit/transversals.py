@@ -407,7 +407,9 @@ def q_family(
 def all_shift_collections(t: KSet, frame: WeightFrame) -> Iterator[list[CyclicShift]]:
     """All admissible shift tuples for ``q_family``.
 
-    There are (k - a0)(k - a1)...(k - a_c) * k^(k-c) of them.
+    There are (k - a0)(k - a1)...(k - a_c) * k^(k-c) of them, with the
+    factor k - a0 = p, the shifts of the free distinguished elements, read
+    as 1 at p = 0.
     """
     g0, _ = _local_layout(frame)
     touched, untouched = _split_blocks(frame, t)
@@ -420,6 +422,74 @@ def all_shift_collections(t: KSet, frame: WeightFrame) -> Iterator[list[CyclicSh
         yield list(combo)
 
 
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order; only the empty one for ``total = parts = 0``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Disjointness of ``q_family`` for every size-(k-1) defect set and every
+    shift tuple, decided on one defect set per intersection profile.
+
+    ``q_family`` sees t only through its profile (a0; a1, ..., a_c): relabel
+    the blocks keeping the order within the touched and within the untouched
+    ones, and inside each block and inside the distinguished set map t's part
+    and the residual each in increasing order.  The relabelling carries t's
+    numeration slot by slot onto that of any defect set with the same
+    profile, and each canonical cyclic shift onto one, so the construction
+    commutes with it.  Every size-(k-1) set has a0 = k - p >= 1 with
+    p = a1 + ... + a_c, so the profiles are the compositions of p = 0..k-1:
+    exactly 2^(k-1) of them.
+
+    Disjointness does not depend on the shift tuple.  Output i takes slot i
+    of each block j, skipping block mu_i when i <= p, and that slot holds a
+    residual element: t's slots of block j are p_(j-1)+1..p_j, and mu_i is
+    the one block whose range holds i.  Distinct i use distinct slots, and a
+    shift permutes the residual, so the outputs meet each block in distinct
+    residual elements.  The distinguished part of output i <= p is the free
+    element in slot i, again permuted among the p free ones.  So any tuple
+    of permutations of the residuals, cyclic or not, gives k pairwise
+    disjoint k-sets that avoid t.
+
+    Hence one representative per profile, with the identity tuple, decides
+    every (t, tuple) pair.  The representative takes the least a_i elements
+    of blocks 1..c and the least k-1-p distinguished elements.  A profile
+    fails when ``q_family`` raises ``AssertionError`` or its output is not k
+    pairwise disjoint k-sets avoiding t.  Returns the number of failing
+    profiles and the first one, (a0, a1, ..., a_c), or None when there is none.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    frame = WeightFrame((k + 1) * k, k, k)
+    g0, blocks = _local_layout(frame)
+    failures = 0
+    first_failure = None
+    for p in range(k):
+        for c in range(p + 1):
+            for comp in _compositions(p, c):
+                elems = list(g0[: k - 1 - p])
+                for b, ai in zip(blocks, comp):
+                    elems.extend(b[:ai])
+                t = KSet.from_elements(frame.prefix, elems)
+                try:  # the first shift tuple has offset 0 everywhere: the identity
+                    qs = q_family(t, next(all_shift_collections(t, frame)), frame)
+                except AssertionError:
+                    qs = []
+                cover = [e for q in qs for e in q.elements] + elems
+                if len(qs) != k or any(q.size != k for q in qs) or len(set(cover)) != len(cover):
+                    failures += 1
+                    if first_failure is None:
+                        first_failure = (k - p,) + comp
+    return failures, first_failure
+
+
 def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Shift-count inequality over every admissible intersection profile.
 
@@ -430,21 +500,12 @@ def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """
     if k < 2:
         raise ValueError("need k >= 2")
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     violations = 0
     first_violation = None
     for a0 in range(1, k):
         rem = k - a0
         for c in range(1, rem + 1):
-            for comp in compositions(rem, c):
+            for comp in _compositions(rem, c):
                 lhs = k - a0
                 for ai in comp:
                     lhs *= k - ai

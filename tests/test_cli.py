@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the same check runs in CI; modules that site or .pth files load are not counted
 IMPORT_GUARD = (
     "import sys; before = set(sys.modules); import emckit.cli; "
-    "heavy = {'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before); "
+    "heavy = {'dataclasses', 'inspect', 'logging', 'random'} & (set(sys.modules) - before); "
     "assert not heavy, sorted(heavy)"
 )
 
@@ -207,6 +207,60 @@ def test_transversal_full_weight_fails_on_a_wrong_weight(capsys, monkeypatch):
     row = rows["transversal:full_weight"]
     assert (row["lhs"], row["rhs"], row["pass"]) == ("1", "0", False)
     assert rows["transversal:full_count"]["pass"] is True
+
+
+def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
+    import emckit.cli as cli
+
+    original = cli.full_transversals
+
+    def one_set_twice(frame):
+        fulls = list(original(frame))
+        return iter(fulls[:-1] + fulls[:1])  # still k^k sets, k^k - 1 distinct
+
+    monkeypatch.setattr(cli, "full_transversals", one_set_twice)
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
+    rows = {r["claim_id"]: r for r in json.loads(out)}
+    assert code == 1
+    row = rows["transversal:full_count"]
+    assert (row["lhs"], row["rhs"], row["pass"]) == ("26", "27", False)
+
+
+def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
+    import emckit.transversals as transversals
+
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "q")
+    (row,) = json.loads(out)
+    assert code == 0
+    assert row["params"] == {"k": 3} and row["lhs"] == "0" and "witness" not in row
+
+    original = transversals.q_family
+
+    def overlapping_at_2_1(t, pis, frame):
+        qs = original(t, pis, frame)
+        prof = transversals.shape_profile(t, frame)
+        return [qs[0], qs[0], qs[2]] if (prof.a0,) + prof.a == (2, 1) else qs
+
+    monkeypatch.setattr(transversals, "q_family", overlapping_at_2_1)
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "q")
+    (row,) = json.loads(out)
+    assert code == 1
+    assert (row["lhs"], row["rhs"], row["pass"]) == ("1", "0", False)
+    assert row["witness"] == [2, 1]
+
+
+def test_transversal_seed_has_no_effect(capsys):
+    code0, out0 = run(capsys, "transversal", "--k", "4", "--seed", "0")
+    code7, out7 = run(capsys, "transversal", "--k", "4", "--seed", "7")
+    assert code0 == code7 == 0
+    assert out0 == out7
+
+
+def test_transversal_q_exit_codes(capsys):
+    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (7, 0, 2)):
+        assert main(["transversal", "--k", str(k), "--check", "q"]) == q_code
+        assert main(["transversal", "--k", str(k), "--check", "all"]) == all_code
+        capsys.readouterr()
 
 
 def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):

@@ -105,15 +105,6 @@ def is_precedence_closed(fam: Family) -> bool:
 
 
 @st.composite
-def uniform_families(draw, max_n=10, max_k=4, max_size=40):
-    n = draw(st.integers(2, max_n))
-    k = draw(st.integers(1, min(max_k, n)))
-    pool = list(enumerate_ksets(n, k))
-    idx = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=max_size))
-    return Family(n, k, [pool[i] for i in idx])
-
-
-@st.composite
 def sampled_families(draw, max_n=14, max_k=5, max_size=150, uniform=True):
     """Families of 0..max_size sets drawn at random from all k-sets of [n]
     (uniform) or from all subsets of [n] (k = None, some holding the empty set)."""
@@ -221,7 +212,7 @@ def test_fixpoint_members_precede_or_equal_originals_in_bulk(data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(uniform_families())
+@given(sampled_families(max_n=10, max_k=4, max_size=40))
 def test_mask_sweep_matches_rebuilding_oracle(fam):
     fixed = shift_to_fixpoint(fam)
     expected = rebuilding_shift_to_fixpoint(fam)
@@ -230,7 +221,7 @@ def test_mask_sweep_matches_rebuilding_oracle(fam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(uniform_families())
+@given(sampled_families(max_n=10, max_k=4, max_size=40))
 def test_compress_ij_matches_rebuilding_oracle(fam):
     for j in range(2, fam.n + 1):
         for i in range(1, j):

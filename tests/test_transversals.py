@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
@@ -24,6 +23,7 @@ from emckit.transversals import (
     full_transversals,
     product_inequality_check,
     q_family,
+    q_family_check,
     shape_profile,
     shifts_of,
 )
@@ -302,33 +302,94 @@ def test_q_family_multiplicity_bound():
     assert max(counts.values()) <= bound
 
 
-def test_q_family_random_defect_sets():
-    rng = random.Random(9)
+def expected_shift_count(t: KSet, fr: WeightFrame) -> int:
+    """(k - a0)(k - a1)...(k - a_c) k^(k-c), with k - a0 = p read as 1 at p = 0."""
+    k = fr.k
+    prof = shape_profile(t, fr)
+    if prof.p == 0:  # no touched block, no free distinguished element
+        return k**k
+    count = k - prof.a0
+    for a in prof.a:
+        count *= k - a
+    return count * k ** (k - len(prof.a))
+
+
+def defect_sets(fr: WeightFrame) -> Iterator[KSet]:
+    """Every size-(k-1) subset of the local universe."""
+    g0, blocks = _local_layout(fr)
+    universe = sorted([e for b in blocks for e in b] + list(g0))
+    for elems in combinations(universe, fr.k - 1):
+        yield KSet.from_elements(fr.prefix, elems)
+
+
+def assert_disjoint_cover(t: KSet, pis, fr: WeightFrame) -> None:
+    qs = q_family(t, pis, fr)
+    assert len(qs) == fr.k
+    union = t.mask
+    for q in qs:
+        assert q.size == fr.k and not union & q.mask
+        union |= q.mask
+
+
+@pytest.mark.parametrize("k, calls", [(1, 1), (2, 12), (3, 1161)])
+def test_q_family_every_defect_set_and_shift_tuple(k, calls):
+    # the full enumeration is the oracle of the per-profile check
+    fr = small_frame(k)
+    seen = 0
+    for t in defect_sets(fr):
+        colls = list(all_shift_collections(t, fr))
+        assert len(colls) == expected_shift_count(t, fr)
+        for pis in colls:
+            assert_disjoint_cover(t, pis, fr)
+        seen += len(colls)
+    assert seen == calls
+    assert q_family_check(k) == (0, None)
+
+
+def test_q_family_k4_every_defect_set_and_every_tuple_per_profile():
     k = 4
     fr = small_frame(k)
-    blocks = fr.b_blocks()
-    g0 = fr.g0_elements()
-    universe = [e for b in blocks for e in b] + list(g0)
-    tried = 0
-    while tried < 10:
-        elems = rng.sample(universe, k - 1)
-        t = KSet.from_elements(fr.prefix, elems)
-        try:
-            prof = shape_profile(t, fr)
-        except ValueError:
-            continue
-        tried += 1
+    representatives: dict[tuple[int, ...], KSet] = {}
+    sets = 0
+    for t in defect_sets(fr):
+        assert_disjoint_cover(t, next(all_shift_collections(t, fr)), fr)
+        prof = shape_profile(t, fr)
+        representatives.setdefault((prof.a0,) + prof.a, t)
+        sets += 1
+    assert sets == 969
+    assert len(representatives) == 2 ** (k - 1)
+    calls = 0
+    for t in representatives.values():
         colls = list(all_shift_collections(t, fr))
-        if prof.p == 0:  # no touched block, no free distinguished element
-            expected = k**k
-        else:
-            expected = k - prof.a0
-            for a in prof.a:
-                expected *= k - a
-            expected *= k ** (k - len(prof.a))
-        assert len(colls) == expected
-        for pis in rng.sample(colls, min(5, len(colls))):
-            q_family(t, pis, fr)
+        assert len(colls) == expected_shift_count(t, fr)
+        for pis in colls:
+            assert_disjoint_cover(t, pis, fr)
+        calls += len(colls)
+    assert calls == 2084
+    assert q_family_check(k) == (0, None)
+
+
+@pytest.mark.parametrize("k", list(range(1, 8)))
+def test_q_family_check_visits_every_profile_once(k, monkeypatch):
+    seen = []
+
+    def failing(t, pis, frame):
+        prof = shape_profile(t, frame)
+        seen.append((prof.a0,) + prof.a)
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(transversals, "q_family", failing)
+    assert q_family_check(k) == (2 ** (k - 1), (k,))
+    assert len(set(seen)) == len(seen) == 2 ** (k - 1)
+    assert all(sum(prof) == k and min(prof) >= 1 for prof in seen)
+
+
+def test_q_family_check_counts_a_short_cover_as_a_failure(monkeypatch):
+    original = transversals.q_family
+    monkeypatch.setattr(transversals, "q_family", lambda t, pis, frame: original(t, pis, frame)[1:])
+    assert q_family_check(3) == (4, (3,))
+    with pytest.raises(ValueError):
+        q_family_check(0)
 
 
 @pytest.mark.parametrize("k", list(range(2, 11)))
