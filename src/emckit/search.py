@@ -15,6 +15,22 @@ set leaves iff it misses the added set and some union of s-1 disjoint
 members that also miss it.  Two pooled sets conflict iff they are disjoint
 and s-1 disjoint members miss both, so they cannot both join; a greedy
 clique cover of these conflicts bounds how many pooled sets can.
+
+Method ``bnb`` searches every k-set of [n], a space that each permutation
+of [n] maps onto itself, and it breaks that symmetry with lex-leader cuts
+(Crawford, Ginsberg, Luks and Roy 1996) for the adjacent transpositions
+tau_a = (a a+1).  tau_a swaps the pairs (p, q) where set p holds a but not
+a+1 and set q is p with a replaced by a+1, so p < q in colex order, and
+fixes every other set.  A family F and tau_a(F) first differ at the least p
+of a pair that F splits, and F is the colex-smaller one iff it holds that p.
+tau_a keeps |F| and the matching number, so the colex-least maximizer F*
+satisfies F* <= tau_a(F*) for every a.  A node where, for some a, the first
+pair that is not decided equal is decided with q in and p out has only
+completions F with tau_a(F) < F, none of them F*; it is cut.  Include-first
+DFS still meets F* before any other maximizer, so maxima and witnesses are
+those of the search without the cut.  The cut needs the whole k-set list:
+on part of it, or on downsets (``shifted_only``), tau_a(F*) may lie outside
+the search space.
 """
 
 from __future__ import annotations
@@ -167,11 +183,45 @@ def _clique_cover(pool: int, conf: list[int], limit: int) -> int:
     return count
 
 
+def _swap_pairs(n: int, all_masks: list[int]) -> list[list[tuple[int, int]]]:
+    """``pairs[a-1]``: the pairs (p, q) of list positions that the adjacent
+    transposition (a a+1) swaps, sorted by p.
+
+    Set p holds a but not a+1, and set q is set p with a replaced by a+1, so
+    q follows p in colex order.  Each mask is walked once over its elements.
+    """
+    rank = {m: i for i, m in enumerate(all_masks)}
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
+    below_top = (1 << n - 1) - 1
+    for p, m in enumerate(all_masks):
+        for e in _bits(m & ~(m >> 1) & below_top):
+            pairs[e].append((p, rank[m ^ 3 << e]))
+    return pairs
+
+
+def _swap_cut(pairs: list[tuple[int, int]], incl: int, pool: int) -> bool:
+    """True if the transposition of ``pairs`` maps every completion of the
+    node to a colex-smaller family.
+
+    The first pair that is not decided equal (both members, or both out of
+    ``incl`` and ``pool``) decides: it cuts iff both are decided, q joined
+    and p did not.
+    """
+    for p, q in pairs:
+        if (pool >> p | pool >> q) & 1:
+            return False
+        joined = incl >> p & 1
+        if joined != incl >> q & 1:
+            return not joined
+    return False
+
+
 def _bnb_max(
     all_masks: list[int],
     s: int,
     node_budget: Optional[int],
     parents: Optional[list[int]] = None,
+    swaps: Optional[list[list[tuple[int, int]]]] = None,
 ) -> tuple[int, int]:
     """Branch-and-bound over inclusion decisions in colex order.
 
@@ -195,6 +245,16 @@ def _bnb_max(
     sets of a clique can join together.  Conflicts only grow with the
     members: a child inherits its parent's and adds those through the new
     member (see :func:`_include`).
+
+    ``swaps`` (from :func:`_swap_pairs`) adds the lex-leader cut of the
+    module docstring; pass it only when ``all_masks`` is every k-set of [n]
+    and there are no parents.  A set is decided once it is a member or has
+    left the pool, and it stays decided below the node, so a node rechecks
+    only the transpositions that move a set its last decision decided: the
+    others gave the parent no cut and give none now.  The cut never removes
+    the colex-least maximizer, and the bounds cut a node only when a family
+    at least as large was found earlier in include-first order, so the
+    first maximizer found is still the colex-least one.
     """
     if parents is None:
         parents = [0] * len(all_masks)
@@ -205,10 +265,12 @@ def _bnb_max(
     best_size = 0  # the empty family
     best_incl = 0
     nodes = 0
-    # the include child is pushed last, so it is searched first
-    stack = [((1 << len(all_masks)) - 1, 0, 0, disj if s == 1 else [0] * len(all_masks))]
+    # entries: pool, members, size, conflicts and the sets the last decision
+    # decided; the include child is pushed last, so it is searched first
+    stack = [((1 << len(all_masks)) - 1, 0, 0, disj if s == 1 else [0] * len(all_masks), 0)]
+    transpositions = (1 << len(swaps or ())) - 1
     while stack:
-        pool, incl, size, conf = stack.pop()
+        pool, incl, size, conf, fresh = stack.pop()
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceeded(
@@ -219,17 +281,25 @@ def _bnb_max(
             best_size = size
             best_incl = incl
         slack = best_size - size
-        if pool.bit_count() <= slack or _clique_cover(pool, conf, slack) <= slack:
+        if pool.bit_count() <= slack:
+            continue
+        if swaps:
+            touched = 0
+            for j in _bits(fresh):
+                touched |= all_masks[j] ^ all_masks[j] >> 1
+            if any(_swap_cut(swaps[e], incl, pool) for e in _bits(touched & transpositions)):
+                continue
+        if _clique_cover(pool, conf, slack) <= slack:
             continue
         low = pool & -pool
         rest = pool ^ low
         # excluding a set that is nobody's parent orphans nothing
         excluded = _without_orphans(rest, incl, parents) if is_parent & low else rest
-        stack.append((excluded, incl, size, conf))
+        stack.append((excluded, incl, size, conf, pool ^ excluded))
         grown, grown_conf = _include(low.bit_length() - 1, incl, rest, conf, s, all_masks, disj)
         if is_parent & rest & ~grown:
             grown = _without_orphans(grown, incl | low, parents)
-        stack.append((grown, incl | low, size + 1, grown_conf))
+        stack.append((grown, incl | low, size + 1, grown_conf, pool ^ grown))
     return best_size, best_incl
 
 
@@ -275,11 +345,14 @@ def max_family_size(
         if m > _MAX_GROUND:
             raise ValueError(f"{name} needs C(n,k) <= {_MAX_GROUND} with any budget, got {m}")
         all_masks = list(enumerate_ksets(n, k))
-        parents = None
-        if method == "shifted_only":
+        if method == "bnb":
+            best_size, best_incl = _bnb_max(
+                all_masks, s, node_budget, swaps=_swap_pairs(n, all_masks)
+            )
+        else:
             rank = {mm: i for i, mm in enumerate(all_masks)}
             parents = [sum(1 << rank[p] for p in _decrements(mm)) for mm in all_masks]
-        best_size, best_incl = _bnb_max(all_masks, s, node_budget, parents)
+            best_size, best_incl = _bnb_max(all_masks, s, node_budget, parents)
     else:
         raise ValueError(f"unknown method {method!r}")
     witness = Family.from_masks(

@@ -137,6 +137,47 @@ def test_verify_budgeted_9_2_3_passes(capsys):
     assert row["pass"] is True and row["lhs"] == row["rhs"] == "21"
 
 
+def test_verify_9_2_3_smallest_budget(capsys):
+    # bnb with the swap cut finishes in 849 nodes; one node fewer is unknown
+    argv = ["verify", "--n", "9", "--k", "2", "--s", "3", "--method", "bnb"]
+    code, out = run(capsys, *argv, "--node-budget", "849")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["pass"] is True and row["lhs"] == row["rhs"] == "21"
+    assert main([*argv, "--node-budget", "848"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("unknown: max_family_size: node budget 848 exhausted")
+    assert captured.out == ""
+
+
+def test_verify_swap_cut_stays_cheap_at_bitset_ceiling(monkeypatch, capsys):
+    # k = 1, n = 4096: C(n,k) is the bitset ceiling and there are 4 095
+    # transpositions, one pair each
+    from emckit import search
+
+    built, checked = [], []
+    swap_pairs, swap_cut = search._swap_pairs, search._swap_cut
+
+    def counted_pairs(n, all_masks):
+        built.append(swap_pairs(n, all_masks))
+        return built[-1]
+
+    def counted_cut(pairs, incl, pool):
+        checked.append(len(pairs))
+        return swap_cut(pairs, incl, pool)
+
+    monkeypatch.setattr(search, "_swap_pairs", counted_pairs)
+    monkeypatch.setattr(search, "_swap_cut", counted_cut)
+    argv = ["verify", "--n", "4096", "--k", "1", "--s", "2", "--node-budget", "50"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith("largest family found has 2 sets\n")
+    [pairs] = built
+    assert [len(at_a) for at_a in pairs] == [1] * 4095
+    # a node rechecks only the transpositions that move the singleton its
+    # decision decided, not all 4 095
+    assert len(checked) <= 2 * 50
+
+
 def test_exhausted_budget_names_largest_family_found(tmp_path, capsys):
     # the size found so far is a lower bound on stderr; no report is written
     out = tmp_path / "r.json"

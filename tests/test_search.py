@@ -19,6 +19,7 @@ from emckit.search import (
     _disjoint_tuples,
     _include,
     _matching_count,
+    _swap_pairs,
     find_G0,
     max_family_size,
     max_family_size as mfs,
@@ -426,10 +427,35 @@ def test_bnb_max_matches_list_pool_oracle(case):
     assert _bnb_max(masks, s, None, parents) == expected
 
 
+@pytest.mark.parametrize("n,k", BNB_GRID)
+def test_swap_pairs(n, k):
+    # every set holding a but not a+1 is paired once, with its image, in
+    # colex order
+    masks = list(enumerate_ksets(n, k))
+    pairs = _swap_pairs(n, masks)
+    assert len(pairs) == n - 1
+    for e, at_a in enumerate(pairs):
+        assert [p for p, _ in at_a] == sorted(
+            p for p, m in enumerate(masks) if m >> e & 1 and not m >> e + 1 & 1
+        )
+        for p, q in at_a:
+            assert p < q and masks[p] ^ masks[q] == 3 << e
+
+
+@pytest.mark.parametrize("n,k", BNB_GRID)
+def test_swap_cut_matches_search_without_it(n, k):
+    # the lex-leader cut keeps the maximum and the colex-least witness
+    masks = list(enumerate_ksets(n, k))
+    swaps = _swap_pairs(n, masks)
+    for s in range(1, 5):
+        assert _bnb_max(masks, s, None, swaps=swaps) == _bnb_max(masks, s, None), s
+
+
 def test_node_counts_without_clique_bound(monkeypatch):
-    # with a cover that never prunes, the bitset pool takes exactly the
-    # decisions of the list pool it replaced
+    # with a cover that never prunes and no swap cut, the bitset pool takes
+    # exactly the decisions of the list pool it replaced
     monkeypatch.setattr(search, "_clique_cover", lambda pool, conf, limit: limit + 1)
+    monkeypatch.setattr(search, "_swap_pairs", lambda n, all_masks: [])
     for n, k, s, method, nodes, expected in [
         (8, 2, 3, "bnb", 38_973, 21),
         (8, 3, 1, "bnb", 12_473, 21),
@@ -445,8 +471,9 @@ def test_node_counts_pinned():
     # the smallest node budget that finishes; a change here changes what a
     # --node-budget buys, so it must be deliberate
     for n, k, s, method, nodes, expected in [
-        (8, 2, 3, "bnb", 1_531, 21),
-        (8, 3, 1, "bnb", 487, 21),  # s = 1: every disjoint pair conflicts
+        (8, 2, 3, "bnb", 203, 21),
+        (8, 3, 1, "bnb", 195, 21),  # s = 1: every disjoint pair conflicts
+        (9, 2, 3, "bnb", 849, 21),
         (10, 3, 2, "shifted_only", 299, 64),
         (20, 3, 2, "shifted_only", 3_003, 324),  # C(20,3) = 1 140 sets deep
     ]:
@@ -457,8 +484,9 @@ def test_node_counts_pinned():
 
 
 def test_clique_bound_reach():
-    # 27 641 and 1 037 nodes; without the clique-cover bound `bnb` (9,2,3)
-    # takes 847 691 and `shifted_only` (12,4,2) 291 365
+    # 849 and 1 037 nodes; without the clique-cover bound `bnb` (9,2,3)
+    # takes 5 377 (27 641 with the bound but no swap cut, 847 691 with
+    # neither) and `shifted_only` (12,4,2) 291 365
     for n, k, s, method, nodes, expected in [
         (9, 2, 3, "bnb", 30_000, 21),
         (12, 4, 2, "shifted_only", 2_000, 330),
@@ -466,6 +494,14 @@ def test_clique_bound_reach():
         mx, wit = max_family_size(n, k, s, method=method, node_budget=nodes)
         assert mx == expected == max(extremal_sizes(n, k, s))
         assert matching_number(wit)[0] <= s
+
+
+def test_swap_cut_reach():
+    # 21 507 nodes with the lex-leader swap cut, past the k-set lists of
+    # the oracle grid
+    mx, wit = max_family_size(9, 3, 2, method="bnb", node_budget=22_000)
+    assert mx == 56 == max(extremal_sizes(9, 3, 2))
+    assert matching_number(wit)[0] <= 2
 
 
 def test_shifted_only_reaches_12_3_3():
