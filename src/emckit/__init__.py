@@ -6,78 +6,106 @@ Subset families live on ground sets [n]; everything quantitative is exact
 family primitives, matching numbers, shifting, the extremal candidates,
 width/weight calculus, transversal constructions, claim audits, and the
 small-scale extremal search.
+
+The re-exports are lazy (PEP 562): a name is imported from its home module
+on first access and then cached here, so ``import emckit.core`` or a single
+CLI command loads only the modules it uses.
 """
 
-from .core import (
-    ExactScalar,
-    Family,
-    KSet,
-    binom,
-    enumerate_ksets,
-    mask_of,
-)
-from .matching import (
-    BudgetExceeded,
-    MatchingCertificate,
-    matching_number,
-)
-from .shifting import compress_ij, is_shifted, shift_to_fixpoint
-from .constructions import (
-    build_A,
-    build_B,
-    crossover_n,
-    extremal_sizes,
-    prefix_size,
-    trace_of,
-)
-from .weights import (
-    WeightFrame,
-    block_subset_count,
-    candidate_count,
-    claim3_bound,
-    family_weight_identity,
-    wA_of_M,
-    weight_cd,
-    weight_value,
-    wg_envelope,
-)
-from .transversals import (
-    BadPairStats,
-    CyclicShift,
-    ShapeProfile,
-    Transversal,
-    all_cyclic_collections,
-    all_shift_collections,
-    bad_pair_stats,
-    cyclic_collection,
-    full_transversals,
-    product_inequality_check,
-    q_family,
-    q_family_check,
-    shape_profile,
-    shifts_of,
-)
-from .audit import (
-    AuditReport,
-    ParameterWindowError,
-    audit_all,
-    audit_claim2,
-    audit_claim3,
-    audit_claim4,
-    audit_numeric_lemmas,
-    make_report,
-    max_window_n,
-    min_window_n,
-    overall_pass,
-    product_inequality_report,
-    require_window,
-)
-from .search import (
-    find_G0,
-    max_family_size,
-    verify_conjecture,
-)
+from importlib import import_module as _import_module
+
+_EXPORTS = {
+    "core": (
+        "ExactScalar",
+        "Family",
+        "KSet",
+        "binom",
+        "enumerate_ksets",
+        "mask_of",
+    ),
+    "matching": (
+        "BudgetExceeded",
+        "MatchingCertificate",
+        "matching_number",
+    ),
+    "shifting": ("compress_ij", "is_shifted", "shift_to_fixpoint"),
+    "constructions": (
+        "build_A",
+        "build_B",
+        "crossover_n",
+        "extremal_sizes",
+        "prefix_size",
+        "trace_of",
+    ),
+    "weights": (
+        "WeightFrame",
+        "block_subset_count",
+        "candidate_count",
+        "claim3_bound",
+        "family_weight_identity",
+        "wA_of_M",
+        "weight_cd",
+        "weight_value",
+        "wg_envelope",
+    ),
+    "transversals": (
+        "BadPairStats",
+        "CyclicShift",
+        "ShapeProfile",
+        "Transversal",
+        "all_cyclic_collections",
+        "all_shift_collections",
+        "bad_pair_stats",
+        "cyclic_collection",
+        "full_transversals",
+        "product_inequality_check",
+        "q_family",
+        "q_family_check",
+        "shape_profile",
+        "shifts_of",
+    ),
+    "audit": (
+        "AuditReport",
+        "ParameterWindowError",
+        "audit_all",
+        "audit_claim2",
+        "audit_claim3",
+        "audit_claim4",
+        "audit_numeric_lemmas",
+        "make_report",
+        "max_window_n",
+        "min_window_n",
+        "overall_pass",
+        "product_inequality_report",
+        "require_window",
+    ),
+    "search": (
+        "find_G0",
+        "max_family_size",
+        "verify_conjecture",
+    ),
+}
+
+# public name -> home module; each submodule is its own home
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME.update({module: None for module in _EXPORTS})
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME[name]
+    if module is None:
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

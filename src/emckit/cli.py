@@ -4,37 +4,30 @@ serialization.
 Exit codes: 0 all requested checks pass, 1 any check failed (reports still
 written) or a budget ran out, 2 usage or parameter error, or an internal
 error that left no verdict.
+
+Each command imports what it runs inside its handler, so it loads only those
+modules: ``shift`` never loads the audits, the weights or ``fractions``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import audit as audit_mod
-from . import search as search_mod
-from .audit import AuditReport, ParameterWindowError, make_report
-from .constructions import build_A, build_B, crossover_n, extremal_sizes
 from .core import Family, KSet, binom
 from .matching import BudgetExceeded
-from .shifting import shift_to_fixpoint
-from .transversals import (
-    BAD_PAIR_MAX_K,
-    all_cyclic_collections,
-    bad_pair_stats,
-    full_transversals,
-    q_family_check,
-)
-from .weights import WeightFrame, family_weight_identity, wA_of_M
+
+if TYPE_CHECKING:
+    from .audit import AuditReport
 
 
 def fmt_exact(v) -> str:
     """Exact rendering: integers bare, non-integers as p/q (never decimals)."""
+    if isinstance(v, int):
+        return str(int(v))
+    from fractions import Fraction
+
     f = Fraction(v)
     if f.denominator == 1:
         return str(f.numerator)
@@ -58,9 +51,14 @@ def report_to_dict(r: AuditReport) -> dict:
 
 
 def render_reports(reports: list[AuditReport], fmt: str) -> str:
+    import json
+
     if fmt == "json":
         return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim_id", "params", "lhs", "rhs", "cmp", "pass", "witness", "note"])
@@ -95,23 +93,6 @@ def write_reports(reports: list[AuditReport], out: Optional[str], fmt: str) -> N
     _emit(render_reports(reports, fmt), out)
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    except (OSError, PermissionError):
-        return [fn(x) for x in items]
-
-
-def _audit_point(point) -> list[AuditReport]:
-    k, s, n = point
-    return audit_mod.audit_all(k, s, n)
-
-
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
@@ -122,23 +103,22 @@ def _parse_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def _parse_n_values(spec: str, k: int, s: int) -> list[int]:
-    if spec == "auto":
-        return [audit_mod.min_window_n(k, s), audit_mod.max_window_n(k, s)]
-    return _parse_range(spec)
-
-
 def _cmd_audit(args) -> int:
-    n_values = _parse_n_values(args.n, args.k, args.s)
-    points = [(args.k, args.s, n) for n in n_values]
-    chunks = _pmap(_audit_point, points, args.jobs)
-    reports = [r for chunk in chunks for r in chunk]
+    from .audit import audit_all, max_window_n, min_window_n
+
+    if args.n == "auto":
+        n_values = [min_window_n(args.k, args.s), max_window_n(args.k, args.s)]
+    else:
+        n_values = _parse_range(args.n)
+    reports = [r for n in n_values for r in audit_all(args.k, args.s, n)]
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_verify(args) -> int:
-    report = search_mod.verify_conjecture(
+    from .search import verify_conjecture
+
+    report = verify_conjecture(
         args.n, args.k, args.s, method=args.method, node_budget=args.node_budget
     )
     write_reports([report], args.out, args.format)
@@ -146,24 +126,30 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    from .constructions import crossover_n
+
     rows = ["k,s,crossover_n,bound,ok"]
     for k in _parse_range(args.k):
         for s in range(k + 1, args.s_max + 1):
             cx = crossover_n(k, s)
-            bound_frac = Fraction(s + 1) * (Fraction(2 * k + 1, 2))
-            bound = -(-bound_frac.numerator // bound_frac.denominator)  # ceil
+            bound = ((s + 1) * (2 * k + 1) + 1) // 2  # ceil((s+1)(2k+1)/2)
             rows.append(f"{k},{s},{cx},{bound},{str(cx <= bound).lower()}")
     _emit("\n".join(rows) + "\n", args.out)
     ok = all(row.endswith("true") for row in rows[1:])
     return 0 if ok else 1
 
 
-def _small_frame(k: int) -> WeightFrame:
-    return WeightFrame((k + 1) * k, k, k)
-
-
 def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
-    frame = _small_frame(k)
+    from .audit import make_report, product_inequality_report
+    from .transversals import (
+        all_cyclic_collections,
+        bad_pair_stats,
+        full_transversals,
+        q_family_check,
+    )
+    from .weights import WeightFrame
+
+    frame = WeightFrame((k + 1) * k, k, k)
     reports = []
     if "counts" in checks:
         fulls = list(full_transversals(frame))
@@ -247,11 +233,13 @@ def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
             make_report("transversal:q_family_disjoint", {"k": k}, failures, 0, "==", witness=first)
         )
     if "product" in checks:
-        reports.append(audit_mod.product_inequality_report(k))
+        reports.append(product_inequality_report(k))
     return reports
 
 
 def _cmd_transversal(args) -> int:
+    from .transversals import BAD_PAIR_MAX_K
+
     checks = (
         ["counts", "cyclic", "badpairs", "q", "product"]
         if args.check == "all"
@@ -265,6 +253,10 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .audit import make_report
+    from .constructions import build_A, build_B, extremal_sizes
+    from .weights import WeightFrame, family_weight_identity, wA_of_M
+
     if args.family == "A":
         fam = build_A(args.n, args.k, args.s)
     elif args.family == "B":
@@ -301,6 +293,8 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_shift(args) -> int:
+    from .shifting import shift_to_fixpoint
+
     with open(args.infile, encoding="utf-8") as fh:
         fam = Family.from_text(fh.read())
     _emit(shift_to_fixpoint(fam).to_text(), args.out)
@@ -308,13 +302,15 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_find_g0(args) -> int:
+    from .search import find_G0
+
     if args.k < 2 or args.s < 1:
         raise ValueError(f"need k >= 2 and s >= 1, got k={args.k}, s={args.s}")
     with open(args.infile, encoding="utf-8") as fh:
         fam = Family.from_text(fh.read())
     if fam.k != args.k:
         raise ValueError(f"family file has k={fam.k}; expected k={args.k}")
-    g0 = search_mod.find_G0(fam, args.k, args.s)
+    g0 = find_G0(fam, args.k, args.s)
     if g0 is None:
         print("none")
         return 1
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="auto", help="int, range a..b, or 'auto' (both window endpoints)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="no effect: the points run in one process")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("verify", help="desk-scale extremal verification")
@@ -397,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterWindowError, ValueError) as exc:
+    except ValueError as exc:  # ParameterWindowError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

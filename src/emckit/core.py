@@ -12,10 +12,12 @@ inequality is exact: integers stay integers, ratios are
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
-ExactScalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+ExactScalar = Union[int, "Fraction"]
 
 # Bit-vector ground sets are capped; huge-parameter audits work through
 # closed-form counts and never materialize sets this large.

@@ -36,13 +36,15 @@ the search space.
 from __future__ import annotations
 
 from math import factorial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .audit import AuditReport, make_report
 from .constructions import extremal_sizes, prefix_size, trace_of
 from .core import _MAX_GROUND, Family, KSet, binom, enumerate_ksets
 from .matching import BudgetExceeded, _bits, _disjointness
 from .shifting import _decrements
+
+if TYPE_CHECKING:
+    from .audit import AuditReport
 
 # The exhaustive scan tests each of the 2^C(n,k) subfamilies against every
 # forbidden (s+1)-matching; it is refused above 2^DEFAULT_EXHAUSTIVE_CAP tests
@@ -239,12 +241,13 @@ def _bnb_max(
     decided, can always be included without a test.
 
     Bounds: a node is cut when the members plus the pool cannot beat the
-    best family, and otherwise when the members plus the cliques of a greedy
-    cover of the pool cannot.  Two pooled sets conflict iff they are
-    disjoint and some (s-1)-matching of the members avoids both, so no two
-    sets of a clique can join together.  Conflicts only grow with the
-    members: a child inherits its parent's and adds those through the new
-    member (see :func:`_include`).
+    best family, or, if every set is a singleton, s sets cannot (s + 1
+    singletons are pairwise disjoint), and otherwise when the members plus
+    the cliques of a greedy cover of the pool cannot.  Two pooled sets
+    conflict iff they are disjoint and some (s-1)-matching of the members
+    avoids both, so no two sets of a clique can join together.  Conflicts
+    only grow with the members: a child inherits its parent's and adds
+    those through the new member (see :func:`_include`).
 
     ``swaps`` (from :func:`_swap_pairs`) adds the lex-leader cut of the
     module docstring; pass it only when ``all_masks`` is every k-set of [n]
@@ -262,6 +265,7 @@ def _bnb_max(
     for p in parents:
         is_parent |= p
     disj = _disjointness(all_masks)
+    most = s if all(m.bit_count() == 1 for m in all_masks) else len(all_masks)
     best_size = 0  # the empty family
     best_incl = 0
     nodes = 0
@@ -281,7 +285,7 @@ def _bnb_max(
             best_size = size
             best_incl = incl
         slack = best_size - size
-        if pool.bit_count() <= slack:
+        if min(pool.bit_count(), most - size) <= slack:
             continue
         if swaps:
             touched = 0
@@ -365,6 +369,8 @@ def verify_conjecture(
     n: int, k: int, s: int, method: str = "bnb", node_budget: Optional[int] = None
 ) -> AuditReport:
     """Check that the exact maximum equals the larger of the two candidates."""
+    from .audit import make_report  # so find_G0 alone loads no audit, weights or fractions
+
     maximum, witness = max_family_size(n, k, s, method=method, node_budget=node_budget)
     size_a, size_b = extremal_sizes(n, k, s)
     bound = max(size_a, size_b)

@@ -152,35 +152,46 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
     direct sum over all M is evaluated as well and must agree exactly.
 
     Width and weight depend on the member and the partition, never on M, so
-    trace members are grouped once into classes by (width, size).  The
-    reduced sum is sum over classes of C(s-v, k-v) * |class| * weight; the
-    direct sum counts, per class, the members inside each local universe and
-    multiplies the count by the class weight once.
+    one pass over the trace counts its members by (the blocks they meet, as
+    a bitset over block indices; size).  A member lies in a local universe
+    iff every block it meets lies wholly inside it, so the direct sum adds,
+    per M, the classes whose blocks lie inside M's universe, and the reduced
+    sum is sum over classes of C(s-v, k-v) * count * weight for width v.
     """
     k, s = frame.k, frame.s
     p = frame.prefix
-    blocks = [mask_of(p, frame.block_elements(i)) for i in range(1, s + 1)]
-    classes: dict[tuple[int, int], list[int]] = {}
+    block_bit = [0] * (p + 1)  # element -> bit of the block holding it
+    for i in range(1, s + 1):
+        for e in frame.block_elements(i):
+            block_bit[e] = 1 << (i - 1)
+    counts: dict[tuple[int, int], int] = {}
     for mask in trace_of(fam, k, s).members:
-        v = sum(1 for b in blocks if mask & b)
-        classes.setdefault((v, mask.bit_count()), []).append(mask)
-    class_weight = {
-        (v, d): _width_zero_weight(frame, d) if v == 0 else weight_cd(v, d, frame)
-        for v, d in classes
+        met, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            met |= block_bit[low.bit_length()]
+            rest ^= low
+        key = (met, mask.bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    weight = {
+        (met, d): weight_cd(met.bit_count(), d, frame) if met else _width_zero_weight(frame, d)
+        for met, d in counts
     }
     lhs = Fraction(0)
-    for (v, d), masks in classes.items():
-        lhs += binom(s - v, k - v) * len(masks) * class_weight[v, d]
+    for (met, d), count in counts.items():
+        v = met.bit_count()
+        lhs += binom(s - v, k - v) * count * weight[met, d]
     rhs = len(fam)
     if binom(s, k) <= _DIRECT_SUM_LIMIT:
-        outside = [
-            ~mask_of(p, frame.with_m(m_combo).gm_elements())
-            for m_combo in combinations(range(1, s + 1), k)
-        ]
+        blocks = [mask_of(p, frame.block_elements(i)) for i in range(1, s + 1)]
+        insides = []  # per M, the blocks lying wholly inside its local universe
+        for m_combo in combinations(range(1, s + 1), k):
+            outside = ~mask_of(p, frame.with_m(m_combo).gm_elements())
+            insides.append(sum(1 << i for i, b in enumerate(blocks) if not b & outside))
         direct = Fraction(0)
-        for vd, masks in classes.items():
-            inside = sum(1 for out in outside for m in masks if not m & out)
-            direct += inside * class_weight[vd]
+        for (met, d), count in counts.items():
+            hits = sum(1 for inside in insides if not met & ~inside)
+            direct += hits * count * weight[met, d]
         if direct != lhs:
             raise RuntimeError(
                 f"direct M-sum {direct} disagrees with reduced sum {lhs}"

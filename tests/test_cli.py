@@ -20,7 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the same check runs in CI; modules that site or .pth files load are not counted
 IMPORT_GUARD = (
     "import sys; before = set(sys.modules); import emckit.cli; "
-    "heavy = {'dataclasses', 'inspect', 'logging', 'random'} & (set(sys.modules) - before); "
+    "heavy = {'dataclasses', 'inspect', 'logging', 'random', 'fractions', 'decimal', 'json', "
+    "'csv', 'concurrent.futures', 'emckit.constructions', 'emckit.shifting', 'emckit.weights', "
+    "'emckit.transversals', 'emckit.audit', 'emckit.search'} & (set(sys.modules) - before); "
     "assert not heavy, sorted(heavy)"
 )
 
@@ -40,8 +42,41 @@ def test_cli_import_skips_heavy_stdlib_modules():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs ``code``."""
+    probe = f"import sys; before = set(sys.modules)\n{code}\nprint(*set(sys.modules) - before)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "command,module",
+    [(["shift"], "emckit.shifting"), (["find-g0", "--k", "2", "--s", "1"], "emckit.search")],
+)
+def test_family_commands_load_no_reports_weights_or_fractions(tmp_path, command, module):
+    src = tmp_path / "f.txt"
+    src.write_text("5 2\n2,3\n3,5\n")
+    argv = [*command, "--in", str(src)]
+    loaded = loaded_by(f"from emckit.cli import main; main({argv!r})")
+    assert module in loaded
+    assert not {"fractions", "json", "emckit.weights", "emckit.audit"} & loaded
+
+
+def test_bench_nu_imports_load_no_search_or_fractions():
+    bench = SRC.parent / "bench"
+    loaded = loaded_by(f"sys.path.insert(0, {str(bench)!r}); import nu")
+    assert {"emckit.core", "emckit.matching"} <= loaded
+    assert not {"fractions", "emckit.search"} & loaded
+
+
 def test_fmt_exact():
     assert fmt_exact(3) == "3"
+    assert fmt_exact(True) == "1"
     assert fmt_exact(Fraction(6, 3)) == "2"
     assert fmt_exact(Fraction(-1, 3)) == "-1/3"
 
@@ -168,14 +203,16 @@ def test_verify_swap_cut_stays_cheap_at_bitset_ceiling(monkeypatch, capsys):
 
     monkeypatch.setattr(search, "_swap_pairs", counted_pairs)
     monkeypatch.setattr(search, "_swap_cut", counted_cut)
-    argv = ["verify", "--n", "4096", "--k", "1", "--s", "2", "--node-budget", "50"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.endswith("largest family found has 2 sets\n")
+    # the search stops at s = 2 singletons after 2s + 1 = 5 nodes
+    argv = ["verify", "--n", "4096", "--k", "1", "--s", "2", "--node-budget", "5"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)[0]["lhs"] == "2"
     [pairs] = built
     assert [len(at_a) for at_a in pairs] == [1] * 4095
     # a node rechecks only the transpositions that move the singleton its
     # decision decided, not all 4 095
-    assert len(checked) <= 2 * 50
+    assert len(checked) <= 2 * 5
 
 
 def test_exhausted_budget_names_largest_family_found(tmp_path, capsys):
@@ -251,15 +288,15 @@ def test_transversal_full_weight_fails_on_a_wrong_weight(capsys, monkeypatch):
 
 
 def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
-    import emckit.cli as cli
+    import emckit.transversals as transversals
 
-    original = cli.full_transversals
+    original = transversals.full_transversals
 
     def one_set_twice(frame):
         fulls = list(original(frame))
         return iter(fulls[:-1] + fulls[:1])  # still k^k sets, k^k - 1 distinct
 
-    monkeypatch.setattr(cli, "full_transversals", one_set_twice)
+    monkeypatch.setattr(transversals, "full_transversals", one_set_twice)
     code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
     rows = {r["claim_id"]: r for r in json.loads(out)}
     assert code == 1

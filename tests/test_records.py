@@ -1,6 +1,6 @@
 """The record classes: immutable, positional and keyword construction in a
-fixed field order, value equality, and pickling (``--jobs`` ships reports
-between processes)."""
+fixed field order, value equality, and pickling (records stay plain values
+that a caller can store or send to another process)."""
 
 from __future__ import annotations
 

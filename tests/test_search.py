@@ -476,6 +476,11 @@ def test_node_counts_pinned():
         (9, 2, 3, "bnb", 849, 21),
         (10, 3, 2, "shifted_only", 299, 64),
         (20, 3, 2, "shifted_only", 3_003, 324),  # C(20,3) = 1 140 sets deep
+        # k = 1: s + 1 singletons are disjoint, so after s includes each of
+        # the s pending excludes is cut (311 nodes at (80,1,3) without that)
+        (80, 1, 3, "bnb", 7, 3),
+        (4096, 1, 2, "bnb", 5, 2),  # C(4096,1) is the bitset ceiling
+        (5, 1, 8, "bnb", 11, 5),  # fewer singletons than s: all of them
     ]:
         mx, _ = max_family_size(n, k, s, method=method, node_budget=nodes)
         assert mx == expected
