@@ -17,6 +17,7 @@ from .weights import (
     block_subset_count,
     candidate_count,
     claim3_bound,
+    epsilon_of,
     weight_value,
     wg_envelope,
 )
@@ -53,10 +54,6 @@ def make_report(claim_id, params, lhs, rhs, cmp, witness=None, note="") -> Audit
 
 class ParameterWindowError(ValueError):
     """Parameters fall outside the audited regime."""
-
-
-def epsilon_of(k: int) -> Fraction:
-    return Fraction(1, 100 * k)
 
 
 def min_window_n(k: int, s: int) -> int:

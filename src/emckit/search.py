@@ -321,10 +321,17 @@ def max_family_size(
     given and exhausted -- an explicit unknown, never a wrong answer.
     ``DEFAULT_BNB_CAP`` bounds C(n,k) for ``bnb`` and ``shifted_only`` only
     when no node budget is given; a budget bounds the work instead, up to
-    C(n,k) <= ``_MAX_GROUND``.  No k-set is built before these gates pass.
+    C(n,k) <= ``_MAX_GROUND``.  A budget must be at least 1, and
+    ``exhaustive``, which counts no nodes, takes none.  No k-set is built
+    before these gates pass.
     """
     if not (n >= k >= 1 and s >= 1):
         raise ValueError("need n >= k >= 1 and s >= 1")
+    if node_budget is not None:
+        if node_budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {node_budget}")
+        if method == "exhaustive":
+            raise ValueError("exhaustive search takes no node budget")
     m = binom(n, k)
     if method == "exhaustive":
         if m > DEFAULT_EXHAUSTIVE_CAP:

@@ -11,14 +11,15 @@ prefix suffices for the bookkeeping identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 from typing import Iterable, Optional
 
-from .core import Family, binom, mask_of
+from .core import Family, binom
 from .constructions import prefix_size, trace_of
 
-_DIRECT_SUM_LIMIT = 400  # most index sets M the weight identity cross-checks one by one
+
+def epsilon_of(k: int) -> Fraction:
+    return Fraction(1, 100 * k)
 
 
 class WeightFrame:
@@ -74,10 +75,6 @@ class WeightFrame:
     # -- layout ----------------------------------------------------------
 
     @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 100 * self.k)
-
-    @property
     def n_bar(self) -> int:
         return self.n - (self.s + 1) * self.k + 1
 
@@ -119,9 +116,6 @@ class WeightFrame:
             elems.extend(b)
         return tuple(sorted(elems))
 
-    def with_m(self, m_indices: Iterable[int]) -> "WeightFrame":
-        return WeightFrame(self.n, self.k, self.s, m_indices, self._g0, self._blocks)
-
     def __repr__(self) -> str:
         return f"WeightFrame(n={self.n}, k={self.k}, s={self.s}, M={self.m_indices})"
 
@@ -148,15 +142,17 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
     """Double-counting identity: total weighted trace mass equals the family size.
 
     The reduced sum weighs each trace member by the number of index sets M
-    whose local universe contains it.  When C(s, k) <= ``_DIRECT_SUM_LIMIT`` the
-    direct sum over all M is evaluated as well and must agree exactly.
+    whose local universe contains it.  Width and weight depend on the member
+    and the partition, never on M, so one pass over the trace counts its
+    members by (the blocks they meet, as a bitset over block indices; size),
+    and the sum is, over classes, C(s-v, k-v) * count * weight for width v.
 
-    Width and weight depend on the member and the partition, never on M, so
-    one pass over the trace counts its members by (the blocks they meet, as
-    a bitset over block indices; size).  A member lies in a local universe
-    iff every block it meets lies wholly inside it, so the direct sum adds,
-    per M, the classes whose blocks lie inside M's universe, and the reduced
-    sum is sum over classes of C(s-v, k-v) * count * weight for width v.
+    The direct sum over every M is not computed again: a member meeting v
+    blocks lies in exactly the C(s-v, k-v) universes whose M holds those
+    blocks, which is the multiplier above, so the two sums agree term by
+    term.  And C(s-v, k-v) * w(v, d) = C(n_bar, k-d), so each term is
+    count * C(n_bar, k-d) and the row does not depend on the widths.  The
+    member-by-member direct sum is the oracle in ``tests/``.
     """
     k, s = frame.k, frame.s
     p = frame.prefix
@@ -173,29 +169,12 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
             rest ^= low
         key = (met, mask.bit_count())
         counts[key] = counts.get(key, 0) + 1
-    weight = {
-        (met, d): weight_cd(met.bit_count(), d, frame) if met else _width_zero_weight(frame, d)
-        for met, d in counts
-    }
     lhs = Fraction(0)
     for (met, d), count in counts.items():
         v = met.bit_count()
-        lhs += binom(s - v, k - v) * count * weight[met, d]
+        weight = weight_cd(v, d, frame) if v else _width_zero_weight(frame, d)
+        lhs += binom(s - v, k - v) * count * weight
     rhs = len(fam)
-    if binom(s, k) <= _DIRECT_SUM_LIMIT:
-        blocks = [mask_of(p, frame.block_elements(i)) for i in range(1, s + 1)]
-        insides = []  # per M, the blocks lying wholly inside its local universe
-        for m_combo in combinations(range(1, s + 1), k):
-            outside = ~mask_of(p, frame.with_m(m_combo).gm_elements())
-            insides.append(sum(1 << i for i, b in enumerate(blocks) if not b & outside))
-        direct = Fraction(0)
-        for (met, d), count in counts.items():
-            hits = sum(1 for inside in insides if not met & ~inside)
-            direct += hits * count * weight[met, d]
-        if direct != lhs:
-            raise RuntimeError(
-                f"direct M-sum {direct} disagrees with reduced sum {lhs}"
-            )
     return lhs, rhs, lhs == rhs
 
 
@@ -266,7 +245,7 @@ def wg_envelope(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
     rhs = (
         Fraction(k + 2, k)
         * k ** (k + 2 * g)
-        * frame.epsilon
+        * epsilon_of(k)
         / (s**g * factorial(g))
     )
     return lhs, rhs, lhs <= rhs

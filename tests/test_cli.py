@@ -17,7 +17,7 @@ from emckit.audit import make_report
 K5_S = 101 * 5**3 + 1
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# the same check runs in CI; modules that site or .pth files load are not counted
+# CI runs this test under -W error; modules that site or .pth files load are not counted
 IMPORT_GUARD = (
     "import sys; before = set(sys.modules); import emckit.cli; "
     "heavy = {'dataclasses', 'inspect', 'logging', 'random', 'fractions', 'decimal', 'json', "
@@ -164,6 +164,19 @@ def test_verify_node_budget_lifts_cap(capsys):
     assert "needs C(n,k) <= 4096 with any budget" in capsys.readouterr().err
 
 
+def test_verify_refuses_meaningless_node_budget(capsys):
+    argv = ["verify", "--n", "6", "--k", "2", "--s", "2"]
+    for extra, message in [
+        (["--node-budget", "0"], "node budget must be at least 1, got 0"),
+        (["--node-budget", "-5"], "node budget must be at least 1, got -5"),
+        (["--method", "exhaustive", "--node-budget", "10"], "exhaustive search takes no node budget"),
+    ]:
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 def test_verify_budgeted_9_2_3_passes(capsys):
     argv = ["verify", "--n", "9", "--k", "2", "--s", "3", "--method", "bnb"]
     code, out = run(capsys, *argv, "--node-budget", "30000")
@@ -228,18 +241,8 @@ def test_exhausted_budget_names_largest_family_found(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_runtime_error_exits_2(monkeypatch, capsys):
+def test_program_faults_keep_their_traceback(monkeypatch):
     from emckit import cli
-    from emckit.weights import WeightFrame
-
-    # a frame that ignores M makes the direct M-sum of the weight identity
-    # disagree with the reduced sum: weights raises a plain RuntimeError
-    monkeypatch.setattr(WeightFrame, "with_m", lambda self, m_indices: self)
-    code = main(["identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: direct M-sum 57/2 disagrees with reduced sum 21\n"
-    assert captured.out == ""
 
     def deep(args):
         raise RecursionError("maximum recursion depth exceeded")

@@ -585,6 +585,9 @@ def test_size_gates_checked_before_enumeration(monkeypatch):
         (60, 5, "bnb", None, "branch-and-bound needs C(n,k) <= 60 without a node budget"),
         (60, 5, "shifted_only", 10, "downset search needs C(n,k) <= 4096 with any budget, got 5461512"),
         (100, 5, "annealing", None, "unknown method 'annealing'"),
+        # a budget below one node, or one the exhaustive scan would ignore
+        (6, 2, "bnb", -5, "node budget must be at least 1, got -5"),
+        (6, 2, "exhaustive", 1, "exhaustive search takes no node budget"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             max_family_size(n, k, 2, method=method, node_budget=budget)

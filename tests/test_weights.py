@@ -187,8 +187,9 @@ def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fractio
         v = width(t, frame)
         lhs += binom(s - v, k - v) * weight(t, frame)
     direct = Fraction(0)
+    blocks = tuple(frame.block_elements(i) for i in range(1, s + 1))
     for m_combo in combinations(range(1, s + 1), k):
-        sub = frame.with_m(m_combo)
+        sub = WeightFrame(frame.n, k, s, m_combo, frame.g0_elements(), blocks)
         gm = mask_of(sub.prefix, sub.gm_elements())
         for t in tr.members:
             if t & ~gm == 0:
