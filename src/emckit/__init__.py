@@ -54,7 +54,6 @@ _EXPORTS = {
         "ShapeProfile",
         "Transversal",
         "all_cyclic_collections",
-        "all_shift_collections",
         "bad_pair_stats",
         "cyclic_collection",
         "full_transversals",

@@ -141,17 +141,16 @@ def _cmd_crossover(args) -> int:
 def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
     from .audit import make_report, product_inequality_report
     from .transversals import (
+        _local_layout,
         all_cyclic_collections,
         bad_pair_stats,
         full_transversals,
         q_family_check,
     )
-    from .weights import WeightFrame
 
-    frame = WeightFrame((k + 1) * k, k, k)
     reports = []
     if "counts" in checks:
-        fulls = list(full_transversals(frame))
+        fulls = list(full_transversals(k))
         distinct = {t.set.mask for t in fulls if t.profile == (0,) + (1,) * k}
         reports.append(
             make_report("transversal:full_count", {"k": k}, len(distinct), k**k, "==")
@@ -166,14 +165,14 @@ def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
                 "==",
             )
         )
-    if "cyclic" in checks and k >= 2:
+    if "cyclic" in checks:
         # defect set touching blocks 1..k-1 once, canonical choice
-        blocks = frame.b_blocks()
-        t = KSet.from_elements(frame.prefix, [b[0] for b in blocks[:-1]])
+        _, blocks = _local_layout(k)
+        t = KSet.from_elements((k + 1) * k - 1, [b[0] for b in blocks[:-1]])
         seen = {}
         ok = True
         count = 0
-        for coll in all_cyclic_collections(t, frame):
+        for coll in all_cyclic_collections(t, k):
             count += 1
             for q in coll:
                 if q.mask in seen and seen[q.mask] != count:
@@ -198,7 +197,7 @@ def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
             )
         )
     if "badpairs" in checks:
-        stats = bad_pair_stats(frame, k)
+        stats = bad_pair_stats(k)
         reports.append(
             make_report(
                 "transversal:bad_pair_per_set",
@@ -246,6 +245,8 @@ def _cmd_transversal(args) -> int:
     )
     if "badpairs" in checks and args.k > BAD_PAIR_MAX_K:
         raise ValueError(f"--check badpairs supports k <= {BAD_PAIR_MAX_K}, got k={args.k}")
+    if "cyclic" in checks and args.k < 2:
+        raise ValueError(f"--check cyclic needs k >= 2, got k={args.k}")
     reports = _transversal_reports(args.k, checks)
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1

@@ -2,8 +2,9 @@
 collections, mask/bad-pair statistics, and the disjoint-cover construction
 for defect sets, together with its multiplicity bounds.
 
-All constructions live inside the local universe of a frame: the
-distinguished (k-1)-set plus the k selected blocks B_1..B_k.
+All constructions live inside the local universe: the distinguished
+(k-1)-set plus the k blocks B_1..B_k, laid out canonically in the prefix
+[(k+1)k-1] (see ``_local_layout``).  Each function takes k alone.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from .constructions import prefix_size
 from .core import KSet, mask_of
-from .weights import WeightFrame, weight_cd
+from .weights import weight_value
 
 # largest k whose bad-pair statistics are counted; k = 7 needs about 2.4e9 pair tests
 BAD_PAIR_MAX_K = 6
@@ -55,61 +57,67 @@ class Transversal(NamedTuple):
     weight: Fraction = Fraction(1)
 
 
-def _local_layout(frame: WeightFrame):
-    blocks = [tuple(sorted(b)) for b in frame.b_blocks()]
-    g0 = tuple(sorted(frame.g0_elements()))
-    return g0, blocks
+def _local_layout(k: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The distinguished set and the blocks B_1..B_k of the local universe.
+
+    This is the canonical layout of the frame (n, k, s) = ((k+1)k, k, k):
+    block i is {(i-1)k+1, ..., ik}, the distinguished set is
+    {k^2+1, ..., k^2+k-1}, and sets live on the prefix [(k+1)k-1].
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    blocks = [tuple(range(i * k + 1, (i + 1) * k + 1)) for i in range(k)]
+    return tuple(range(k * k + 1, k * (k + 1))), blocks
 
 
-def _part_masks(frame: WeightFrame) -> list[int]:
-    """Masks of the distinguished set and the selected blocks, in that order."""
-    g0, blocks = _local_layout(frame)
-    return [mask_of(frame.prefix, part) for part in (g0, *blocks)]
+def _part_masks(k: int) -> list[int]:
+    """Masks of the distinguished set and the blocks, in that order."""
+    g0, blocks = _local_layout(k)
+    return [mask_of(prefix_size(k, k), part) for part in (g0, *blocks)]
 
 
 def _profile(mask: int, parts: list[int]) -> tuple[int, ...]:
     return tuple((mask & part).bit_count() for part in parts)
 
 
-def full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
-    """All k^k sets taking exactly one element from each selected block.
+def full_transversals(k: int) -> Iterator[Transversal]:
+    """All k^k sets taking exactly one element from each block.
 
-    Each has width k and size k, so its weight is C(n_bar, 0) / C(s - k, 0) = 1.
+    Each has width k and size k, so its weight is C(n_bar, 0) / C(s - k, 0) = 1;
+    it is computed in the frame ((k+1)k, k, k), where n_bar = 1.
     """
-    _, blocks = _local_layout(frame)
-    parts = _part_masks(frame)
-    ground = frame.prefix
-    weight = weight_cd(frame.k, frame.k, frame)
+    _, blocks = _local_layout(k)
+    parts = _part_masks(k)
+    ground = prefix_size(k, k)
+    weight = weight_value(k, k, 1, k, k)
     for choice in product(*blocks):
         ks = KSet.from_elements(ground, choice)
         yield Transversal(ks, "full", _profile(ks.mask, parts), weight)
 
 
-def _split_blocks(frame: WeightFrame, t: KSet) -> tuple[list, list]:
-    """The selected blocks that t meets, then those it misses, in M order."""
-    _, blocks = _local_layout(frame)
+def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
+    """The blocks that t meets, then those it misses, in block order."""
+    _, blocks = _local_layout(k)
     met: list[tuple[int, ...]] = []
     missed: list[tuple[int, ...]] = []
     for b in blocks:
-        (met if t.mask & mask_of(frame.prefix, b) else missed).append(b)
+        (met if t.mask & mask_of(prefix_size(k, k), b) else missed).append(b)
     return met, missed
 
 
-def blocks_missing_last(frame: WeightFrame, t: KSet) -> list[tuple[int, ...]]:
-    """Selected blocks reordered so that the single block missed by t is last.
+def blocks_missing_last(k: int, t: KSet) -> list[tuple[int, ...]]:
+    """Blocks reordered so that the single block missed by t is last.
 
     Relabeling utility for the cyclic-shift construction, which distinguishes
     the missed block.
     """
-    touched, missed = _split_blocks(frame, t)
+    touched, missed = _split_blocks(k, t)
     if len(missed) != 1:
-        raise ValueError("set must miss exactly one selected block")
+        raise ValueError("set must miss exactly one block")
     return touched + missed
 
 
-def cyclic_collection(
-    t: KSet, sigmas: Sequence[CyclicShift], frame: WeightFrame
-) -> list[KSet]:
+def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KSet]:
     """The k-1 pairwise disjoint full transversals generated from a defect set.
 
     ``t`` must have size k-1, width k-1, avoid the distinguished set, and
@@ -118,15 +126,15 @@ def cyclic_collection(
     increasing numeration).  The minimal element of the missed block is the
     distinguished last numeration slot and never appears in the output.
     """
-    k = frame.k
-    g0, _ = _local_layout(frame)
+    g0, _ = _local_layout(k)
+    ground = prefix_size(k, k)
     if t.size != k - 1:
         raise ValueError("need |t| = k-1")
-    if t.mask & mask_of(frame.prefix, g0):
+    if t.mask & mask_of(ground, g0):
         raise ValueError("t must avoid the distinguished set")
-    blocks = blocks_missing_last(frame, t)
+    blocks = blocks_missing_last(k, t)
     for b in blocks[:-1]:
-        if (t.mask & mask_of(frame.prefix, b)).bit_count() != 1:
+        if (t.mask & mask_of(ground, b)).bit_count() != 1:
             raise ValueError("t must meet each touched block exactly once")
     if len(sigmas) != k - 1:
         raise ValueError("need k-1 cyclic shifts")
@@ -147,7 +155,6 @@ def cyclic_collection(
         if set(sg.base) != set(numer[j][:-1]):
             raise ValueError(f"shift {j} does not act on the residual of block {j}")
 
-    ground = frame.prefix
     out = []
     for i in range(1, k):
         elems = [sigmas[j].apply(numer[j][i - 1]) for j in range(k - 1)]
@@ -161,15 +168,15 @@ def cyclic_collection(
     return out
 
 
-def all_cyclic_collections(t: KSet, frame: WeightFrame) -> Iterator[list[KSet]]:
+def all_cyclic_collections(t: KSet, k: int) -> Iterator[list[KSet]]:
     """All (k-1)^(k-1) cyclic-shift collections for a given defect set."""
-    blocks = blocks_missing_last(frame, t)
+    blocks = blocks_missing_last(k, t)
     residuals = []
     for b in blocks[:-1]:
         t_elt = next(e for e in b if e in t)
         residuals.append([e for e in b if e != t_elt])
     for sigmas in product(*(shifts_of(r) for r in residuals)):
-        yield cyclic_collection(t, list(sigmas), frame)
+        yield cyclic_collection(t, list(sigmas), k)
 
 
 class BadPairStats(NamedTuple):
@@ -178,7 +185,6 @@ class BadPairStats(NamedTuple):
     per_mask_bound: Fraction  # k(k-1)^(k-2)(k-2)/2
     num_t: int
     num_bad_masks: int
-    doubling_ok: bool  # 2 * num_t <= num_bad_masks
 
 
 def _defect_class_size(k: int, nonmin_singles: int) -> int:
@@ -188,7 +194,7 @@ def _defect_class_size(k: int, nonmin_singles: int) -> int:
     return k * (k - 1) // 2 * (k - 1) ** nonmin_singles
 
 
-def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
+def bad_pair_stats(k: int) -> BadPairStats:
     """Mask/bad-pair statistics over the local universe, by class representatives.
 
     Defect sets have size k-1, width k-2, avoid the distinguished set: they
@@ -210,13 +216,11 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
     class's total, and double counting gives the per-mask count as that
     total over the mask class's size, which must divide it exactly.
     """
-    if frame.k != k:
-        raise ValueError("frame and k disagree")
     if k < 3:
         raise ValueError("need k >= 3")
     if k > BAD_PAIR_MAX_K:
         raise ValueError(f"bad-pair statistics need k <= {BAD_PAIR_MAX_K}, got k={k}")
-    _, blocks = _local_layout(frame)
+    _, blocks = _local_layout(k)
     bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
 
     # mask classes by type (missed block, doubled block): (class id, minimum
@@ -285,7 +289,6 @@ def bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
         per_mask_bound=bound,
         num_t=num_t,
         num_bad_masks=num_bad,
-        doubling_ok=2 * num_t <= num_bad,
     )
 
 
@@ -307,12 +310,11 @@ class ShapeProfile(NamedTuple):
         return sum(self.a)
 
 
-def shape_profile(t: KSet, frame: WeightFrame) -> ShapeProfile:
-    k = frame.k
+def shape_profile(t: KSet, k: int) -> ShapeProfile:
     if t.size != k - 1:
         raise ValueError("need |t| = k-1")
-    touched, _ = _split_blocks(frame, t)
-    a = tuple((t.mask & mask_of(frame.prefix, b)).bit_count() for b in touched)
+    touched, _ = _split_blocks(k, t)
+    a = tuple((t.mask & mask_of(prefix_size(k, k), b)).bit_count() for b in touched)
     p = sum(a)
     a0 = k - p
     if a0 < 1:
@@ -327,9 +329,7 @@ def shape_profile(t: KSet, frame: WeightFrame) -> ShapeProfile:
     return ShapeProfile(a0, a, mus)
 
 
-def q_family(
-    t: KSet, pis: Sequence[CyclicShift], frame: WeightFrame
-) -> list[KSet]:
+def q_family(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
     """k pairwise disjoint transversals covering around a size-(k-1) defect set.
 
     Blocks are reordered so the touched ones come first.  The first p = sum(a)
@@ -338,10 +338,9 @@ def q_family(
     ``pis`` holds k+1 cyclic shifts: one on the free distinguished elements,
     then one per block residual, canonical increasing numeration.
     """
-    g0, _ = _local_layout(frame)
-    k = frame.k
-    prof = shape_profile(t, frame)  # validates size and a0 >= 1
-    touched, untouched = _split_blocks(frame, t)
+    g0, _ = _local_layout(k)
+    prof = shape_profile(t, k)  # validates size and a0 >= 1
+    touched, untouched = _split_blocks(k, t)
     ordered = touched + untouched
     c = len(touched)
     a = prof.a
@@ -383,7 +382,7 @@ def q_family(
         if set(pis[j].base) != set(residual):
             raise ValueError(f"shift {j} must act on the residual of block {j}")
 
-    ground = frame.prefix
+    ground = prefix_size(k, k)
     out = []
     for i in range(1, k + 1):
         if i <= p:
@@ -402,24 +401,6 @@ def q_family(
             raise AssertionError("outputs must be disjoint from each other and from t")
         union |= q.mask
     return out
-
-
-def all_shift_collections(t: KSet, frame: WeightFrame) -> Iterator[list[CyclicShift]]:
-    """All admissible shift tuples for ``q_family``.
-
-    There are (k - a0)(k - a1)...(k - a_c) * k^(k-c) of them, with the
-    factor k - a0 = p, the shifts of the free distinguished elements, read
-    as 1 at p = 0.
-    """
-    g0, _ = _local_layout(frame)
-    touched, untouched = _split_blocks(frame, t)
-    ordered = touched + untouched
-    g0_free = [e for e in g0 if e not in t]
-    pools = [shifts_of(g0_free)]
-    for b in ordered:
-        pools.append(shifts_of([e for e in b if e not in t]))
-    for combo in product(*pools):
-        yield list(combo)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -465,10 +446,7 @@ def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     pairwise disjoint k-sets avoiding t.  Returns the number of failing
     profiles and the first one, (a0, a1, ..., a_c), or None when there is none.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    frame = WeightFrame((k + 1) * k, k, k)
-    g0, blocks = _local_layout(frame)
+    g0, blocks = _local_layout(k)
     failures = 0
     first_failure = None
     for p in range(k):
@@ -477,9 +455,15 @@ def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
                 elems = list(g0[: k - 1 - p])
                 for b, ai in zip(blocks, comp):
                     elems.extend(b[:ai])
-                t = KSet.from_elements(frame.prefix, elems)
-                try:  # the first shift tuple has offset 0 everywhere: the identity
-                    qs = q_family(t, next(all_shift_collections(t, frame)), frame)
+                t = KSet.from_elements(prefix_size(k, k), elems)
+                # q_family puts the touched blocks first; t touches blocks
+                # 1..c, so its shifts come in block order
+                identity = [
+                    CyclicShift(tuple(e for e in part if e not in t), 0)
+                    for part in (g0, *blocks)
+                ]
+                try:
+                    qs = q_family(t, identity, k)
                 except AssertionError:
                     qs = []
                 cover = [e for q in qs for e in q.elements] + elems

@@ -1,18 +1,23 @@
-"""Width/weight calculus over a fixed prefix partition.
+"""Width/weight calculus over the canonical prefix partition.
 
-A frame fixes the proof context: parameters (n, k, s), a partition of the
-prefix [(s+1)k-1] into a distinguished (k-1)-set and s blocks of size k, and
-a selected k-subset M of block indices.  The width of a prefix subset is the
-number of blocks it meets; weights are the exact rationals
-C(n_bar, k-d) / C(s-c, k-c) of width-c, size-d sets.  Any partition of the
-prefix suffices for the bookkeeping identities.
+A frame fixes the proof context: parameters (n, k, s) and the canonical
+partition of the prefix [(s+1)k-1] into s blocks of size k, block i being
+{(i-1)k+1, ..., ik}, and the distinguished (k-1)-set {sk+1, ..., (s+1)k-1}.
+The width of a prefix subset is the number of blocks it meets; weights are
+the exact rationals C(n_bar, k-d) / C(s-c, k-c) of width-c, size-d sets.
+
+The proof anchors its partition to the family; nothing here does, and one
+layout is enough.  A permutation pi of the prefix carries the canonical
+partition onto any other, and a family F read against pi's partition has
+the same trace, widths and sizes as the relabelled family pi^-1(F) read
+against the canonical one.  So an identity checked on the canonical
+partition for every family holds for every partition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Optional
 
 from .core import Family, binom
 from .constructions import prefix_size, trace_of
@@ -23,25 +28,16 @@ def epsilon_of(k: int) -> Fraction:
 
 
 class WeightFrame:
-    """Parameters plus a prefix partition and a selected index set M.
+    """Parameters (n, k, s) on the canonical prefix partition.
 
-    With no explicit partition the canonical layout is used: block i is
-    {(i-1)k+1, ..., ik} and the distinguished set is the tail
-    {sk+1, ..., (s+1)k-1}.  The canonical layout is evaluated arithmetically,
-    so frames with astronomically large s never materialize bit-vectors.
+    Block i is {(i-1)k+1, ..., ik} and the distinguished set is the tail
+    {sk+1, ..., (s+1)k-1}.  The layout is evaluated arithmetically, so
+    frames with astronomically large s never materialize bit-vectors.
     """
 
-    __slots__ = ("n", "k", "s", "m_indices", "_g0", "_blocks")
+    __slots__ = ("n", "k", "s")
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        s: int,
-        m_indices: Optional[Iterable[int]] = None,
-        g0: Optional[tuple[int, ...]] = None,
-        blocks: Optional[tuple[tuple[int, ...], ...]] = None,
-    ):
+    def __init__(self, n: int, k: int, s: int):
         if k < 1 or s < k:
             raise ValueError("need 1 <= k <= s")
         if n < (s + 1) * k - 1:
@@ -49,28 +45,6 @@ class WeightFrame:
         self.n = n
         self.k = k
         self.s = s
-        m = tuple(sorted(m_indices)) if m_indices is not None else tuple(range(1, k + 1))
-        if len(m) != k or len(set(m)) != k or not all(1 <= i <= s for i in m):
-            raise ValueError("M must be a k-subset of [s]")
-        self.m_indices = m
-        if (g0 is None) != (blocks is None):
-            raise ValueError("give both g0 and blocks, or neither")
-        if g0 is not None:
-            g0 = tuple(sorted(g0))
-            blocks = tuple(tuple(sorted(b)) for b in blocks)
-            self._validate_partition(g0, blocks)
-        self._g0 = g0
-        self._blocks = blocks
-
-    def _validate_partition(self, g0, blocks):
-        p = prefix_size(self.k, self.s)
-        if len(g0) != self.k - 1:
-            raise ValueError("distinguished set must have size k-1")
-        if len(blocks) != self.s or any(len(b) != self.k for b in blocks):
-            raise ValueError(f"need {self.s} blocks of size {self.k}")
-        all_elems = list(g0) + [e for b in blocks for e in b]
-        if sorted(all_elems) != list(range(1, p + 1)):
-            raise ValueError("distinguished set and blocks must partition the prefix")
 
     # -- layout ----------------------------------------------------------
 
@@ -82,42 +56,20 @@ class WeightFrame:
     def prefix(self) -> int:
         return prefix_size(self.k, self.s)
 
-    def block_index(self, e: int) -> int:
-        """Index in [s] of the block containing element e; 0 for the distinguished set."""
-        if not 1 <= e <= self.prefix:
-            raise ValueError(f"element {e} outside prefix [1, {self.prefix}]")
-        if self._blocks is None:
-            return 0 if e > self.s * self.k else (e - 1) // self.k + 1
-        for i, b in enumerate(self._blocks, start=1):
-            if e in b:
-                return i
-        return 0
-
     def g0_elements(self) -> tuple[int, ...]:
-        if self._g0 is not None:
-            return self._g0
         return tuple(range(self.s * self.k + 1, self.prefix + 1))
 
     def block_elements(self, i: int) -> tuple[int, ...]:
         if not 1 <= i <= self.s:
             raise ValueError("block index outside [1, s]")
-        if self._blocks is not None:
-            return self._blocks[i - 1]
         return tuple(range((i - 1) * self.k + 1, i * self.k + 1))
 
     def b_blocks(self) -> list[tuple[int, ...]]:
-        """The selected blocks B_1..B_k, in M order."""
-        return [self.block_elements(i) for i in self.m_indices]
-
-    def gm_elements(self) -> tuple[int, ...]:
-        """The local universe: distinguished set plus the k selected blocks."""
-        elems = list(self.g0_elements())
-        for b in self.b_blocks():
-            elems.extend(b)
-        return tuple(sorted(elems))
+        """The blocks B_1..B_k of the local universe: blocks 1..k."""
+        return [self.block_elements(i) for i in range(1, self.k + 1)]
 
     def __repr__(self) -> str:
-        return f"WeightFrame(n={self.n}, k={self.k}, s={self.s}, M={self.m_indices})"
+        return f"WeightFrame(n={self.n}, k={self.k}, s={self.s})"
 
 
 def weight_value(k: int, s: int, n_bar: int, c: int, d: int) -> Fraction:
@@ -142,10 +94,13 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
     """Double-counting identity: total weighted trace mass equals the family size.
 
     The reduced sum weighs each trace member by the number of index sets M
-    whose local universe contains it.  Width and weight depend on the member
-    and the partition, never on M, so one pass over the trace counts its
-    members by (the blocks they meet, as a bitset over block indices; size),
-    and the sum is, over classes, C(s-v, k-v) * count * weight for width v.
+    (k-subsets of [s]) whose local universe G_M, the distinguished set plus
+    the blocks indexed by M, contains it.  Width and weight depend on the
+    member alone, never on M, so one pass over the trace counts its members
+    by (the blocks they meet, as a bitset over block indices; size), and the
+    sum is, over classes, C(s-v, k-v) * count * weight for width v.  The
+    partition is the canonical one; the identity under any other partition
+    is this one for the relabelled family (see the module docstring).
 
     The direct sum over every M is not computed again: a member meeting v
     blocks lies in exactly the C(s-v, k-v) universes whose M holds those
@@ -181,10 +136,11 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
 def wA_of_M(frame: WeightFrame) -> Fraction:
     """Weighted count of all k-subsets of the local universe.
 
-    By symmetry over M, C(s, k) times this value is the size of the prefix
-    candidate family.  Every partition gives the local universe k blocks of
-    size k plus a (k-1)-set, so the count of width-c k-subsets is
-    :func:`candidate_count`; width 0 is impossible at size k.
+    Every local universe G_M is k blocks of size k plus the distinguished
+    (k-1)-set, so the value is the same for each index set M, and C(s, k)
+    times it is the size of the prefix candidate family.  The count of
+    width-c k-subsets is :func:`candidate_count`; width 0 is impossible at
+    size k.
     """
     k, s, n_bar = frame.k, frame.s, frame.n_bar
     return sum(

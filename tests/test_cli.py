@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from emckit.audit import make_report
 K5_S = 101 * 5**3 + 1
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 # CI runs this test under -W error; modules that site or .pth files load are not counted
 IMPORT_GUARD = (
     "import sys; before = set(sys.modules); import emckit.cli; "
@@ -281,7 +283,7 @@ def test_transversal_full_weight_fails_on_a_wrong_weight(capsys, monkeypatch):
     rows = {r["claim_id"]: r for r in json.loads(out)}
     assert code == 0 and rows["transversal:full_weight"]["pass"] is True
 
-    monkeypatch.setattr(transversals, "weight_cd", lambda c, d, frame: Fraction(2))
+    monkeypatch.setattr(transversals, "weight_value", lambda k, s, n_bar, c, d: Fraction(2))
     code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
     rows = {r["claim_id"]: r for r in json.loads(out)}
     assert code == 1
@@ -295,8 +297,8 @@ def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
 
     original = transversals.full_transversals
 
-    def one_set_twice(frame):
-        fulls = list(original(frame))
+    def one_set_twice(k):
+        fulls = list(original(k))
         return iter(fulls[:-1] + fulls[:1])  # still k^k sets, k^k - 1 distinct
 
     monkeypatch.setattr(transversals, "full_transversals", one_set_twice)
@@ -317,9 +319,9 @@ def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
 
     original = transversals.q_family
 
-    def overlapping_at_2_1(t, pis, frame):
-        qs = original(t, pis, frame)
-        prof = transversals.shape_profile(t, frame)
+    def overlapping_at_2_1(t, pis, k):
+        qs = original(t, pis, k)
+        prof = transversals.shape_profile(t, k)
         return [qs[0], qs[0], qs[2]] if (prof.a0,) + prof.a == (2, 1) else qs
 
     monkeypatch.setattr(transversals, "q_family", overlapping_at_2_1)
@@ -341,6 +343,28 @@ def test_transversal_q_exit_codes(capsys):
     for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (7, 0, 2)):
         assert main(["transversal", "--k", str(k), "--check", "q"]) == q_code
         assert main(["transversal", "--k", str(k), "--check", "all"]) == all_code
+        capsys.readouterr()
+    # a check that cannot run at this k is refused, never left out of the report
+    for k, check in ((0, "counts"), (0, "q"), (0, "cyclic"), (1, "cyclic")):
+        assert main(["transversal", "--k", str(k), "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``emckit ...`` lines of the README's CLI code block."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("emckit ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # every example that reads no input file; the report files land in tmp_path
+    lines = [line for line in readme_cli_lines() if "--in" not in line.split()]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
 
 

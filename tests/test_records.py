@@ -25,8 +25,8 @@ RECORDS = [
     (Transversal, ("set", "kind", "profile", "weight"), (KSet(6, 0b101), "full", (0, 1, 1), Fraction(1, 3))),
     (
         BadPairStats,
-        ("per_t", "per_mask_max", "per_mask_bound", "num_t", "num_bad_masks", "doubling_ok"),
-        (36, 9, Fraction(24), 120, 480, True),
+        ("per_t", "per_mask_max", "per_mask_bound", "num_t", "num_bad_masks"),
+        (36, 9, Fraction(24), 120, 480),
     ),
     (ShapeProfile, ("a0", "a", "mus"), (1, (2, 1), (1, 1, 2))),
 ]

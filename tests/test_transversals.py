@@ -7,6 +7,7 @@ from typing import Iterator, Optional, Sequence
 import pytest
 
 from emckit import transversals
+from emckit.constructions import prefix_size
 from emckit.core import KSet, mask_of
 from emckit.transversals import (
     BAD_PAIR_MAX_K,
@@ -16,8 +17,8 @@ from emckit.transversals import (
     _local_layout,
     _part_masks,
     _profile,
+    _split_blocks,
     all_cyclic_collections,
-    all_shift_collections,
     bad_pair_stats,
     cyclic_collection,
     full_transversals,
@@ -27,28 +28,27 @@ from emckit.transversals import (
     shape_profile,
     shifts_of,
 )
-from emckit.weights import WeightFrame
 
 
-def small_frame(k):
-    return WeightFrame((k + 1) * k, k, k)
+def ground(k: int) -> int:
+    """Size of the prefix [(k+1)k-1] that holds the local universe."""
+    return prefix_size(k, k)
 
 
 def identity_shift(elements: Sequence[int]) -> CyclicShift:
     return CyclicShift(tuple(sorted(elements)), 0)
 
 
-def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
+def almost_full_transversals(k: int) -> Iterator[Transversal]:
     """All k-subsets of the local universe with width k-1.
 
     Either one block is doubled and one untouched, or one element sits in the
-    distinguished set and one block is untouched.  Weight 1/(s-k+1).
+    distinguished set and one block is untouched.  Weight 1/(s-k+1), which
+    is 1 in the local frame's s = k.
     """
-    g0, blocks = _local_layout(frame)
-    k, s = frame.k, frame.s
-    w = Fraction(1, s - k + 1)
-    parts = _part_masks(frame)
-    ground = frame.prefix
+    g0, blocks = _local_layout(k)
+    w = Fraction(1)
+    parts = _part_masks(k)
     universe = sorted(g0 + tuple(e for b in blocks for e in b))
     block_of = {}
     for i, b in enumerate(blocks, start=1):
@@ -59,12 +59,12 @@ def almost_full_transversals(frame: WeightFrame) -> Iterator[Transversal]:
     for combo in combinations(universe, k):
         v = len({block_of[e] for e in combo} - {0})
         if v == k - 1:
-            ks = KSet.from_elements(ground, combo)
+            ks = KSet.from_elements(ground(k), combo)
             yield Transversal(ks, "almost_full", _profile(ks.mask, parts), w)
 
 
 # the pair-by-pair enumeration that bad_pair_stats replaced, kept as its oracle
-def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
+def enumerated_bad_pair_stats(k: int) -> BadPairStats:
     """Exhaustive mask/bad-pair statistics over the local universe.
 
     Defect sets have size k-1, width k-2, avoid the distinguished set: they
@@ -73,14 +73,11 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
     two missed ones; a bad pair additionally requires disjointness and that
     the mask's element in the other missed block is not that block's minimum.
     """
-    if frame.k != k:
-        raise ValueError("frame and k disagree")
     if k < 3:
         raise ValueError("need k >= 3")
     if k > BAD_PAIR_MAX_K:
         raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
-    _, blocks = _local_layout(frame)
-    bmasks = [mask_of(frame.prefix, b) for b in blocks]
+    _, blocks = _local_layout(k)
     bmins = [min(b) for b in blocks]
 
     # masks grouped by (missed block, doubled block); each entry carries the
@@ -96,7 +93,7 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
             bucket = []
             for pair in combinations(blocks[dbl], 2):
                 for choice in product(*(blocks[i] for i in singles)):
-                    qmask = mask_of(frame.prefix, pair + choice)
+                    qmask = mask_of(ground(k), pair + choice)
                     minflags = 0
                     for i, e in zip(singles, choice):
                         if e == bmins[i]:
@@ -115,7 +112,7 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
             singles = [i for i in others if i not in missed]
             for pair in combinations(blocks[dbl_t], 2):
                 for choice in product(*(blocks[i] for i in singles)):
-                    tmask = mask_of(frame.prefix, pair + choice)
+                    tmask = mask_of(ground(k), pair + choice)
                     num_t += 1
                     cnt = 0
                     for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
@@ -141,7 +138,6 @@ def enumerated_bad_pair_stats(frame: WeightFrame, k: int) -> BadPairStats:
         per_mask_bound=bound,
         num_t=num_t,
         num_bad_masks=num_bad,
-        doubling_ok=2 * num_t <= num_bad,
     )
 
 
@@ -161,8 +157,7 @@ def test_shifts_of_count():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_full_transversal_count_and_profile(k):
-    fr = small_frame(k)
-    ts = list(full_transversals(fr))
+    ts = list(full_transversals(k))
     assert len(ts) == k**k
     assert len({t.set.mask for t in ts}) == k**k
     for t in ts:
@@ -172,12 +167,11 @@ def test_full_transversal_count_and_profile(k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_almost_full_transversals(k):
-    fr = small_frame(k)
-    ts = list(almost_full_transversals(fr))
+    ts = list(almost_full_transversals(k))
     for t in ts:
         assert t.set.size == k
         assert sum(1 for x in t.profile[1:] if x) == k - 1
-        assert t.weight == Fraction(1, fr.s - k + 1)
+        assert t.weight == 1
     # doubled-block shape plus distinguished-element shape
     expected = k * (k - 1) * (k * (k - 1) // 2) * k ** (k - 2) + (k - 1) * k * k ** (
         k - 1
@@ -187,10 +181,9 @@ def test_almost_full_transversals(k):
 
 def test_cyclic_collection_structure():
     k = 3
-    fr = small_frame(k)
-    blocks = fr.b_blocks()
-    t = KSet.from_elements(fr.prefix, [blocks[0][1], blocks[1][0]])
-    colls = list(all_cyclic_collections(t, fr))
+    _, blocks = _local_layout(k)
+    t = KSet.from_elements(ground(k), [blocks[0][1], blocks[1][0]])
+    colls = list(all_cyclic_collections(t, k))
     assert len(colls) == (k - 1) ** (k - 1)
     min_missed = min(blocks[2])
     seen = set()
@@ -209,33 +202,29 @@ def test_cyclic_collection_structure():
 
 def test_cyclic_collection_validates_input():
     k = 3
-    fr = small_frame(k)
-    blocks = fr.b_blocks()
-    good = KSet.from_elements(fr.prefix, [blocks[0][0], blocks[1][0]])
+    g0, blocks = _local_layout(k)
+    good = KSet.from_elements(ground(k), [blocks[0][0], blocks[1][0]])
     sigmas = [identity_shift([e for e in b if e not in good]) for b in blocks[:2]]
-    cyclic_collection(good, sigmas, fr)
-    bad_width = KSet.from_elements(fr.prefix, [blocks[0][0], blocks[0][1]])
+    cyclic_collection(good, sigmas, k)
+    bad_width = KSet.from_elements(ground(k), [blocks[0][0], blocks[0][1]])
     with pytest.raises(ValueError):
-        cyclic_collection(bad_width, sigmas, fr)
-    g0 = fr.g0_elements()
-    touches_g0 = KSet.from_elements(fr.prefix, [blocks[0][0], g0[0]])
+        cyclic_collection(bad_width, sigmas, k)
+    touches_g0 = KSet.from_elements(ground(k), [blocks[0][0], g0[0]])
     with pytest.raises(ValueError):
-        cyclic_collection(touches_g0, sigmas, fr)
+        cyclic_collection(touches_g0, sigmas, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_bad_pair_stats_small(k):
-    fr = small_frame(k)
-    st = bad_pair_stats(fr, k)
+    st = bad_pair_stats(k)
     assert st.per_t == k * (k - 1) ** (k - 1)
     assert st.per_mask_max <= st.per_mask_bound
-    assert st.doubling_ok
+    assert 2 * st.num_t <= st.num_bad_masks
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_bad_pair_stats_matches_enumeration(k):
-    fr = small_frame(k)
-    assert bad_pair_stats(fr, k) == enumerated_bad_pair_stats(fr, k)
+    assert bad_pair_stats(k) == enumerated_bad_pair_stats(k)
 
 
 def test_bad_pair_stats_divisibility_guard(monkeypatch):
@@ -243,41 +232,53 @@ def test_bad_pair_stats_divisibility_guard(monkeypatch):
     # size does not divide; the count must refuse rather than round
     monkeypatch.setattr(transversals, "_defect_class_size", lambda k, nonmin: 1)
     with pytest.raises(AssertionError, match="not divisible"):
-        bad_pair_stats(small_frame(4), 4)
+        bad_pair_stats(4)
 
 
 def test_bad_pair_stats_guards():
     with pytest.raises(ValueError):
-        bad_pair_stats(small_frame(2), 2)
+        bad_pair_stats(2)
     with pytest.raises(ValueError):
-        bad_pair_stats(small_frame(7), 7)
+        bad_pair_stats(7)
 
 
 def test_shape_profile():
     k = 4
-    fr = small_frame(k)
-    blocks = fr.b_blocks()
-    g0 = fr.g0_elements()
-    t = KSet.from_elements(fr.prefix, [blocks[0][0], blocks[0][1], g0[0]])
-    prof = shape_profile(t, fr)
+    g0, blocks = _local_layout(k)
+    t = KSet.from_elements(ground(k), [blocks[0][0], blocks[0][1], g0[0]])
+    prof = shape_profile(t, k)
     assert prof.a == (2,)
     assert prof.a0 == 2
     assert prof.p == 2
     assert prof.mus == (1, 1)
 
 
+def all_shift_collections(t: KSet, k: int) -> Iterator[list[CyclicShift]]:
+    """All admissible shift tuples for ``q_family``.
+
+    There are (k - a0)(k - a1)...(k - a_c) * k^(k-c) of them, with the
+    factor k - a0 = p, the shifts of the free distinguished elements, read
+    as 1 at p = 0.
+    """
+    g0, _ = _local_layout(k)
+    touched, untouched = _split_blocks(k, t)
+    pools = [shifts_of([e for e in g0 if e not in t])]
+    for b in touched + untouched:
+        pools.append(shifts_of([e for e in b if e not in t]))
+    for combo in product(*pools):
+        yield list(combo)
+
+
 def test_q_family_counts_and_disjointness():
     k = 3
-    fr = small_frame(k)
-    blocks = fr.b_blocks()
-    g0 = fr.g0_elements()
-    t = KSet.from_elements(fr.prefix, [blocks[0][0], g0[0]])
-    prof = shape_profile(t, fr)
-    colls = list(all_shift_collections(t, fr))
+    g0, blocks = _local_layout(k)
+    t = KSet.from_elements(ground(k), [blocks[0][0], g0[0]])
+    prof = shape_profile(t, k)
+    colls = list(all_shift_collections(t, k))
     expected = (k - prof.a0) * (k - prof.a[0]) * k ** (k - 1)
     assert len(colls) == expected
     for pis in colls:
-        qs = q_family(t, pis, fr)
+        qs = q_family(t, pis, k)
         assert len(qs) == k
         union = t.mask
         for q in qs:
@@ -289,23 +290,20 @@ def test_q_family_counts_and_disjointness():
 def test_q_family_multiplicity_bound():
     # each transversal appears in at most a_mu (k - a_mu) * k^(k-1) collections
     k = 3
-    fr = small_frame(k)
-    blocks = fr.b_blocks()
-    g0 = fr.g0_elements()
-    t = KSet.from_elements(fr.prefix, [blocks[0][0], g0[0]])
-    prof = shape_profile(t, fr)
+    g0, blocks = _local_layout(k)
+    t = KSet.from_elements(ground(k), [blocks[0][0], g0[0]])
+    prof = shape_profile(t, k)
     counts: dict[int, int] = {}
-    for pis in all_shift_collections(t, fr):
-        for q in q_family(t, pis, fr):
+    for pis in all_shift_collections(t, k):
+        for q in q_family(t, pis, k):
             counts[q.mask] = counts.get(q.mask, 0) + 1
     bound = max(a * (k - a) for a in (prof.a0,) + prof.a) * k ** (k - 1)
     assert max(counts.values()) <= bound
 
 
-def expected_shift_count(t: KSet, fr: WeightFrame) -> int:
+def expected_shift_count(t: KSet, k: int) -> int:
     """(k - a0)(k - a1)...(k - a_c) k^(k-c), with k - a0 = p read as 1 at p = 0."""
-    k = fr.k
-    prof = shape_profile(t, fr)
+    prof = shape_profile(t, k)
     if prof.p == 0:  # no touched block, no free distinguished element
         return k**k
     count = k - prof.a0
@@ -314,33 +312,32 @@ def expected_shift_count(t: KSet, fr: WeightFrame) -> int:
     return count * k ** (k - len(prof.a))
 
 
-def defect_sets(fr: WeightFrame) -> Iterator[KSet]:
+def defect_sets(k: int) -> Iterator[KSet]:
     """Every size-(k-1) subset of the local universe."""
-    g0, blocks = _local_layout(fr)
+    g0, blocks = _local_layout(k)
     universe = sorted([e for b in blocks for e in b] + list(g0))
-    for elems in combinations(universe, fr.k - 1):
-        yield KSet.from_elements(fr.prefix, elems)
+    for elems in combinations(universe, k - 1):
+        yield KSet.from_elements(ground(k), elems)
 
 
-def assert_disjoint_cover(t: KSet, pis, fr: WeightFrame) -> None:
-    qs = q_family(t, pis, fr)
-    assert len(qs) == fr.k
+def assert_disjoint_cover(t: KSet, pis, k: int) -> None:
+    qs = q_family(t, pis, k)
+    assert len(qs) == k
     union = t.mask
     for q in qs:
-        assert q.size == fr.k and not union & q.mask
+        assert q.size == k and not union & q.mask
         union |= q.mask
 
 
 @pytest.mark.parametrize("k, calls", [(1, 1), (2, 12), (3, 1161)])
 def test_q_family_every_defect_set_and_shift_tuple(k, calls):
     # the full enumeration is the oracle of the per-profile check
-    fr = small_frame(k)
     seen = 0
-    for t in defect_sets(fr):
-        colls = list(all_shift_collections(t, fr))
-        assert len(colls) == expected_shift_count(t, fr)
+    for t in defect_sets(k):
+        colls = list(all_shift_collections(t, k))
+        assert len(colls) == expected_shift_count(t, k)
         for pis in colls:
-            assert_disjoint_cover(t, pis, fr)
+            assert_disjoint_cover(t, pis, k)
         seen += len(colls)
     assert seen == calls
     assert q_family_check(k) == (0, None)
@@ -348,22 +345,21 @@ def test_q_family_every_defect_set_and_shift_tuple(k, calls):
 
 def test_q_family_k4_every_defect_set_and_every_tuple_per_profile():
     k = 4
-    fr = small_frame(k)
     representatives: dict[tuple[int, ...], KSet] = {}
     sets = 0
-    for t in defect_sets(fr):
-        assert_disjoint_cover(t, next(all_shift_collections(t, fr)), fr)
-        prof = shape_profile(t, fr)
+    for t in defect_sets(k):
+        assert_disjoint_cover(t, next(all_shift_collections(t, k)), k)
+        prof = shape_profile(t, k)
         representatives.setdefault((prof.a0,) + prof.a, t)
         sets += 1
     assert sets == 969
     assert len(representatives) == 2 ** (k - 1)
     calls = 0
     for t in representatives.values():
-        colls = list(all_shift_collections(t, fr))
-        assert len(colls) == expected_shift_count(t, fr)
+        colls = list(all_shift_collections(t, k))
+        assert len(colls) == expected_shift_count(t, k)
         for pis in colls:
-            assert_disjoint_cover(t, pis, fr)
+            assert_disjoint_cover(t, pis, k)
         calls += len(colls)
     assert calls == 2084
     assert q_family_check(k) == (0, None)
@@ -373,8 +369,8 @@ def test_q_family_k4_every_defect_set_and_every_tuple_per_profile():
 def test_q_family_check_visits_every_profile_once(k, monkeypatch):
     seen = []
 
-    def failing(t, pis, frame):
-        prof = shape_profile(t, frame)
+    def failing(t, pis, k):
+        prof = shape_profile(t, k)
         seen.append((prof.a0,) + prof.a)
         raise AssertionError("injected")
 
@@ -386,7 +382,7 @@ def test_q_family_check_visits_every_profile_once(k, monkeypatch):
 
 def test_q_family_check_counts_a_short_cover_as_a_failure(monkeypatch):
     original = transversals.q_family
-    monkeypatch.setattr(transversals, "q_family", lambda t, pis, frame: original(t, pis, frame)[1:])
+    monkeypatch.setattr(transversals, "q_family", lambda t, pis, k: original(t, pis, k)[1:])
     assert q_family_check(3) == (4, (3,))
     with pytest.raises(ValueError):
         q_family_check(0)

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,37 +27,77 @@ from emckit.weights import (
 from test_constructions import generate_from_trace
 
 
+def block_index(frame: WeightFrame, e: int) -> int:
+    """Index in [s] of the canonical block holding prefix element e; 0 for
+    the distinguished set.  Arithmetic, so it works at any s."""
+    if not 1 <= e <= frame.prefix:
+        raise ValueError(f"element {e} outside prefix [1, {frame.prefix}]")
+    return 0 if e > frame.s * frame.k else (e - 1) // frame.k + 1
+
+
+def gm_elements(frame: WeightFrame, m_indices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+    """The local universe G_M: the distinguished set plus the blocks indexed
+    by M, a k-subset of [s] (blocks 1..k by default)."""
+    m = range(1, frame.k + 1) if m_indices is None else m_indices
+    elems = list(frame.g0_elements())
+    for i in m:
+        elems.extend(frame.block_elements(i))
+    return tuple(sorted(elems))
+
+
+def relabel(fam: Family, perm: Sequence[int]) -> Family:
+    """The family pi^-1(F) for the permutation pi(i) = perm[i-1] of the
+    prefix [len(perm)]; elements beyond the prefix stay where they are.
+
+    F read against the partition pi(canonical) has the trace, widths and
+    sizes that pi^-1(F) has against the canonical partition.
+    """
+    back = {e: i for i, e in enumerate(perm, start=1)}
+    return Family(
+        fam.n,
+        fam.k,
+        [mask_of(fam.n, [back.get(e, e) for e in KSet(fam.n, m).elements]) for m in fam.members],
+    )
+
+
 def check_invariants(frame: WeightFrame) -> None:
-    assert len(frame.gm_elements()) == frame.k * frame.k + frame.k - 1
+    assert len(gm_elements(frame)) == frame.k * frame.k + frame.k - 1
     assert frame.n_bar >= 0
 
 
 def width(t: int, frame: WeightFrame) -> int:
     """Number of blocks (indices in [s]) met by a prefix subset, given as a mask."""
     elements = KSet(frame.prefix, t).elements  # refuses bits beyond the prefix
-    return len({frame.block_index(e) for e in elements} - {0})
+    return len({block_index(frame, e) for e in elements} - {0})
 
 
-def anchor(frame: WeightFrame, fam: Family) -> None:
-    """Verify the frame against a family, or raise ValueError.
+def anchor(
+    fam: Family, k: int, s: int, g0: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
+) -> None:
+    """Verify a prefix partition (g0, blocks) against a family, or raise ValueError.
 
-    Requires every block to be a trace member and the distinguished set to
-    be outside the trace with the pivot property: for every member disjoint
+    Requires a partition of the prefix into a (k-1)-set and s blocks of size
+    k, every block to be a trace member, and the distinguished set to be
+    outside the trace with the pivot property: for every member disjoint
     from it, adjoining the member's minimum gives a member.
     """
-    p = frame.prefix
-    tr_masks = trace_of(fam, frame.k, frame.s).mask_set
-    for i in range(1, frame.s + 1):
-        if mask_of(p, frame.block_elements(i)) not in tr_masks:
+    p = prefix_size(k, s)
+    sizes = [len(g0)] + [len(b) for b in blocks]
+    elements = sorted(g0 + tuple(e for b in blocks for e in b))
+    if sizes != [k - 1] + [k] * s or elements != list(range(1, p + 1)):
+        raise ValueError("need a (k-1)-set and s blocks of size k partitioning the prefix")
+    tr_masks = trace_of(fam, k, s).mask_set
+    for i, b in enumerate(blocks, start=1):
+        if mask_of(p, b) not in tr_masks:
             raise ValueError(f"block {i} is not a trace member")
-    g0 = mask_of(p, frame.g0_elements())
-    if g0 in tr_masks:
+    g0_mask = mask_of(p, g0)
+    if g0_mask in tr_masks:
         raise ValueError("distinguished set must not be a trace member")
     for m in fam.members:
-        if m & g0:
+        if m & g0_mask:
             continue
         b = (m & -m).bit_length()
-        if (g0 | (1 << (b - 1))) not in fam.mask_set:
+        if (g0_mask | (1 << (b - 1))) not in fam.mask_set:
             raise ValueError("pivot property fails for the distinguished set")
 
 
@@ -77,7 +117,7 @@ class RxCounts(NamedTuple):
 def rx_counts(fam: Family, frame: WeightFrame) -> RxCounts:
     k = frame.k
     tr = trace_of(fam, k, frame.s)
-    gm = mask_of(frame.prefix, frame.gm_elements())
+    gm = mask_of(frame.prefix, gm_elements(frame))
     g0 = mask_of(frame.prefix, frame.g0_elements())
     r = {d: 0 for d in range(2, k)}
     x = {d: 0 for d in range(2, k)}
@@ -104,8 +144,9 @@ def test_frame_canonical_layout():
     assert fr.block_elements(1) == (1, 2, 3)
     assert fr.block_elements(3) == (7, 8, 9)
     assert fr.g0_elements() == (10, 11)
-    assert fr.block_index(5) == 2
-    assert fr.block_index(10) == 0
+    assert fr.b_blocks() == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    assert block_index(fr, 5) == 2
+    assert block_index(fr, 10) == 0
     check_invariants(fr)
 
 
@@ -114,23 +155,8 @@ def test_frame_huge_s_is_lazy():
     s = 10**12
     fr = WeightFrame((s + 1) * 5, 5, s)
     assert fr.block_elements(s) == tuple(range((s - 1) * 5 + 1, s * 5 + 1))
-    assert fr.block_index(s * 5 + 2) == 0
+    assert block_index(fr, s * 5 + 2) == 0
     assert fr.n_bar == 1
-
-
-def test_frame_explicit_partition_validated():
-    with pytest.raises(ValueError):
-        WeightFrame(12, 3, 3, g0=(1, 2), blocks=((3, 4, 5), (6, 7, 8), (9, 10, 12)))
-    fr = WeightFrame(12, 3, 3, g0=(1, 2), blocks=((3, 4, 5), (6, 7, 8), (9, 10, 11)))
-    assert fr.block_index(1) == 0
-    assert fr.block_index(9) == 3
-
-
-def test_frame_m_subset_validation():
-    with pytest.raises(ValueError):
-        WeightFrame(12, 3, 3, m_indices=[1, 1, 2])
-    with pytest.raises(ValueError):
-        WeightFrame(12, 3, 3, m_indices=[1, 2, 4])
 
 
 def test_width():
@@ -172,28 +198,27 @@ def test_family_weight_identity_on_random_saturated():
 
 def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
     """Oracle: the weight identity with width and weight recomputed for
-    every trace member t, and for every pair (M, t) in the direct M-sum."""
+    every trace member t, and for every pair (M, t) in the direct M-sum,
+    each G_M built from the canonical blocks."""
     k, s = frame.k, frame.s
     tr = trace_of(fam, k, s)
 
-    def weight(t, fr):
-        v = width(t, fr)
+    def weight(t):
+        v = width(t, frame)
         if v == 0:
-            return Fraction(binom(fr.n_bar, k - t.bit_count()), binom(s, k))
-        return weight_cd(v, t.bit_count(), fr)
+            return Fraction(binom(frame.n_bar, k - t.bit_count()), binom(s, k))
+        return weight_cd(v, t.bit_count(), frame)
 
     lhs = Fraction(0)
     for t in tr.members:
         v = width(t, frame)
-        lhs += binom(s - v, k - v) * weight(t, frame)
+        lhs += binom(s - v, k - v) * weight(t)
     direct = Fraction(0)
-    blocks = tuple(frame.block_elements(i) for i in range(1, s + 1))
     for m_combo in combinations(range(1, s + 1), k):
-        sub = WeightFrame(frame.n, k, s, m_combo, frame.g0_elements(), blocks)
-        gm = mask_of(sub.prefix, sub.gm_elements())
+        gm = mask_of(frame.prefix, gm_elements(frame, m_combo))
         for t in tr.members:
             if t & ~gm == 0:
-                direct += weight(t, sub)
+                direct += weight(t)
     assert direct == lhs
     return lhs, len(fam), lhs == len(fam)
 
@@ -201,8 +226,10 @@ def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fractio
 @st.composite
 def weight_identity_cases(draw):
     """(family, frame) with C(s, k) <= 400: a candidate, a family generated
-    from a random trace, or a random k-uniform family, on the canonical or a
-    shuffled prefix partition."""
+    from a random trace, or a random k-uniform family, as drawn or relabelled
+    by a random permutation of the prefix.  The relabelled family read
+    against the canonical partition stands for the drawn one read against a
+    shuffled partition."""
     k = draw(st.integers(2, 3))
     s = draw(st.integers(k, 8 if k == 2 else 5))
     p = prefix_size(k, s)
@@ -220,11 +247,9 @@ def weight_identity_cases(draw):
         pool = list(enumerate_ksets(n, k))
         idx = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
         fam = Family(n, k, [pool[i] for i in idx])
-    if draw(st.booleans()):
-        return fam, WeightFrame(n, k, s)
-    perm = draw(st.permutations(range(1, p + 1)))
-    blocks = tuple(tuple(perm[k - 1 + i * k : k - 1 + (i + 1) * k]) for i in range(s))
-    return fam, WeightFrame(n, k, s, g0=tuple(perm[: k - 1]), blocks=blocks)
+    if not draw(st.booleans()):
+        fam = relabel(fam, draw(st.permutations(range(1, p + 1))))
+    return fam, WeightFrame(n, k, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,58 +269,55 @@ def test_wA_symmetry_recovers_prefix_family_size():
         assert binom(s, k) * wA_of_M(fr) == binom(prefix_size(k, s), k)
 
 
-def enumerated_wA_of_M(frame: WeightFrame) -> Fraction:
-    """Oracle: weighted count of the k-subsets of the local universe, one by one."""
+def enumerated_wA_of_M(frame: WeightFrame, m_indices: Sequence[int]) -> Fraction:
+    """Oracle: weighted count of the k-subsets of the local universe G_M, one by one."""
     k = frame.k
-    elems = frame.gm_elements()
-    block_of = {e: frame.block_index(e) for e in elems}
+    elems = gm_elements(frame, m_indices)
+    block_of = {e: block_index(frame, e) for e in elems}
     widths = Counter(len({block_of[e] for e in combo} - {0}) for combo in combinations(elems, k))
     return sum(weight_value(k, frame.s, frame.n_bar, v, k) * count for v, count in widths.items())
 
 
 @st.composite
-def wA_frames(draw):
-    """A frame with k <= 5, the canonical partition or a permuted one, and any M."""
+def wA_cases(draw):
+    """A frame with k <= 5 and any index set M."""
     k = draw(st.integers(min_value=1, max_value=5))
     s = draw(st.integers(min_value=k, max_value=k + 2))
     p = prefix_size(k, s)
     n = draw(st.integers(min_value=p, max_value=p + 4))
     m_indices = draw(st.lists(st.integers(1, s), min_size=k, max_size=k, unique=True))
-    if not draw(st.booleans()):
-        return WeightFrame(n, k, s, m_indices)
-    order = draw(st.permutations(range(1, p + 1)))
-    g0 = tuple(order[: k - 1])
-    blocks = tuple(tuple(order[k - 1 + i * k : k - 1 + (i + 1) * k]) for i in range(s))
-    return WeightFrame(n, k, s, m_indices, g0, blocks)
+    return WeightFrame(n, k, s), m_indices
 
 
 @settings(max_examples=40, deadline=None)
-@given(wA_frames())
-@example(WeightFrame(30, 4, 6))
-@example(WeightFrame(20, 3, 5))
-@example(WeightFrame(9, 2, 3))
-def test_wA_of_M_matches_enumeration(frame):
-    assert wA_of_M(frame) == enumerated_wA_of_M(frame)
+@given(wA_cases())
+@example((WeightFrame(30, 4, 6), [1, 2, 3, 4]))
+@example((WeightFrame(20, 3, 5), [1, 2, 3]))
+@example((WeightFrame(9, 2, 3), [1, 2]))
+def test_wA_of_M_matches_enumeration(case):
+    frame, m_indices = case
+    assert wA_of_M(frame) == enumerated_wA_of_M(frame, m_indices)
 
 
 def test_anchor_accepts_B():
     n, k, s = 9, 2, 3
-    fr = WeightFrame(n, k, s, g0=(4,), blocks=((1, 5), (2, 6), (3, 7)))
-    anchor(fr, build_B(n, k, s))  # raises if the frame does not fit
+    anchor(build_B(n, k, s), k, s, (4,), ((1, 5), (2, 6), (3, 7)))  # raises on a misfit
 
 
 def test_anchor_rejects_missing_block_and_trace_member_g0():
     n, k, s = 9, 2, 3
-    fr = WeightFrame(n, k, s, g0=(4,), blocks=((1, 5), (2, 6), (3, 7)))
+    blocks = ((1, 5), (2, 6), (3, 7))
     # only one block present in the trace
     small = Family(n, 2, [mask_of(n, [1, 5])])
     with pytest.raises(ValueError, match="block 2 is not a trace member"):
-        anchor(fr, small)
+        anchor(small, k, s, (4,), blocks)
     # distinguished set inside the trace ({1,8} leaves the stub {1})
-    fr2 = WeightFrame(n, k, s, g0=(1,), blocks=((2, 5), (3, 6), (4, 7)))
     fam = Family(n, 2, [mask_of(n, e) for e in ([2, 5], [3, 6], [4, 7], [1, 8])])
     with pytest.raises(ValueError, match="distinguished set must not be a trace member"):
-        anchor(fr2, fam)
+        anchor(fam, k, s, (1,), ((2, 5), (3, 6), (4, 7)))
+    # not a partition of the prefix [7]
+    with pytest.raises(ValueError, match="partitioning the prefix"):
+        anchor(fam, k, s, (1,), ((2, 5), (3, 6), (4, 8)))
 
 
 def test_candidate_counts_total():
