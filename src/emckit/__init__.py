@@ -57,7 +57,6 @@ _EXPORTS = {
         "bad_pair_stats",
         "cyclic_collection",
         "full_transversals",
-        "product_inequality_check",
         "q_family",
         "q_family_check",
         "shape_profile",
@@ -75,6 +74,7 @@ _EXPORTS = {
         "max_window_n",
         "min_window_n",
         "overall_pass",
+        "product_inequality_check",
         "product_inequality_report",
         "require_window",
     ),

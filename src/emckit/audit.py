@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import ExactScalar
+from .core import ExactScalar, _compositions
 from .weights import (
     WeightFrame,
     block_subset_count,
@@ -21,7 +21,6 @@ from .weights import (
     weight_value,
     wg_envelope,
 )
-from .transversals import product_inequality_check
 
 _CMP = {
     "<=": lambda a, b: a <= b,
@@ -274,6 +273,34 @@ def audit_all(k: int, s: int, n: int) -> list[AuditReport]:
     reports.extend(audit_numeric_lemmas(k, s))
     reports.append(product_inequality_report(k))
     return reports
+
+
+def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Shift-count inequality over every admissible intersection profile.
+
+    For a0 >= 1, a_i >= 1 with a0 + a1 + ... + a_c = k, checks
+    (k-a0)...(k-a_c) k^(k-c) >= max_i a_i (k-a_i) * k^(k-1) exhaustively
+    over integer compositions.  Returns the number of violating profiles and
+    the first one, (a0, a1, ..., a_c), or None when there is none.
+    """
+    if k < 2:
+        raise ValueError("need k >= 2")
+    violations = 0
+    first_violation = None
+    for a0 in range(1, k):
+        rem = k - a0
+        for c in range(1, rem + 1):
+            for comp in _compositions(rem, c):
+                lhs = k - a0
+                for ai in comp:
+                    lhs *= k - ai
+                lhs *= k ** (k - c)
+                rhs = max(ai * (k - ai) for ai in (a0,) + comp) * k ** (k - 1)
+                if lhs < rhs:
+                    violations += 1
+                    if first_violation is None:
+                        first_violation = (a0,) + comp
+    return violations, first_violation
 
 
 def product_inequality_report(k: int) -> AuditReport:

@@ -140,27 +140,33 @@ def _cmd_crossover(args) -> int:
 
 def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
     from .audit import make_report, product_inequality_report
+    # weight_value is read through transversals, whose full transversals it weighs
     from .transversals import (
         _local_layout,
-        all_cyclic_collections,
+        _part_masks,
         bad_pair_stats,
-        full_transversals,
+        cyclic_collection_masks,
+        full_transversal_masks,
         q_family_check,
+        weight_value,
     )
 
     reports = []
     if "counts" in checks:
-        fulls = list(full_transversals(k))
-        distinct = {t.set.mask for t in fulls if t.profile == (0,) + (1,) * k}
+        parts = _part_masks(k)
+        full = [0] + [1] * k  # per-part popcounts: no distinguished element, one per block
+        distinct = {
+            m for m in full_transversal_masks(k) if [(m & p).bit_count() for p in parts] == full
+        }
         reports.append(
             make_report("transversal:full_count", {"k": k}, len(distinct), k**k, "==")
         )
-        all_weight_one = all(t.weight == 1 for t in fulls)
+        # every full transversal has width k and size k, so one weight serves all
         reports.append(
             make_report(
                 "transversal:full_weight",
                 {"k": k},
-                0 if all_weight_one else 1,
+                0 if weight_value(k, k, 1, k, k) == 1 else 1,
                 0,
                 "==",
             )
@@ -169,15 +175,14 @@ def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
         # defect set touching blocks 1..k-1 once, canonical choice
         _, blocks = _local_layout(k)
         t = KSet.from_elements((k + 1) * k - 1, [b[0] for b in blocks[:-1]])
-        seen = {}
+        seen = {}  # mask -> the first collection holding it
         ok = True
         count = 0
-        for coll in all_cyclic_collections(t, k):
+        for coll in cyclic_collection_masks(t, k):
             count += 1
             for q in coll:
-                if q.mask in seen and seen[q.mask] != count:
+                if seen.setdefault(q, count) != count:
                     ok = False
-                seen[q.mask] = count
         reports.append(
             make_report(
                 "transversal:cyclic_collections",

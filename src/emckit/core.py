@@ -197,6 +197,18 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order; only the empty one for ``total = parts = 0``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def enumerate_ksets(n: int, k: int) -> Iterator[int]:
     """The masks of all k-subsets of [n] in colexicographic order.
 

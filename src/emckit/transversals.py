@@ -14,11 +14,12 @@ from itertools import combinations, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .constructions import prefix_size
-from .core import KSet, mask_of
+from .core import KSet, _compositions, mask_of
 from .weights import weight_value
 
-# largest k whose bad-pair statistics are counted; k = 7 needs about 2.4e9 pair tests
-BAD_PAIR_MAX_K = 6
+# largest k whose bad-pair statistics are counted; k = 8 needs about 2.5e9
+# mask tests against 15 million stored single-choice masks
+BAD_PAIR_MAX_K = 7
 
 
 class _Rotation(NamedTuple):
@@ -80,19 +81,31 @@ def _profile(mask: int, parts: list[int]) -> tuple[int, ...]:
     return tuple((mask & part).bit_count() for part in parts)
 
 
+def full_transversal_masks(k: int) -> list[int]:
+    """The masks of the k^k sets taking exactly one element from each block,
+    in ``itertools.product`` order over the blocks.
+
+    The product of the block bits is built one block at a time.
+    """
+    _, blocks = _local_layout(k)
+    masks = [0]
+    for b in blocks:
+        bits = [1 << (e - 1) for e in b]
+        masks = [m | bit for m in masks for bit in bits]
+    return masks
+
+
 def full_transversals(k: int) -> Iterator[Transversal]:
-    """All k^k sets taking exactly one element from each block.
+    """The full transversals of ``full_transversal_masks`` as records.
 
     Each has width k and size k, so its weight is C(n_bar, 0) / C(s - k, 0) = 1;
     it is computed in the frame ((k+1)k, k, k), where n_bar = 1.
     """
-    _, blocks = _local_layout(k)
     parts = _part_masks(k)
     ground = prefix_size(k, k)
     weight = weight_value(k, k, 1, k, k)
-    for choice in product(*blocks):
-        ks = KSet.from_elements(ground, choice)
-        yield Transversal(ks, "full", _profile(ks.mask, parts), weight)
+    for mask in full_transversal_masks(k):
+        yield Transversal(KSet(ground, mask), "full", _profile(mask, parts), weight)
 
 
 def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
@@ -117,15 +130,10 @@ def blocks_missing_last(k: int, t: KSet) -> list[tuple[int, ...]]:
     return touched + missed
 
 
-def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KSet]:
-    """The k-1 pairwise disjoint full transversals generated from a defect set.
-
-    ``t`` must have size k-1, width k-1, avoid the distinguished set, and
-    miss exactly one block (reordered to be last).  ``sigmas`` are k-1 cyclic
-    shifts acting on the residuals of the touched blocks (canonical
-    increasing numeration).  The minimal element of the missed block is the
-    distinguished last numeration slot and never appears in the output.
-    """
+def _cyclic_blocks(t: KSet, k: int) -> list[tuple[int, ...]]:
+    """The blocks, those t touches first and the one it misses last, after
+    checking that t is a defect set of the cyclic-shift construction: size
+    k-1, width k-1, no distinguished element."""
     g0, _ = _local_layout(k)
     ground = prefix_size(k, k)
     if t.size != k - 1:
@@ -136,6 +144,20 @@ def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KS
     for b in blocks[:-1]:
         if (t.mask & mask_of(ground, b)).bit_count() != 1:
             raise ValueError("t must meet each touched block exactly once")
+    return blocks
+
+
+def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KSet]:
+    """The k-1 pairwise disjoint full transversals generated from a defect set.
+
+    ``t`` must have size k-1, width k-1, avoid the distinguished set, and
+    miss exactly one block (reordered to be last).  ``sigmas`` are k-1 cyclic
+    shifts acting on the residuals of the touched blocks (canonical
+    increasing numeration).  The minimal element of the missed block is the
+    distinguished last numeration slot and never appears in the output.
+    """
+    ground = prefix_size(k, k)
+    blocks = _cyclic_blocks(t, k)
     if len(sigmas) != k - 1:
         raise ValueError("need k-1 cyclic shifts")
 
@@ -168,15 +190,40 @@ def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KS
     return out
 
 
+def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
+    """The masks of the (k-1)^(k-1) collections ``cyclic_collection`` builds
+    from the defect set t, one per tuple of ``shifts_of`` the touched blocks'
+    residuals, in ``itertools.product`` order.
+
+    Slot i of a collection takes residual element i + offset (mod k-1) of
+    each touched block and the i-th non-minimal element of the missed block.
+    Each block's bit per slot is computed once per offset, and a collection
+    ORs the bits of its offset tuple.
+    """
+    *touched, missed = _cyclic_blocks(t, k)
+    # rotations[j][o][i]: the bit in slot i of touched block j at offset o
+    rotations = []
+    for b in touched:
+        residual = [1 << (e - 1) for e in b if e not in t]
+        rotations.append([residual[o:] + residual[:o] for o in range(k - 1)])
+    last = [1 << (e - 1) for e in missed[1:]]  # blocks are sorted: minimum first
+    for rotation in product(*rotations):
+        coll = last
+        for bits in rotation:
+            coll = [q | bit for q, bit in zip(coll, bits)]
+        union = 0
+        for q in coll:
+            if union & q:
+                raise AssertionError("collection members must be pairwise disjoint")
+            union |= q
+        yield coll
+
+
 def all_cyclic_collections(t: KSet, k: int) -> Iterator[list[KSet]]:
-    """All (k-1)^(k-1) cyclic-shift collections for a given defect set."""
-    blocks = blocks_missing_last(k, t)
-    residuals = []
-    for b in blocks[:-1]:
-        t_elt = next(e for e in b if e in t)
-        residuals.append([e for e in b if e != t_elt])
-    for sigmas in product(*(shifts_of(r) for r in residuals)):
-        yield cyclic_collection(t, list(sigmas), k)
+    """The collections of ``cyclic_collection_masks`` as lists of sets."""
+    ground = prefix_size(k, k)
+    for coll in cyclic_collection_masks(t, k):
+        yield [KSet(ground, q) for q in coll]
 
 
 class BadPairStats(NamedTuple):
@@ -215,6 +262,11 @@ def bad_pair_stats(k: int) -> BadPairStats:
     two types, each bad pair found adds the defect class's size to the mask
     class's total, and double counting gives the per-mask count as that
     total over the mask class's size, which must divide it exactly.
+
+    A mask class is every pair of its doubled block joined with every single
+    choice of its class, and the defect set misses that block, so it
+    meets no pair: the class's bad pairs with a defect set are its pairs
+    times its single choices disjoint from the defect set.
     """
     if k < 3:
         raise ValueError("need k >= 3")
@@ -224,26 +276,28 @@ def bad_pair_stats(k: int) -> BadPairStats:
     bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
 
     # mask classes by type (missed block, doubled block): (class id, minimum
-    # flags of the singles as a bitmask over block indices, its masks)
-    mask_classes: dict[tuple[int, int], list[tuple[int, int, list[int]]]] = {}
+    # flags of the singles as a bitmask over block indices, the pair masks of
+    # the doubled block, the single-choice masks)
+    mask_classes: dict[tuple[int, int], list[tuple[int, int, list[int], list[int]]]] = {}
     class_sizes: list[int] = []
     for miss in range(k):
         for dbl in range(k):
             if dbl == miss:
                 continue
-            singles = [i for i in range(k) if i not in (miss, dbl)]
-            by_flags: dict[int, list[int]] = {}  # single choices by minimum flags
-            for pos in product(range(k), repeat=len(singles)):  # 0 = block minimum
-                flags = sum(1 << i for i, j in zip(singles, pos) if j == 0)
-                by_flags.setdefault(flags, []).append(
-                    sum(bits[i][j] for i, j in zip(singles, pos))
-                )
-            pmasks = [a | b for a, b in combinations(bits[dbl], 2)]
+            pairs = [a | b for a, b in combinations(bits[dbl], 2)]
+            by_flags = {0: [0]}  # single choices by minimum flags, block by block
+            for i in range(k):
+                if i in (miss, dbl):
+                    continue
+                grown: dict[int, list[int]] = {}
+                for flags, ms in by_flags.items():
+                    grown[flags | 1 << i] = [m | bits[i][0] for m in ms]
+                    grown[flags] = [m | b for m in ms for b in bits[i][1:]]
+                by_flags = grown
             bucket = []
             for flags, ms in sorted(by_flags.items()):
-                masks = [pm | m for pm in pmasks for m in ms]
-                bucket.append((len(class_sizes), flags, masks))
-                class_sizes.append(len(masks))
+                bucket.append((len(class_sizes), flags, pairs, ms))
+                class_sizes.append(len(pairs) * len(ms))
             mask_classes[(miss, dbl)] = bucket
 
     totals = [0] * len(class_sizes)  # bad pairs per mask class
@@ -262,10 +316,12 @@ def bad_pair_stats(k: int) -> BadPairStats:
                 num_t += size
                 cnt = 0
                 for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
-                    for cid, flags, masks in mask_classes[(dbl_t, f)]:
+                    for cid, flags, pairs, ms in mask_classes[(dbl_t, f)]:
                         if flags >> other & 1:
                             continue
-                        hits = sum(1 for q in masks if not q & tmask)
+                        if any(p & tmask for p in pairs):
+                            raise AssertionError("a defect set meets the block its masks double")
+                        hits = len(pairs) * len([m for m in ms if not m & tmask])
                         cnt += hits
                         totals[cid] += size * hits
                 if per_t is None:
@@ -403,18 +459,6 @@ def q_family(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
     return out
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The compositions of ``total`` into ``parts`` positive parts, in
-    lexicographic order; only the empty one for ``total = parts = 0``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Disjointness of ``q_family`` for every size-(k-1) defect set and every
     shift tuple, decided on one defect set per intersection profile.
@@ -472,31 +516,3 @@ def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
                     if first_failure is None:
                         first_failure = (k - p,) + comp
     return failures, first_failure
-
-
-def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Shift-count inequality over every admissible intersection profile.
-
-    For a0 >= 1, a_i >= 1 with a0 + a1 + ... + a_c = k, checks
-    (k-a0)...(k-a_c) k^(k-c) >= max_i a_i (k-a_i) * k^(k-1) exhaustively
-    over integer compositions.  Returns the number of violating profiles and
-    the first one, (a0, a1, ..., a_c), or None when there is none.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    violations = 0
-    first_violation = None
-    for a0 in range(1, k):
-        rem = k - a0
-        for c in range(1, rem + 1):
-            for comp in _compositions(rem, c):
-                lhs = k - a0
-                for ai in comp:
-                    lhs *= k - ai
-                lhs *= k ** (k - c)
-                rhs = max(ai * (k - ai) for ai in (a0,) + comp) * k ** (k - 1)
-                if lhs < rhs:
-                    violations += 1
-                    if first_violation is None:
-                        first_violation = (a0,) + comp
-    return violations, first_violation

@@ -64,10 +64,6 @@ class WeightFrame:
             raise ValueError("block index outside [1, s]")
         return tuple(range((i - 1) * self.k + 1, i * self.k + 1))
 
-    def b_blocks(self) -> list[tuple[int, ...]]:
-        """The blocks B_1..B_k of the local universe: blocks 1..k."""
-        return [self.block_elements(i) for i in range(1, self.k + 1)]
-
     def __repr__(self) -> str:
         return f"WeightFrame(n={self.n}, k={self.k}, s={self.s})"
 

@@ -10,7 +10,13 @@ import json
 import random
 import time
 
-from emckit.audit import audit_all, max_window_n, min_window_n, overall_pass
+from emckit.audit import (
+    audit_all,
+    max_window_n,
+    min_window_n,
+    overall_pass,
+    product_inequality_check,
+)
 from emckit.cli import main as cli_main
 from emckit.constructions import build_A, build_B, crossover_n, extremal_sizes, prefix_size
 from emckit.core import Family, KSet, binom, enumerate_ksets
@@ -21,7 +27,6 @@ from emckit.transversals import (
     all_cyclic_collections,
     bad_pair_stats,
     full_transversals,
-    product_inequality_check,
 )
 from emckit.weights import (
     WeightFrame,

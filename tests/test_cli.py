@@ -69,6 +69,25 @@ def test_family_commands_load_no_reports_weights_or_fractions(tmp_path, command,
     assert not {"fractions", "json", "emckit.weights", "emckit.audit"} & loaded
 
 
+@pytest.mark.parametrize(
+    "argv,loads_transversals",
+    [
+        (["audit", "--k", "5", "--s", "12626", "--n", "auto"], False),
+        (["verify", "--n", "7", "--k", "2", "--s", "2"], False),
+        (["identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3"], False),
+        (["transversal", "--k", "3", "--check", "product"], True),
+    ],
+    ids=["audit", "verify", "identities", "transversal"],
+)
+def test_only_transversal_loads_the_transversal_layer(argv, loads_transversals):
+    loaded = loaded_by(
+        f"import contextlib, io\nfrom emckit.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+    )
+    assert "emckit.audit" in loaded
+    assert ("emckit.transversals" in loaded) is loads_transversals
+
+
 def test_bench_nu_imports_load_no_search_or_fractions():
     bench = SRC.parent / "bench"
     loaded = loaded_by(f"sys.path.insert(0, {str(bench)!r}); import nu")
@@ -295,13 +314,13 @@ def test_transversal_full_weight_fails_on_a_wrong_weight(capsys, monkeypatch):
 def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
     import emckit.transversals as transversals
 
-    original = transversals.full_transversals
+    original = transversals.full_transversal_masks
 
     def one_set_twice(k):
-        fulls = list(original(k))
-        return iter(fulls[:-1] + fulls[:1])  # still k^k sets, k^k - 1 distinct
+        masks = original(k)
+        return masks[:-1] + masks[:1]  # still k^k sets, k^k - 1 distinct
 
-    monkeypatch.setattr(transversals, "full_transversals", one_set_twice)
+    monkeypatch.setattr(transversals, "full_transversal_masks", one_set_twice)
     code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
     rows = {r["claim_id"]: r for r in json.loads(out)}
     assert code == 1
@@ -340,7 +359,7 @@ def test_transversal_seed_has_no_effect(capsys):
 
 
 def test_transversal_q_exit_codes(capsys):
-    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (7, 0, 2)):
+    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (8, 0, 2)):
         assert main(["transversal", "--k", str(k), "--check", "q"]) == q_code
         assert main(["transversal", "--k", str(k), "--check", "all"]) == all_code
         capsys.readouterr()
@@ -370,7 +389,7 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
 
 def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
     for check in ("badpairs", "all"):
-        code = main(["transversal", "--k", "7", "--check", check])
+        code = main(["transversal", "--k", "8", "--check", check])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")

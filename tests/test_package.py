@@ -30,13 +30,13 @@ HOMES = {
     ),
     "transversals": (
         "BadPairStats", "CyclicShift", "ShapeProfile", "Transversal", "all_cyclic_collections",
-        "bad_pair_stats", "cyclic_collection", "full_transversals", "product_inequality_check",
-        "q_family", "q_family_check", "shape_profile", "shifts_of",
+        "bad_pair_stats", "cyclic_collection", "full_transversals", "q_family", "q_family_check",
+        "shape_profile", "shifts_of",
     ),
     "audit": (
         "AuditReport", "ParameterWindowError", "audit_all", "audit_claim2", "audit_claim3",
         "audit_claim4", "audit_numeric_lemmas", "make_report", "max_window_n", "min_window_n",
-        "overall_pass", "product_inequality_report", "require_window",
+        "overall_pass", "product_inequality_check", "product_inequality_report", "require_window",
     ),
     "search": ("find_G0", "max_family_size", "verify_conjecture"),
 }

@@ -7,10 +7,10 @@ from typing import Iterator, Optional, Sequence
 import pytest
 
 from emckit import transversals
+from emckit.audit import product_inequality_check
 from emckit.constructions import prefix_size
 from emckit.core import KSet, mask_of
 from emckit.transversals import (
-    BAD_PAIR_MAX_K,
     BadPairStats,
     CyclicShift,
     Transversal,
@@ -20,9 +20,11 @@ from emckit.transversals import (
     _split_blocks,
     all_cyclic_collections,
     bad_pair_stats,
+    blocks_missing_last,
     cyclic_collection,
+    cyclic_collection_masks,
+    full_transversal_masks,
     full_transversals,
-    product_inequality_check,
     q_family,
     q_family_check,
     shape_profile,
@@ -75,7 +77,7 @@ def enumerated_bad_pair_stats(k: int) -> BadPairStats:
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    if k > BAD_PAIR_MAX_K:
+    if k > 6:
         raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
     _, blocks = _local_layout(k)
     bmins = [min(b) for b in blocks]
@@ -165,6 +167,13 @@ def test_full_transversal_count_and_profile(k):
         assert t.weight == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_full_transversal_masks_are_the_product_of_the_blocks(k):
+    _, blocks = _local_layout(k)
+    expected = [mask_of(ground(k), choice) for choice in product(*blocks)]
+    assert full_transversal_masks(k) == expected
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_almost_full_transversals(k):
     ts = list(almost_full_transversals(k))
@@ -200,6 +209,34 @@ def test_cyclic_collection_structure():
             seen.add(q.mask)
 
 
+def cyclic_defect_sets(k: int) -> Iterator[KSet]:
+    """Every defect set of the cyclic-shift construction: one element from
+    each of k-1 blocks, no distinguished element."""
+    _, blocks = _local_layout(k)
+    for missed in range(k):
+        touched = [b for i, b in enumerate(blocks) if i != missed]
+        for choice in product(*touched):
+            yield KSet.from_elements(ground(k), choice)
+
+
+@pytest.mark.parametrize("k, step", [(2, 1), (3, 1), (4, 1), (5, 5**4)])
+def test_cyclic_collection_masks_match_the_oracle(k, step):
+    # every shift tuple, in product order, for every step-th defect set: all
+    # of them up to k = 4, the first one per missed block at k = 5
+    seen = 0
+    for t in list(cyclic_defect_sets(k))[::step]:
+        blocks = blocks_missing_last(k, t)
+        pools = [shifts_of([e for e in b if e not in t]) for b in blocks[:-1]]
+        expected = [
+            [q.mask for q in cyclic_collection(t, list(sigmas), k)] for sigmas in product(*pools)
+        ]
+        assert len(expected) == (k - 1) ** (k - 1)
+        assert list(cyclic_collection_masks(t, k)) == expected
+        assert [[q.mask for q in c] for c in all_cyclic_collections(t, k)] == expected
+        seen += 1
+    assert seen == k**k // step
+
+
 def test_cyclic_collection_validates_input():
     k = 3
     g0, blocks = _local_layout(k)
@@ -212,6 +249,9 @@ def test_cyclic_collection_validates_input():
     touches_g0 = KSet.from_elements(ground(k), [blocks[0][0], g0[0]])
     with pytest.raises(ValueError):
         cyclic_collection(touches_g0, sigmas, k)
+    for bad in (bad_width, touches_g0):
+        with pytest.raises(ValueError):
+            next(cyclic_collection_masks(bad, k))
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -239,7 +279,7 @@ def test_bad_pair_stats_guards():
     with pytest.raises(ValueError):
         bad_pair_stats(2)
     with pytest.raises(ValueError):
-        bad_pair_stats(7)
+        bad_pair_stats(8)
 
 
 def test_shape_profile():

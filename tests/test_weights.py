@@ -144,7 +144,7 @@ def test_frame_canonical_layout():
     assert fr.block_elements(1) == (1, 2, 3)
     assert fr.block_elements(3) == (7, 8, 9)
     assert fr.g0_elements() == (10, 11)
-    assert fr.b_blocks() == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    assert [fr.block_elements(i) for i in range(1, 4)] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
     assert block_index(fr, 5) == 2
     assert block_index(fr, 10) == 0
     check_invariants(fr)
