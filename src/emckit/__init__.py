@@ -4,8 +4,8 @@ families in the almost-perfect-matching regime.
 Subset families live on ground sets [n]; everything quantitative is exact
 (int / fractions.Fraction).  The public surface re-exports the working core:
 family primitives, matching numbers, shifting, the extremal candidates,
-width/weight calculus, transversal constructions, claim audits, and the
-small-scale extremal search.
+width/weight calculus, transversal constructions, the verdict record, claim
+audits, and the small-scale extremal search.
 
 The re-exports are lazy (PEP 562): a name is imported from its home module
 on first access and then cached here, so ``import emckit.core`` or a single
@@ -16,6 +16,7 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {
     "core": (
+        "BudgetExceeded",
         "ExactScalar",
         "Family",
         "KSet",
@@ -23,11 +24,7 @@ _EXPORTS = {
         "enumerate_ksets",
         "mask_of",
     ),
-    "matching": (
-        "BudgetExceeded",
-        "MatchingCertificate",
-        "matching_number",
-    ),
+    "matching": ("MatchingCertificate", "matching_number"),
     "shifting": ("compress_ij", "is_shifted", "shift_to_fixpoint"),
     "constructions": (
         "build_A",
@@ -60,17 +57,15 @@ _EXPORTS = {
         "q_family",
         "q_family_check",
         "shape_profile",
-        "shifts_of",
     ),
+    "report": ("AuditReport", "make_report"),
     "audit": (
-        "AuditReport",
         "ParameterWindowError",
         "audit_all",
         "audit_claim2",
         "audit_claim3",
         "audit_claim4",
         "audit_numeric_lemmas",
-        "make_report",
         "max_window_n",
         "min_window_n",
         "overall_pass",

@@ -1,17 +1,18 @@
 """Exact-rational audits of every inequality in the proof chain.
 
-Each audit emits :class:`AuditReport` records whose verdicts are recomputable
-from the stored exact left/right sides and comparison direction.  Nothing is
-evaluated in floating point.
+Each audit emits :class:`AuditReport` records (from ``report``) whose
+verdicts are recomputable from the stored exact left/right sides and
+comparison direction.  Nothing is evaluated in floating point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .core import ExactScalar, _compositions
+from .core import _compositions
+from .report import AuditReport, make_report
 from .weights import (
     WeightFrame,
     block_subset_count,
@@ -21,34 +22,6 @@ from .weights import (
     weight_value,
     wg_envelope,
 )
-
-_CMP = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    "==": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
-
-
-class AuditReport(NamedTuple):
-    claim_id: str
-    params: dict
-    lhs: ExactScalar
-    rhs: ExactScalar
-    cmp: str
-    passed: bool
-    witness: Optional[tuple] = None
-    note: str = ""
-
-    def recheck(self) -> bool:
-        """Recompute the verdict from lhs/rhs/cmp alone."""
-        return _CMP[self.cmp](self.lhs, self.rhs)
-
-
-def make_report(claim_id, params, lhs, rhs, cmp, witness=None, note="") -> AuditReport:
-    passed = _CMP[cmp](lhs, rhs)
-    return AuditReport(claim_id, dict(params), lhs, rhs, cmp, passed, witness, note)
 
 
 class ParameterWindowError(ValueError):

@@ -14,11 +14,10 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core import Family, KSet, binom
-from .matching import BudgetExceeded
+from .core import BudgetExceeded, Family, KSet, binom
 
 if TYPE_CHECKING:
-    from .audit import AuditReport
+    from .report import AuditReport
 
 
 def fmt_exact(v) -> str:

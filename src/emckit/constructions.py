@@ -64,8 +64,8 @@ def crossover_n(k: int, s: int) -> int:
         n += 1
 
 
-def trace_of(fam: Family, k: int, s: int) -> Family:
-    """The family of intersections of members with the prefix, duplicates removed.
+def trace_masks(fam: Family, k: int, s: int) -> set[int]:
+    """The distinct intersections of members with the prefix, as masks.
 
     An empty trace member (a member entirely beyond the prefix) is retained
     and flagged by a warning on stderr; it only makes counting sense when n_bar >= k.
@@ -75,6 +75,12 @@ def trace_of(fam: Family, k: int, s: int) -> Family:
         raise ValueError(f"family ground set {fam.n} smaller than prefix {p}")
     head = (1 << p) - 1
     masks = {m & head for m in fam.members}
-    if 0 in masks and fam.members:
+    if 0 in masks:
         sys.stderr.write("trace contains the empty set (member beyond the prefix)\n")
-    return Family.from_masks(p, None, masks)
+    return masks
+
+
+def trace_of(fam: Family, k: int, s: int) -> Family:
+    """The family of intersections of members with the prefix, duplicates
+    removed (see :func:`trace_masks`)."""
+    return Family.from_masks(prefix_size(k, s), None, trace_masks(fam, k, s))

@@ -1,4 +1,5 @@
-"""Ground-set subsets, families, colex enumeration, and exact primitives.
+"""Ground-set subsets, families, colex enumeration, and exact primitives,
+with ``BudgetExceeded``, the explicit unknown every budgeted search raises.
 
 Everything downstream works over subsets of [n] = {1, ..., n}, stored as
 bit-vectors (Python ints): element e is bit e-1.  A ``Family`` is a
@@ -22,6 +23,10 @@ ExactScalar = Union[int, "Fraction"]
 # Bit-vector ground sets are capped; huge-parameter audits work through
 # closed-form counts and never materialize sets this large.
 _MAX_GROUND = 4096
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when a search exhausts its node budget: the answer is unknown."""
 
 
 def _check_ground(n: int) -> None:

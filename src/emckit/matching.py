@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import Family, KSet
+from .core import BudgetExceeded, Family, KSet
 
 DEFAULT_NODE_BUDGET = 10**7
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a search exhausts its node budget: the answer is unknown."""
 
 
 class MatchingCertificate(NamedTuple):

@@ -38,13 +38,13 @@ from __future__ import annotations
 from math import factorial
 from typing import TYPE_CHECKING, Optional
 
-from .constructions import extremal_sizes, prefix_size, trace_of
-from .core import _MAX_GROUND, Family, KSet, binom, enumerate_ksets
-from .matching import BudgetExceeded, _bits, _disjointness
+from .constructions import extremal_sizes, prefix_size, trace_masks
+from .core import _MAX_GROUND, BudgetExceeded, Family, KSet, binom, enumerate_ksets
+from .matching import _bits, _disjointness
 from .shifting import _decrements
 
 if TYPE_CHECKING:
-    from .audit import AuditReport
+    from .report import AuditReport
 
 # The exhaustive scan tests each of the 2^C(n,k) subfamilies against every
 # forbidden (s+1)-matching; it is refused above 2^DEFAULT_EXHAUSTIVE_CAP tests
@@ -376,7 +376,7 @@ def verify_conjecture(
     n: int, k: int, s: int, method: str = "bnb", node_budget: Optional[int] = None
 ) -> AuditReport:
     """Check that the exact maximum equals the larger of the two candidates."""
-    from .audit import make_report  # so find_G0 alone loads no audit, weights or fractions
+    from .report import make_report  # so find_G0 alone loads no report record
 
     maximum, witness = max_family_size(n, k, s, method=method, node_budget=node_budget)
     size_a, size_b = extremal_sizes(n, k, s)
@@ -398,7 +398,7 @@ def find_G0(fam: Family, k: int, s: int) -> Optional[KSet]:
     p = prefix_size(k, s)
     if fam.n < p:
         raise ValueError("family ground set smaller than prefix")
-    tr_masks = trace_of(fam, k, s).mask_set if len(fam) else frozenset()
+    tr_masks = trace_masks(fam, k, s)
     fam_masks = fam.mask_set
     for cmask in enumerate_ksets(p, k - 1):
         if cmask in tr_masks:

@@ -43,14 +43,6 @@ class CyclicShift(_Rotation):
         return self.base[(i + self.offset) % len(self.base)]
 
 
-def shifts_of(elements: Sequence[int]) -> list[CyclicShift]:
-    """All cyclic shifts on a set, canonical increasing numeration."""
-    base = tuple(sorted(elements))
-    if not base:
-        return [CyclicShift((), 0)]
-    return [CyclicShift(base, j) for j in range(len(base))]
-
-
 class Transversal(NamedTuple):
     set: KSet
     kind: str  # "full" | "almost_full"
@@ -192,8 +184,9 @@ def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KS
 
 def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
     """The masks of the (k-1)^(k-1) collections ``cyclic_collection`` builds
-    from the defect set t, one per tuple of ``shifts_of`` the touched blocks'
-    residuals, in ``itertools.product`` order.
+    from the defect set t, one per tuple of cyclic shifts of the touched
+    blocks' residuals (offsets 0..k-2 on each), in ``itertools.product``
+    order.
 
     Slot i of a collection takes residual element i + offset (mod k-1) of
     each touched block and the i-th non-minimal element of the missed block.

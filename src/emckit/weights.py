@@ -16,11 +16,15 @@ partition for every family holds for every partition.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
+from operator import or_, rshift
+from typing import Collection
 
 from .core import Family, binom
-from .constructions import prefix_size, trace_of
+from .constructions import prefix_size, trace_masks
 
 
 def epsilon_of(k: int) -> Fraction:
@@ -86,6 +90,28 @@ def _width_zero_weight(frame: WeightFrame, d: int) -> Fraction:
     return Fraction(binom(frame.n_bar, frame.k - d), binom(frame.s, frame.k))
 
 
+def width_size_counts(masks: Collection[int], k: int, s: int) -> Counter:
+    """Count subsets of the prefix, given as masks, by (width, size).
+
+    Block i holds bits (i-1)k .. ik-1 and the tail bits sk and up.  Bit
+    (i-1)k of the fold m | m>>1 | ... | m>>(k-1) is the OR of bits
+    (i-1)k .. (i-1)k+k-1 of m, all of them in block i: a shift of at most
+    k-1 never carries a bit of another block, or of the tail, onto a block
+    start.  So the fold meets ``starts``, the bits 0, k, ..., (s-1)k, in one
+    bit per block that m meets, and the width is the count of those bits.
+
+    The shifts are lazy maps over ``masks`` zipped in step, so no list of
+    folds is held; ``masks`` must iterate in the same order every time, as
+    an unchanged set or list does.
+    """
+    starts = sum(1 << i * k for i in range(s))
+    folds = masks
+    for j in range(1, k):
+        folds = map(or_, folds, map(rshift, masks, repeat(j)))
+    widths = map(int.bit_count, map(starts.__and__, folds))
+    return Counter(zip(widths, map(int.bit_count, masks)))
+
+
 def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
     """Double-counting identity: total weighted trace mass equals the family size.
 
@@ -93,10 +119,10 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
     (k-subsets of [s]) whose local universe G_M, the distinguished set plus
     the blocks indexed by M, contains it.  Width and weight depend on the
     member alone, never on M, so one pass over the trace counts its members
-    by (the blocks they meet, as a bitset over block indices; size), and the
-    sum is, over classes, C(s-v, k-v) * count * weight for width v.  The
-    partition is the canonical one; the identity under any other partition
-    is this one for the relabelled family (see the module docstring).
+    by (width, size) (:func:`width_size_counts`), and the sum is, over
+    classes, C(s-v, k-v) * count * weight for width v.  The partition is the
+    canonical one; the identity under any other partition is this one for
+    the relabelled family (see the module docstring).
 
     The direct sum over every M is not computed again: a member meeting v
     blocks lies in exactly the C(s-v, k-v) universes whose M holds those
@@ -106,23 +132,8 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
     member-by-member direct sum is the oracle in ``tests/``.
     """
     k, s = frame.k, frame.s
-    p = frame.prefix
-    block_bit = [0] * (p + 1)  # element -> bit of the block holding it
-    for i in range(1, s + 1):
-        for e in frame.block_elements(i):
-            block_bit[e] = 1 << (i - 1)
-    counts: dict[tuple[int, int], int] = {}
-    for mask in trace_of(fam, k, s).members:
-        met, rest = 0, mask
-        while rest:
-            low = rest & -rest
-            met |= block_bit[low.bit_length()]
-            rest ^= low
-        key = (met, mask.bit_count())
-        counts[key] = counts.get(key, 0) + 1
     lhs = Fraction(0)
-    for (met, d), count in counts.items():
-        v = met.bit_count()
+    for (v, d), count in width_size_counts(trace_masks(fam, k, s), k, s).items():
         weight = weight_cd(v, d, frame) if v else _width_zero_weight(frame, d)
         lhs += binom(s - v, k - v) * count * weight
     rhs = len(fam)

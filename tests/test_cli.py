@@ -24,7 +24,8 @@ IMPORT_GUARD = (
     "import sys; before = set(sys.modules); import emckit.cli; "
     "heavy = {'dataclasses', 'inspect', 'logging', 'random', 'fractions', 'decimal', 'json', "
     "'csv', 'concurrent.futures', 'emckit.constructions', 'emckit.shifting', 'emckit.weights', "
-    "'emckit.transversals', 'emckit.audit', 'emckit.search'} & (set(sys.modules) - before); "
+    "'emckit.transversals', 'emckit.audit', 'emckit.search', 'emckit.matching', 'emckit.report'} "
+    "& (set(sys.modules) - before); "
     "assert not heavy, sorted(heavy)"
 )
 
@@ -84,7 +85,13 @@ def test_only_transversal_loads_the_transversal_layer(argv, loads_transversals):
         f"import contextlib, io\nfrom emckit.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
     )
-    assert "emckit.audit" in loaded
+    assert "emckit.report" in loaded
+    if argv[0] == "verify":
+        # the verdict has integer sides: no audit, weights or rational arithmetic
+        assert "emckit.search" in loaded
+        assert not {"emckit.audit", "emckit.weights", "fractions", "decimal"} & loaded
+    else:
+        assert "emckit.audit" in loaded
     assert ("emckit.transversals" in loaded) is loads_transversals
 
 

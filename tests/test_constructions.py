@@ -10,6 +10,7 @@ from emckit.constructions import (
     crossover_n,
     extremal_sizes,
     prefix_size,
+    trace_masks,
     trace_of,
 )
 from emckit.core import Family, binom, enumerate_ksets, mask_of
@@ -118,6 +119,31 @@ def test_trace_of_warns_on_member_beyond_prefix(capsys):
     assert captured.out == ""
     trace_of(build_B(9, 2, 3), 2, 3)
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "fam,k,s",
+    [
+        (build_B(9, 2, 3), 2, 3),
+        (build_A(13, 3, 3), 3, 3),
+        (Family(7, 2, [mask_of(7, [1, 2]), mask_of(7, [6, 7])]), 2, 2),  # {6,7} traces to {}
+        (Family(6, 2, []), 2, 2),
+    ],
+    ids=["B", "A", "beyond-prefix", "empty"],
+)
+def test_trace_masks_are_the_members_of_the_trace(capsys, fam, k, s):
+    masks = trace_masks(fam, k, s)
+    masks_err = capsys.readouterr().err
+    assert masks == set(trace_of(fam, k, s).members)
+    assert capsys.readouterr().err == masks_err
+    assert (masks_err != "") is (0 in masks)
+
+
+def test_trace_masks_refuse_like_the_trace():
+    fam = build_B(6, 2, 2)
+    for trace in (trace_masks, trace_of):
+        with pytest.raises(ValueError, match="^family ground set 6 smaller than prefix 7$"):
+            trace(fam, 2, 3)
 
 
 def test_generate_from_trace_round_trip():

@@ -29,8 +29,9 @@ def test_tracer_counts_family_builds(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     data = json.loads(spans.read_text())
-    # A(30,4,6) and its trace on the prefix [27]: C(27,4) = 17 550 members each
-    assert data["counts"]["core.family_builds"] == 2
-    assert data["counts"]["core.family_members"] == 35_100
+    # A(30,4,6): C(27,4) = 17 550 members; its trace on the prefix [27] is
+    # counted from masks, without a family of its own
+    assert data["counts"]["core.family_builds"] == 1
+    assert data["counts"]["core.family_members"] == 17_550
     assert data["calls"]["constructions.build_A"] == 1
     assert all(row["pass"] for row in json.loads(out.read_text()))

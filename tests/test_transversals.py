@@ -28,7 +28,6 @@ from emckit.transversals import (
     q_family,
     q_family_check,
     shape_profile,
-    shifts_of,
 )
 
 
@@ -39,6 +38,14 @@ def ground(k: int) -> int:
 
 def identity_shift(elements: Sequence[int]) -> CyclicShift:
     return CyclicShift(tuple(sorted(elements)), 0)
+
+
+def shifts_of(elements: Sequence[int]) -> list[CyclicShift]:
+    """All cyclic shifts on a set, canonical increasing numeration."""
+    base = tuple(sorted(elements))
+    if not base:
+        return [CyclicShift((), 0)]
+    return [CyclicShift(base, j) for j in range(len(base))]
 
 
 def almost_full_transversals(k: int) -> Iterator[Transversal]:

@@ -23,6 +23,7 @@ from emckit.weights import (
     weight_cd,
     weight_value,
     wg_envelope,
+    width_size_counts,
 )
 from test_constructions import generate_from_trace
 
@@ -194,6 +195,59 @@ def test_family_weight_identity_on_random_saturated():
         fam = generate_from_trace(Family(p, None, seeds), n, k)
         lhs, rhs, ok = family_weight_identity(fam, fr)
         assert ok and lhs == len(fam)
+
+
+def walked_width_size_counts(masks: Sequence[int], k: int, s: int) -> Counter:
+    """Oracle for :func:`width_size_counts`: the blocks a mask meets, found
+    by walking its bits one by one."""
+    p = prefix_size(k, s)
+    block_bit = [0] * (p + 1)  # element -> bit of the block holding it; 0 in the tail
+    for i in range(1, s + 1):
+        for e in range((i - 1) * k + 1, i * k + 1):
+            block_bit[e] = 1 << (i - 1)
+    counts: Counter = Counter()
+    for mask in masks:
+        met, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            met |= block_bit[low.bit_length()]
+            rest ^= low
+        counts[met.bit_count(), mask.bit_count()] += 1
+    return counts
+
+
+@st.composite
+def prefix_mask_cases(draw):
+    """(masks, k, s): subsets of the prefix [(s+1)k-1] as masks, with
+    tail-only masks (width 0) and the empty mask among them."""
+    k = draw(st.integers(1, 6))
+    s = draw(st.integers(1, 8))
+    p = prefix_size(k, s)
+    anywhere = st.integers(0, (1 << p) - 1)
+    tail_only = st.integers(0, (1 << k - 1) - 1).map(lambda t: t << s * k)
+    masks = draw(st.lists(st.one_of(anywhere, tail_only, st.just(0)), max_size=40))
+    return masks, k, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_mask_cases())
+# the last bit of a block reaches its start only through the widest shift
+@example(([0b10], 2, 1))
+@example(([0b100000, 0b1000000], 3, 2))
+@example(([], 4, 2))
+def test_width_size_counts_match_the_bit_walk(case):
+    masks, k, s = case
+    assert width_size_counts(masks, k, s) == walked_width_size_counts(masks, k, s)
+
+
+def test_width_size_counts_on_a_candidate_trace():
+    # a set, as family_weight_identity passes it; B(9,2,3) on the prefix [7]
+    # holds pairs meeting [3] and the stubs {1}, {2}, {3} of width 1
+    k, s = 2, 3
+    masks = set(trace_of(build_B(9, k, s), k, s).members)
+    counts = width_size_counts(masks, k, s)
+    assert counts == walked_width_size_counts(sorted(masks), k, s)
+    assert counts[1, 1] == 3 and sum(counts.values()) == len(masks)
 
 
 def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
