@@ -49,11 +49,7 @@ _EXPORTS = {
         "BadPairStats",
         "CyclicShift",
         "ShapeProfile",
-        "Transversal",
-        "all_cyclic_collections",
         "bad_pair_stats",
-        "cyclic_collection",
-        "full_transversals",
         "q_family",
         "q_family_check",
         "shape_profile",
@@ -68,7 +64,6 @@ _EXPORTS = {
         "audit_numeric_lemmas",
         "max_window_n",
         "min_window_n",
-        "overall_pass",
         "product_inequality_check",
         "product_inequality_report",
         "require_window",

@@ -289,7 +289,3 @@ def product_inequality_report(k: int) -> AuditReport:
         witness=first,
         note="0 = number of violating profiles",
     )
-
-
-def overall_pass(reports: list[AuditReport]) -> bool:
-    return all(r.passed for r in reports)

@@ -1,8 +1,9 @@
-"""Command-line front door: parameter parsing, grid orchestration, report
-serialization.
+"""Command-line front door: parameter parsing, family loading, dispatch to
+the layer that builds each command's report rows, and report serialization.
 
 Exit codes: 0 all requested checks pass, 1 any check failed (reports still
-written) or a budget ran out, 2 usage or parameter error.
+written), a budget ran out, or a file could not be read or written
+(``OSError``), 2 usage or parameter error.
 
 Each command imports what it runs inside its handler, so it loads only those
 modules: ``shift`` never loads the audits, the weights or ``fractions``.
@@ -14,7 +15,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core import BudgetExceeded, Family, KSet, binom
+from .core import BudgetExceeded, Family
 
 if TYPE_CHECKING:
     from .report import AuditReport
@@ -137,129 +138,17 @@ def _cmd_crossover(args) -> int:
     return 0 if ok else 1
 
 
-def _transversal_reports(k: int, checks: list[str]) -> list[AuditReport]:
-    from .audit import make_report, product_inequality_report
-    # weight_value is read through transversals, whose full transversals it weighs
-    from .transversals import (
-        _local_layout,
-        _part_masks,
-        bad_pair_stats,
-        cyclic_collection_masks,
-        full_transversal_masks,
-        q_family_check,
-        weight_value,
-    )
-
-    reports = []
-    if "counts" in checks:
-        parts = _part_masks(k)
-        full = [0] + [1] * k  # per-part popcounts: no distinguished element, one per block
-        distinct = {
-            m for m in full_transversal_masks(k) if [(m & p).bit_count() for p in parts] == full
-        }
-        reports.append(
-            make_report("transversal:full_count", {"k": k}, len(distinct), k**k, "==")
-        )
-        # every full transversal has width k and size k, so one weight serves all
-        reports.append(
-            make_report(
-                "transversal:full_weight",
-                {"k": k},
-                0 if weight_value(k, k, 1, k, k) == 1 else 1,
-                0,
-                "==",
-            )
-        )
-    if "cyclic" in checks:
-        # defect set touching blocks 1..k-1 once, canonical choice
-        _, blocks = _local_layout(k)
-        t = KSet.from_elements((k + 1) * k - 1, [b[0] for b in blocks[:-1]])
-        seen = {}  # mask -> the first collection holding it
-        ok = True
-        count = 0
-        for coll in cyclic_collection_masks(t, k):
-            count += 1
-            for q in coll:
-                if seen.setdefault(q, count) != count:
-                    ok = False
-        reports.append(
-            make_report(
-                "transversal:cyclic_collections",
-                {"k": k},
-                count,
-                (k - 1) ** (k - 1),
-                "==",
-            )
-        )
-        reports.append(
-            make_report(
-                "transversal:cyclic_no_shared",
-                {"k": k},
-                0 if ok else 1,
-                0,
-                "==",
-            )
-        )
-    if "badpairs" in checks:
-        stats = bad_pair_stats(k)
-        reports.append(
-            make_report(
-                "transversal:bad_pair_per_set",
-                {"k": k},
-                stats.per_t,
-                k * (k - 1) ** (k - 1),
-                "==",
-            )
-        )
-        reports.append(
-            make_report(
-                "transversal:bad_pair_per_mask",
-                {"k": k},
-                stats.per_mask_max,
-                stats.per_mask_bound,
-                "<=",
-            )
-        )
-        reports.append(
-            make_report(
-                "transversal:bad_pair_doubling",
-                {"k": k},
-                2 * stats.num_t,
-                stats.num_bad_masks,
-                "<=",
-            )
-        )
-    if "q" in checks:
-        failures, first = q_family_check(k)
-        reports.append(
-            make_report("transversal:q_family_disjoint", {"k": k}, failures, 0, "==", witness=first)
-        )
-    if "product" in checks:
-        reports.append(product_inequality_report(k))
-    return reports
-
-
 def _cmd_transversal(args) -> int:
-    from .transversals import BAD_PAIR_MAX_K
+    from .transversals import transversal_reports
 
-    checks = (
-        ["counts", "cyclic", "badpairs", "q", "product"]
-        if args.check == "all"
-        else [args.check]
-    )
-    if "badpairs" in checks and args.k > BAD_PAIR_MAX_K:
-        raise ValueError(f"--check badpairs supports k <= {BAD_PAIR_MAX_K}, got k={args.k}")
-    if "cyclic" in checks and args.k < 2:
-        raise ValueError(f"--check cyclic needs k >= 2, got k={args.k}")
-    reports = _transversal_reports(args.k, checks)
+    reports = transversal_reports(args.k, args.check)
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_identities(args) -> int:
-    from .audit import make_report
-    from .constructions import build_A, build_B, extremal_sizes
-    from .weights import WeightFrame, family_weight_identity, wA_of_M
+    from .constructions import build_A, build_B
+    from .weights import identity_reports
 
     if args.family == "A":
         fam = build_A(args.n, args.k, args.s)
@@ -272,26 +161,7 @@ def _cmd_identities(args) -> int:
             raise ValueError(
                 f"family file has n={fam.n}, k={fam.k}; expected n={args.n}, k={args.k}"
             )
-    frame = WeightFrame(args.n, args.k, args.s)
-    lhs, rhs, ok = family_weight_identity(fam, frame)
-    wa = wA_of_M(frame)
-    size_a = extremal_sizes(args.n, args.k, args.s)[0]
-    reports = [
-        make_report(
-            "identity:family_weight",
-            {"n": args.n, "k": args.k, "s": args.s, "family": args.family},
-            lhs,
-            rhs,
-            "==",
-        ),
-        make_report(
-            "identity:prefix_weight",
-            {"n": args.n, "k": args.k, "s": args.s},
-            binom(args.s, args.k) * wa,
-            size_a,
-            "==",
-        ),
-    ]
+    reports = identity_reports(fam, args.s, args.family)
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -1,6 +1,7 @@
 """Full transversals of the local universe, cyclic-shift
 collections, mask/bad-pair statistics, and the disjoint-cover construction
-for defect sets, together with its multiplicity bounds.
+for defect sets, together with its multiplicity bounds; and the report rows
+of these checks (``transversal_reports``).
 
 All constructions live inside the local universe: the distinguished
 (k-1)-set plus the k blocks B_1..B_k, laid out canonically in the prefix
@@ -15,11 +16,15 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .constructions import prefix_size
 from .core import KSet, _compositions, mask_of
+from .report import AuditReport, make_report
 from .weights import weight_value
 
 # largest k whose bad-pair statistics are counted; k = 8 needs about 2.5e9
 # mask tests against 15 million stored single-choice masks
 BAD_PAIR_MAX_K = 7
+
+# the rows of ``transversal_reports``, in the order "all" runs them
+TRANSVERSAL_CHECKS = ("counts", "cyclic", "badpairs", "q", "product")
 
 
 class _Rotation(NamedTuple):
@@ -43,13 +48,6 @@ class CyclicShift(_Rotation):
         return self.base[(i + self.offset) % len(self.base)]
 
 
-class Transversal(NamedTuple):
-    set: KSet
-    kind: str  # "full" | "almost_full"
-    profile: tuple[int, ...]  # intersection sizes with G0, B_1, ..., B_k
-    weight: Fraction = Fraction(1)
-
-
 def _local_layout(k: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The distinguished set and the blocks B_1..B_k of the local universe.
 
@@ -69,10 +67,6 @@ def _part_masks(k: int) -> list[int]:
     return [mask_of(prefix_size(k, k), part) for part in (g0, *blocks)]
 
 
-def _profile(mask: int, parts: list[int]) -> tuple[int, ...]:
-    return tuple((mask & part).bit_count() for part in parts)
-
-
 def full_transversal_masks(k: int) -> list[int]:
     """The masks of the k^k sets taking exactly one element from each block,
     in ``itertools.product`` order over the blocks.
@@ -85,19 +79,6 @@ def full_transversal_masks(k: int) -> list[int]:
         bits = [1 << (e - 1) for e in b]
         masks = [m | bit for m in masks for bit in bits]
     return masks
-
-
-def full_transversals(k: int) -> Iterator[Transversal]:
-    """The full transversals of ``full_transversal_masks`` as records.
-
-    Each has width k and size k, so its weight is C(n_bar, 0) / C(s - k, 0) = 1;
-    it is computed in the frame ((k+1)k, k, k), where n_bar = 1.
-    """
-    parts = _part_masks(k)
-    ground = prefix_size(k, k)
-    weight = weight_value(k, k, 1, k, k)
-    for mask in full_transversal_masks(k):
-        yield Transversal(KSet(ground, mask), "full", _profile(mask, parts), weight)
 
 
 def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
@@ -139,57 +120,18 @@ def _cyclic_blocks(t: KSet, k: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KSet]:
-    """The k-1 pairwise disjoint full transversals generated from a defect set.
+def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
+    """The masks of the (k-1)^(k-1) collections of k-1 pairwise disjoint
+    full transversals generated from the defect set t, one per tuple of
+    cyclic shifts of the touched blocks' residuals (offsets 0..k-2 on each),
+    in ``itertools.product`` order.
 
     ``t`` must have size k-1, width k-1, avoid the distinguished set, and
-    miss exactly one block (reordered to be last).  ``sigmas`` are k-1 cyclic
-    shifts acting on the residuals of the touched blocks (canonical
-    increasing numeration).  The minimal element of the missed block is the
-    distinguished last numeration slot and never appears in the output.
-    """
-    ground = prefix_size(k, k)
-    blocks = _cyclic_blocks(t, k)
-    if len(sigmas) != k - 1:
-        raise ValueError("need k-1 cyclic shifts")
-
-    # numeration: slots 1..k-1 of each touched block hold its residual in
-    # increasing order; slot k holds t's element.  In the missed block the
-    # minimal element takes slot k.
-    numer: list[tuple[int, ...]] = []
-    for b in blocks[:-1]:
-        t_elt = next(e for e in b if e in t)
-        residual = tuple(e for e in b if e != t_elt)
-        numer.append(residual + (t_elt,))
-    last = blocks[-1]
-    lo = min(last)
-    numer.append(tuple(e for e in last if e != lo) + (lo,))
-
-    for j, (sg, b) in enumerate(zip(sigmas, blocks[:-1])):
-        if set(sg.base) != set(numer[j][:-1]):
-            raise ValueError(f"shift {j} does not act on the residual of block {j}")
-
-    out = []
-    for i in range(1, k):
-        elems = [sigmas[j].apply(numer[j][i - 1]) for j in range(k - 1)]
-        elems.append(numer[k - 1][i - 1])
-        out.append(KSet.from_elements(ground, elems))
-    union = 0
-    for q in out:
-        if union & q.mask:
-            raise AssertionError("collection members must be pairwise disjoint")
-        union |= q.mask
-    return out
-
-
-def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
-    """The masks of the (k-1)^(k-1) collections ``cyclic_collection`` builds
-    from the defect set t, one per tuple of cyclic shifts of the touched
-    blocks' residuals (offsets 0..k-2 on each), in ``itertools.product``
-    order.
-
+    miss exactly one block; the generator checks this on its first ``next``.
     Slot i of a collection takes residual element i + offset (mod k-1) of
-    each touched block and the i-th non-minimal element of the missed block.
+    each touched block and the i-th non-minimal element of the missed block,
+    whose minimum never appears.  The tests build each collection from
+    explicit shifts and numerations as the oracle of this one.
     Each block's bit per slot is computed once per offset, and a collection
     ORs the bits of its offset tuple.
     """
@@ -210,13 +152,6 @@ def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
                 raise AssertionError("collection members must be pairwise disjoint")
             union |= q
         yield coll
-
-
-def all_cyclic_collections(t: KSet, k: int) -> Iterator[list[KSet]]:
-    """The collections of ``cyclic_collection_masks`` as lists of sets."""
-    ground = prefix_size(k, k)
-    for coll in cyclic_collection_masks(t, k):
-        yield [KSet(ground, q) for q in coll]
 
 
 class BadPairStats(NamedTuple):
@@ -509,3 +444,80 @@ def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
                     if first_failure is None:
                         first_failure = (k - p,) + comp
     return failures, first_failure
+
+
+def transversal_reports(k: int, check: str = "all") -> list[AuditReport]:
+    """The rows of one check of ``TRANSVERSAL_CHECKS``, or of all of them in
+    that order.
+
+    A check that cannot run at this k is refused before any row is
+    computed: bad pairs above ``BAD_PAIR_MAX_K``, cyclic collections below
+    k = 2 (there is no defect set).
+    """
+    if check != "all" and check not in TRANSVERSAL_CHECKS:
+        raise ValueError(f"unknown transversal check {check!r}")
+    checks = TRANSVERSAL_CHECKS if check == "all" else (check,)
+    if "badpairs" in checks and k > BAD_PAIR_MAX_K:
+        raise ValueError(f"--check badpairs supports k <= {BAD_PAIR_MAX_K}, got k={k}")
+    if "cyclic" in checks and k < 2:
+        raise ValueError(f"--check cyclic needs k >= 2, got k={k}")
+    params = {"k": k}
+    reports = []
+    if "counts" in checks:
+        parts = _part_masks(k)
+        full = [0] + [1] * k  # per-part popcounts: no distinguished element, one per block
+        distinct = {
+            m for m in full_transversal_masks(k) if [(m & p).bit_count() for p in parts] == full
+        }
+        reports.append(make_report("transversal:full_count", params, len(distinct), k**k, "=="))
+        # every full transversal has width k and size k, so one weight serves
+        # all; in the frame ((k+1)k, k, k) it is C(n_bar, 0) / C(0, 0) = 1
+        wrong_weight = 0 if weight_value(k, k, 1, k, k) == 1 else 1
+        reports.append(make_report("transversal:full_weight", params, wrong_weight, 0, "=="))
+    if "cyclic" in checks:
+        # defect set touching blocks 1..k-1 once, canonical choice
+        _, blocks = _local_layout(k)
+        t = KSet.from_elements(prefix_size(k, k), [b[0] for b in blocks[:-1]])
+        seen = {}  # mask -> the first collection holding it
+        ok = True
+        count = 0
+        for coll in cyclic_collection_masks(t, k):
+            count += 1
+            for q in coll:
+                if seen.setdefault(q, count) != count:
+                    ok = False
+        reports.append(
+            make_report("transversal:cyclic_collections", params, count, (k - 1) ** (k - 1), "==")
+        )
+        reports.append(make_report("transversal:cyclic_no_shared", params, 0 if ok else 1, 0, "=="))
+    if "badpairs" in checks:
+        stats = bad_pair_stats(k)
+        reports.append(
+            make_report(
+                "transversal:bad_pair_per_set", params, stats.per_t, k * (k - 1) ** (k - 1), "=="
+            )
+        )
+        reports.append(
+            make_report(
+                "transversal:bad_pair_per_mask",
+                params,
+                stats.per_mask_max,
+                stats.per_mask_bound,
+                "<=",
+            )
+        )
+        reports.append(
+            make_report(
+                "transversal:bad_pair_doubling", params, 2 * stats.num_t, stats.num_bad_masks, "<="
+            )
+        )
+    if "q" in checks:
+        failures, first = q_family_check(k)
+        reports.append(
+            make_report("transversal:q_family_disjoint", params, failures, 0, "==", witness=first)
+        )
+    if "product" in checks:
+        from .audit import product_inequality_report  # the claim-8 row is an audit
+
+        reports.append(product_inequality_report(k))
+    return reports

@@ -24,7 +24,8 @@ from operator import or_, rshift
 from typing import Collection
 
 from .core import Family, binom
-from .constructions import prefix_size, trace_masks
+from .constructions import extremal_sizes, trace_masks
+from .report import AuditReport, make_report
 
 
 def epsilon_of(k: int) -> Fraction:
@@ -50,23 +51,9 @@ class WeightFrame:
         self.k = k
         self.s = s
 
-    # -- layout ----------------------------------------------------------
-
     @property
     def n_bar(self) -> int:
         return self.n - (self.s + 1) * self.k + 1
-
-    @property
-    def prefix(self) -> int:
-        return prefix_size(self.k, self.s)
-
-    def g0_elements(self) -> tuple[int, ...]:
-        return tuple(range(self.s * self.k + 1, self.prefix + 1))
-
-    def block_elements(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.s:
-            raise ValueError("block index outside [1, s]")
-        return tuple(range((i - 1) * self.k + 1, i * self.k + 1))
 
     def __repr__(self) -> str:
         return f"WeightFrame(n={self.n}, k={self.k}, s={self.s})"
@@ -138,6 +125,25 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, i
         lhs += binom(s - v, k - v) * count * weight
     rhs = len(fam)
     return lhs, rhs, lhs == rhs
+
+
+def identity_reports(fam: Family, s: int, family: str) -> list[AuditReport]:
+    """The two rows of the ``identities`` command in the frame (fam.n, fam.k, s):
+    the weight identity of ``fam``, whose name ``family`` goes into the row's
+    params, and C(s, k) * wA_of_M against the size of the prefix family."""
+    n, k = fam.n, fam.k
+    frame = WeightFrame(n, k, s)
+    lhs, rhs, _ = family_weight_identity(fam, frame)
+    prefix_weight = binom(s, k) * wA_of_M(frame)
+    size_a = extremal_sizes(n, k, s)[0]
+    return [
+        make_report(
+            "identity:family_weight", {"n": n, "k": k, "s": s, "family": family}, lhs, rhs, "=="
+        ),
+        make_report(
+            "identity:prefix_weight", {"n": n, "k": k, "s": s}, prefix_weight, size_a, "=="
+        ),
+    ]
 
 
 def wA_of_M(frame: WeightFrame) -> Fraction:

@@ -14,20 +14,15 @@ from emckit.audit import (
     audit_all,
     max_window_n,
     min_window_n,
-    overall_pass,
     product_inequality_check,
 )
 from emckit.cli import main as cli_main
 from emckit.constructions import build_A, build_B, crossover_n, extremal_sizes, prefix_size
-from emckit.core import Family, KSet, binom, enumerate_ksets
+from emckit.core import Family, binom, enumerate_ksets
 from emckit.matching import matching_number
 from emckit.search import max_family_size
 from emckit.shifting import compress_ij, is_shifted, shift_to_fixpoint
-from emckit.transversals import (
-    all_cyclic_collections,
-    bad_pair_stats,
-    full_transversals,
-)
+from emckit.transversals import bad_pair_stats, transversal_reports
 from emckit.weights import (
     WeightFrame,
     candidate_count,
@@ -111,7 +106,7 @@ def test_ac6_audit_grid():
         for s in (101 * k**3 + 1, 101 * k**3 + 1000):
             for n in (min_window_n(k, s), max_window_n(k, s)):
                 p0 = time.monotonic()
-                ok &= overall_pass(audit_all(k, s, n))
+                ok &= all(r.passed for r in audit_all(k, s, n))
                 worst = max(worst, time.monotonic() - p0)
     ok &= worst < 120
     report("AC6 exact-rational audit grid", ok, time.monotonic() - t0, 8 * 120)
@@ -121,20 +116,13 @@ def test_ac7_transversal_counts():
     t0 = time.monotonic()
     ok = True
     for k in (3, 4):
-        ok &= sum(1 for _ in full_transversals(k)) == k**k
-        # the least element of blocks 1..k-1 of the local universe
-        t = KSet.from_elements((k + 1) * k - 1, [i * k + 1 for i in range(k - 1)])
-        seen: set[int] = set()
-        count = 0
-        for coll in all_cyclic_collections(t, k):
-            count += 1
-            union = 0
-            for q in coll:
-                ok &= not union & q.mask  # pairwise disjoint inside a collection
-                union |= q.mask
-                ok &= q.mask not in seen  # never shared across collections
-                seen.add(q.mask)
-        ok &= count == (k - 1) ** (k - 1)
+        rows = {r.claim_id: r for r in transversal_reports(k, "all")}
+        ok &= all(r.passed and r.recheck() for r in rows.values())
+        ok &= rows["transversal:full_count"].lhs == k**k
+        # the cyclic collections of the canonical defect set, none sharing a
+        # transversal with another
+        ok &= rows["transversal:cyclic_collections"].lhs == (k - 1) ** (k - 1)
+        ok &= rows["transversal:cyclic_no_shared"].lhs == 0
     for k in (3, 4, 5, 6):
         st = bad_pair_stats(k)
         ok &= st.per_t == k * (k - 1) ** (k - 1)

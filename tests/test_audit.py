@@ -16,7 +16,6 @@ from emckit.audit import (
     make_report,
     max_window_n,
     min_window_n,
-    overall_pass,
     require_window,
 )
 
@@ -59,7 +58,7 @@ def test_window_parameter_guards():
 
 def test_claim2_reports_exact_and_pass():
     reports = audit_claim2(5, K5_S, min_window_n(5, K5_S))
-    assert overall_pass(reports)
+    assert all(r.passed for r in reports)
     weight_reports = [r for r in reports if r.claim_id == "claim2:weight_bound"]
     assert len(weight_reports) == sum(1 for c in range(1, 6) for d in range(c, 6))
     for r in weight_reports:
@@ -71,20 +70,20 @@ def test_claim2_reports_exact_and_pass():
 @pytest.mark.parametrize("k", [3, 4])
 def test_claim3_enumerated_counts_pass(k):
     reports = audit_claim3(k)
-    assert overall_pass(reports)
+    assert all(r.passed for r in reports)
     assert len(reports) == sum(1 for c in range(1, k + 1) for d in range(c, k + 1))
 
 
 def test_claim3_beyond_enumeration():
     for k in (6, 7):
         reports = audit_claim3(k)
-        assert overall_pass(reports)
+        assert all(r.passed for r in reports)
         assert len(reports) == k * (k + 1) // 2
 
 
 def test_claim4_pass():
     reports = audit_claim4(5, K5_S, max_window_n(5, K5_S))
-    assert overall_pass(reports)
+    assert all(r.passed for r in reports)
     envs = [r for r in reports if r.claim_id == "claim4:wg_envelope"]
     assert [r.params["g"] for r in envs] == list(range(0, 4))
 
@@ -92,7 +91,7 @@ def test_claim4_pass():
 def test_numeric_lemmas_pass():
     for k, s in [(5, K5_S), (6, K6_S), (7, 101 * 7**3 + 1)]:
         reports = audit_numeric_lemmas(k, s)
-        assert overall_pass(reports)
+        assert all(r.passed for r in reports)
         ids = {r.claim_id for r in reports}
         assert "lemma:shift_count" in ids
         assert "lemma:final_threshold" in ids
@@ -102,7 +101,7 @@ def test_numeric_lemmas_pass():
 def test_audit_all_shape():
     k, s = 5, K5_S
     reports = audit_all(k, s, min_window_n(k, s))
-    assert overall_pass(reports)
+    assert all(r.passed for r in reports)
     claim8 = reports[-1]
     assert claim8.claim_id == "claim8:product_inequality"
     assert (claim8.lhs, claim8.witness) == (0, None)  # no violating profile

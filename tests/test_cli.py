@@ -90,6 +90,10 @@ def test_only_transversal_loads_the_transversal_layer(argv, loads_transversals):
         # the verdict has integer sides: no audit, weights or rational arithmetic
         assert "emckit.search" in loaded
         assert not {"emckit.audit", "emckit.weights", "fractions", "decimal"} & loaded
+    elif argv[0] == "identities":
+        # weights builds the rows itself; no audit is run
+        assert "emckit.weights" in loaded
+        assert "emckit.audit" not in loaded
     else:
         assert "emckit.audit" in loaded
     assert ("emckit.transversals" in loaded) is loads_transversals
@@ -356,6 +360,19 @@ def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
     assert code == 1
     assert (row["lhs"], row["rhs"], row["pass"]) == ("1", "0", False)
     assert row["witness"] == [2, 1]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_transversal_all_is_the_single_checks_in_order(capsys, k):
+    checks = ["counts", "cyclic", "badpairs", "q", "product"]
+    code, out = run(capsys, "transversal", "--k", str(k), "--check", "all")
+    assert code == 0
+    rows = []
+    for check in checks:
+        code, single = run(capsys, "transversal", "--k", str(k), "--check", check)
+        assert code == 0
+        rows.extend(json.loads(single))
+    assert out == json.dumps(rows, indent=2) + "\n"
 
 
 def test_transversal_seed_has_no_effect(capsys):

@@ -12,7 +12,7 @@ import pytest
 from emckit.audit import AuditReport
 from emckit.core import KSet
 from emckit.matching import MatchingCertificate
-from emckit.transversals import BadPairStats, CyclicShift, ShapeProfile, Transversal
+from emckit.transversals import BadPairStats, CyclicShift, ShapeProfile
 
 RECORDS = [
     (MatchingCertificate, ("sets",), ((KSet(4, 0b0011), KSet(4, 0b1100)),)),
@@ -22,7 +22,6 @@ RECORDS = [
         ("c:x", {"k": 5}, Fraction(1, 2), 1, "<=", True, (1, 2), "envelope"),
     ),
     (CyclicShift, ("base", "offset"), ((2, 5, 9), 1)),
-    (Transversal, ("set", "kind", "profile", "weight"), (KSet(6, 0b101), "full", (0, 1, 1), Fraction(1, 3))),
     (
         BadPairStats,
         ("per_t", "per_mask_max", "per_mask_bound", "num_t", "num_bad_masks"),
@@ -44,8 +43,6 @@ def test_record_class(cls, fields, values):
 
 
 def test_record_defaults():
-    t = Transversal(KSet(6, 0b101), "full", (0, 1, 1))
-    assert t.weight == 1 and isinstance(t.weight, Fraction)
     r = AuditReport("c:x", {}, 1, 2, "<", True)
     assert (r.witness, r.note) == (None, "")
 

@@ -13,22 +13,20 @@ from emckit.core import KSet, mask_of
 from emckit.transversals import (
     BadPairStats,
     CyclicShift,
-    Transversal,
+    _cyclic_blocks,
     _local_layout,
     _part_masks,
-    _profile,
     _split_blocks,
-    all_cyclic_collections,
     bad_pair_stats,
     blocks_missing_last,
-    cyclic_collection,
     cyclic_collection_masks,
     full_transversal_masks,
-    full_transversals,
     q_family,
     q_family_check,
     shape_profile,
+    transversal_reports,
 )
+from emckit.weights import weight_value
 
 
 def ground(k: int) -> int:
@@ -48,16 +46,18 @@ def shifts_of(elements: Sequence[int]) -> list[CyclicShift]:
     return [CyclicShift(base, j) for j in range(len(base))]
 
 
-def almost_full_transversals(k: int) -> Iterator[Transversal]:
+def profile(mask: int, k: int) -> tuple[int, ...]:
+    """Intersection sizes of a local-universe set with G0, B_1, ..., B_k."""
+    return tuple((mask & part).bit_count() for part in _part_masks(k))
+
+
+def almost_full_transversals(k: int) -> Iterator[KSet]:
     """All k-subsets of the local universe with width k-1.
 
     Either one block is doubled and one untouched, or one element sits in the
-    distinguished set and one block is untouched.  Weight 1/(s-k+1), which
-    is 1 in the local frame's s = k.
+    distinguished set and one block is untouched.
     """
     g0, blocks = _local_layout(k)
-    w = Fraction(1)
-    parts = _part_masks(k)
     universe = sorted(g0 + tuple(e for b in blocks for e in b))
     block_of = {}
     for i, b in enumerate(blocks, start=1):
@@ -68,8 +68,50 @@ def almost_full_transversals(k: int) -> Iterator[Transversal]:
     for combo in combinations(universe, k):
         v = len({block_of[e] for e in combo} - {0})
         if v == k - 1:
-            ks = KSet.from_elements(ground(k), combo)
-            yield Transversal(ks, "almost_full", _profile(ks.mask, parts), w)
+            yield KSet.from_elements(ground(k), combo)
+
+
+def cyclic_collection(t: KSet, sigmas: Sequence[CyclicShift], k: int) -> list[KSet]:
+    """Oracle of ``cyclic_collection_masks``: the k-1 pairwise disjoint full
+    transversals generated from a defect set by explicit shifts.
+
+    ``t`` must have size k-1, width k-1, avoid the distinguished set, and
+    miss exactly one block (reordered to be last).  ``sigmas`` are k-1 cyclic
+    shifts acting on the residuals of the touched blocks (canonical
+    increasing numeration).  The minimal element of the missed block is the
+    distinguished last numeration slot and never appears in the output.
+    """
+    blocks = _cyclic_blocks(t, k)
+    if len(sigmas) != k - 1:
+        raise ValueError("need k-1 cyclic shifts")
+
+    # numeration: slots 1..k-1 of each touched block hold its residual in
+    # increasing order; slot k holds t's element.  In the missed block the
+    # minimal element takes slot k.
+    numer: list[tuple[int, ...]] = []
+    for b in blocks[:-1]:
+        t_elt = next(e for e in b if e in t)
+        residual = tuple(e for e in b if e != t_elt)
+        numer.append(residual + (t_elt,))
+    last = blocks[-1]
+    lo = min(last)
+    numer.append(tuple(e for e in last if e != lo) + (lo,))
+
+    for j, (sg, b) in enumerate(zip(sigmas, blocks[:-1])):
+        if set(sg.base) != set(numer[j][:-1]):
+            raise ValueError(f"shift {j} does not act on the residual of block {j}")
+
+    out = []
+    for i in range(1, k):
+        elems = [sigmas[j].apply(numer[j][i - 1]) for j in range(k - 1)]
+        elems.append(numer[k - 1][i - 1])
+        out.append(KSet.from_elements(ground(k), elems))
+    union = 0
+    for q in out:
+        if union & q.mask:
+            raise AssertionError("collection members must be pairwise disjoint")
+        union |= q.mask
+    return out
 
 
 # the pair-by-pair enumeration that bad_pair_stats replaced, kept as its oracle
@@ -166,12 +208,12 @@ def test_shifts_of_count():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_full_transversal_count_and_profile(k):
-    ts = list(full_transversals(k))
-    assert len(ts) == k**k
-    assert len({t.set.mask for t in ts}) == k**k
-    for t in ts:
-        assert t.profile == (0,) + (1,) * k
-        assert t.weight == 1
+    masks = full_transversal_masks(k)
+    assert len(masks) == len(set(masks)) == k**k
+    for m in masks:
+        assert profile(m, k) == (0,) + (1,) * k
+    # width k and size k in the frame ((k+1)k, k, k), where n_bar = 1
+    assert weight_value(k, k, 1, k, k) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -185,9 +227,10 @@ def test_full_transversal_masks_are_the_product_of_the_blocks(k):
 def test_almost_full_transversals(k):
     ts = list(almost_full_transversals(k))
     for t in ts:
-        assert t.set.size == k
-        assert sum(1 for x in t.profile[1:] if x) == k - 1
-        assert t.weight == 1
+        assert t.size == k
+        assert sum(1 for x in profile(t.mask, k)[1:] if x) == k - 1
+    # weight C(n_bar, 0) / C(s-k+1, 1) = 1/(s-k+1), which is 1 in the local frame's s = k
+    assert weight_value(k, k, 1, k - 1, k) == 1
     # doubled-block shape plus distinguished-element shape
     expected = k * (k - 1) * (k * (k - 1) // 2) * k ** (k - 2) + (k - 1) * k * k ** (
         k - 1
@@ -199,21 +242,21 @@ def test_cyclic_collection_structure():
     k = 3
     _, blocks = _local_layout(k)
     t = KSet.from_elements(ground(k), [blocks[0][1], blocks[1][0]])
-    colls = list(all_cyclic_collections(t, k))
+    colls = list(cyclic_collection_masks(t, k))
     assert len(colls) == (k - 1) ** (k - 1)
-    min_missed = min(blocks[2])
+    min_missed = 1 << (min(blocks[2]) - 1)
     seen = set()
     for coll in colls:
         assert len(coll) == k - 1
         union = 0
         for q in coll:
-            assert q.size == k
-            assert not q.mask & t.mask
-            assert union & q.mask == 0
-            union |= q.mask
-            assert min_missed not in q
-            assert q.mask not in seen  # no transversal shared across collections
-            seen.add(q.mask)
+            assert profile(q, k) == (0,) + (1,) * k  # a full transversal
+            assert not q & t.mask
+            assert union & q == 0
+            union |= q
+            assert not q & min_missed
+            assert q not in seen  # no transversal shared across collections
+            seen.add(q)
 
 
 def cyclic_defect_sets(k: int) -> Iterator[KSet]:
@@ -239,7 +282,6 @@ def test_cyclic_collection_masks_match_the_oracle(k, step):
         ]
         assert len(expected) == (k - 1) ** (k - 1)
         assert list(cyclic_collection_masks(t, k)) == expected
-        assert [[q.mask for q in c] for c in all_cyclic_collections(t, k)] == expected
         seen += 1
     assert seen == k**k // step
 
@@ -249,7 +291,8 @@ def test_cyclic_collection_validates_input():
     g0, blocks = _local_layout(k)
     good = KSet.from_elements(ground(k), [blocks[0][0], blocks[1][0]])
     sigmas = [identity_shift([e for e in b if e not in good]) for b in blocks[:2]]
-    cyclic_collection(good, sigmas, k)
+    first = [q.mask for q in cyclic_collection(good, sigmas, k)]
+    assert next(cyclic_collection_masks(good, k)) == first  # offsets 0 come first
     bad_width = KSet.from_elements(ground(k), [blocks[0][0], blocks[0][1]])
     with pytest.raises(ValueError):
         cyclic_collection(bad_width, sigmas, k)
@@ -287,6 +330,23 @@ def test_bad_pair_stats_guards():
         bad_pair_stats(2)
     with pytest.raises(ValueError):
         bad_pair_stats(8)
+
+
+def test_transversal_reports_refuse_before_any_row(monkeypatch):
+    def no_row(k):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(transversals, "full_transversal_masks", no_row)
+    for k, check, message in (
+        (8, "all", "--check badpairs supports k <= 7, got k=8"),
+        (8, "badpairs", "--check badpairs supports k <= 7, got k=8"),
+        (1, "all", "--check cyclic needs k >= 2, got k=1"),
+        (1, "cyclic", "--check cyclic needs k >= 2, got k=1"),
+        (3, "count", "unknown transversal check 'count'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            transversal_reports(k, check)
+        assert str(info.value) == message
 
 
 def test_shape_profile():

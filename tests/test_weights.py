@@ -28,11 +28,31 @@ from emckit.weights import (
 from test_constructions import generate_from_trace
 
 
+# the canonical layout of a frame (n, k, s), computed from k and s alone
+
+
+def prefix(frame: WeightFrame) -> int:
+    """Size of the prefix [(s+1)k-1]."""
+    return prefix_size(frame.k, frame.s)
+
+
+def g0_elements(frame: WeightFrame) -> tuple[int, ...]:
+    """The distinguished set, the tail {sk+1, ..., (s+1)k-1} of the prefix."""
+    return tuple(range(frame.s * frame.k + 1, prefix(frame) + 1))
+
+
+def block_elements(frame: WeightFrame, i: int) -> tuple[int, ...]:
+    """Block i, {(i-1)k+1, ..., ik}."""
+    if not 1 <= i <= frame.s:
+        raise ValueError("block index outside [1, s]")
+    return tuple(range((i - 1) * frame.k + 1, i * frame.k + 1))
+
+
 def block_index(frame: WeightFrame, e: int) -> int:
     """Index in [s] of the canonical block holding prefix element e; 0 for
     the distinguished set.  Arithmetic, so it works at any s."""
-    if not 1 <= e <= frame.prefix:
-        raise ValueError(f"element {e} outside prefix [1, {frame.prefix}]")
+    if not 1 <= e <= prefix(frame):
+        raise ValueError(f"element {e} outside prefix [1, {prefix(frame)}]")
     return 0 if e > frame.s * frame.k else (e - 1) // frame.k + 1
 
 
@@ -40,9 +60,9 @@ def gm_elements(frame: WeightFrame, m_indices: Optional[Sequence[int]] = None) -
     """The local universe G_M: the distinguished set plus the blocks indexed
     by M, a k-subset of [s] (blocks 1..k by default)."""
     m = range(1, frame.k + 1) if m_indices is None else m_indices
-    elems = list(frame.g0_elements())
+    elems = list(g0_elements(frame))
     for i in m:
-        elems.extend(frame.block_elements(i))
+        elems.extend(block_elements(frame, i))
     return tuple(sorted(elems))
 
 
@@ -68,7 +88,7 @@ def check_invariants(frame: WeightFrame) -> None:
 
 def width(t: int, frame: WeightFrame) -> int:
     """Number of blocks (indices in [s]) met by a prefix subset, given as a mask."""
-    elements = KSet(frame.prefix, t).elements  # refuses bits beyond the prefix
+    elements = KSet(prefix(frame), t).elements  # refuses bits beyond the prefix
     return len({block_index(frame, e) for e in elements} - {0})
 
 
@@ -118,8 +138,8 @@ class RxCounts(NamedTuple):
 def rx_counts(fam: Family, frame: WeightFrame) -> RxCounts:
     k = frame.k
     tr = trace_of(fam, k, frame.s)
-    gm = mask_of(frame.prefix, gm_elements(frame))
-    g0 = mask_of(frame.prefix, frame.g0_elements())
+    gm = mask_of(prefix(frame), gm_elements(frame))
+    g0 = mask_of(prefix(frame), g0_elements(frame))
     r = {d: 0 for d in range(2, k)}
     x = {d: 0 for d in range(2, k)}
     for t in tr.members:
@@ -140,12 +160,14 @@ def rx_counts(fam: Family, frame: WeightFrame) -> RxCounts:
 
 def test_frame_canonical_layout():
     fr = WeightFrame(12, 3, 3)
-    assert fr.prefix == 11
+    assert prefix(fr) == 11
     assert fr.n_bar == 1
-    assert fr.block_elements(1) == (1, 2, 3)
-    assert fr.block_elements(3) == (7, 8, 9)
-    assert fr.g0_elements() == (10, 11)
-    assert [fr.block_elements(i) for i in range(1, 4)] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    assert block_elements(fr, 1) == (1, 2, 3)
+    assert block_elements(fr, 3) == (7, 8, 9)
+    assert g0_elements(fr) == (10, 11)
+    assert [block_elements(fr, i) for i in range(1, 4)] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    with pytest.raises(ValueError, match="block index outside"):
+        block_elements(fr, 4)
     assert block_index(fr, 5) == 2
     assert block_index(fr, 10) == 0
     check_invariants(fr)
@@ -155,14 +177,14 @@ def test_frame_huge_s_is_lazy():
     # far beyond any bit-vector cap; only arithmetic is allowed to happen
     s = 10**12
     fr = WeightFrame((s + 1) * 5, 5, s)
-    assert fr.block_elements(s) == tuple(range((s - 1) * 5 + 1, s * 5 + 1))
+    assert block_elements(fr, s) == tuple(range((s - 1) * 5 + 1, s * 5 + 1))
     assert block_index(fr, s * 5 + 2) == 0
     assert fr.n_bar == 1
 
 
 def test_width():
     fr = WeightFrame(12, 3, 3)
-    t = mask_of(fr.prefix, [1, 4, 10])
+    t = mask_of(prefix(fr), [1, 4, 10])
     assert width(t, fr) == 2
     assert width(0, fr) == 0
 
@@ -269,7 +291,7 @@ def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fractio
         lhs += binom(s - v, k - v) * weight(t)
     direct = Fraction(0)
     for m_combo in combinations(range(1, s + 1), k):
-        gm = mask_of(frame.prefix, gm_elements(frame, m_combo))
+        gm = mask_of(prefix(frame), gm_elements(frame, m_combo))
         for t in tr.members:
             if t & ~gm == 0:
                 direct += weight(t)
