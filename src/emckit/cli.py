@@ -1,5 +1,12 @@
-"""Command-line front door: parameter parsing, family loading, dispatch to
-the layer that builds each command's report rows, and report serialization.
+"""Command-line front door: the option table, parameter parsing, family
+loading, dispatch to the layer that builds each command's report rows, and
+report serialization.
+
+``COMMANDS`` is the one place a command's options live: the name of its
+handler, its help line, and each option's type or choices, default and
+whether it is required.  ``--help``, parsing and dispatch all read it.  An
+option is given as ``--opt value`` or ``--opt=value``, by its full name
+only; a repeated option keeps its last value.
 
 Exit codes: 0 all requested checks pass, 1 any check failed (reports still
 written), a budget ran out, or a file could not be read or written
@@ -11,9 +18,9 @@ modules: ``shift`` never loads the audits, the weights or ``fractions``.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .core import BudgetExceeded, Family
 
@@ -103,9 +110,10 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _cmd_audit(args) -> int:
-    from .audit import audit_all, max_window_n, min_window_n
+    from .audit import audit_all, max_window_n, min_window_n, require_window
 
     if args.n == "auto":
+        require_window(args.k, args.s)  # the window ends divide by k
         n_values = [min_window_n(args.k, args.s), max_window_n(args.k, args.s)]
     else:
         n_values = _parse_range(args.n)
@@ -192,86 +200,214 @@ def _cmd_find_g0(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="emckit",
-        description="Exact verification workbench for almost-perfect-matching bounds",
+class Option:
+    """One option of a command: its flag, ``int``, ``str`` or a tuple of the
+    values it accepts, its default, whether it must be given, and the
+    attribute it sets (the flag without "--", "-" read as "_", unless
+    ``dest`` names another)."""
+
+    __slots__ = ("flag", "kind", "default", "required", "help", "name")
+
+    def __init__(
+        self,
+        flag: str,
+        kind: Union[type, tuple[str, ...]] = str,
+        default: object = None,
+        *,
+        required: bool = False,
+        help: str = "",
+        dest: str = "",
+    ):
+        self.flag, self.kind, self.default = flag, kind, default
+        self.required, self.help = required, help
+        self.name = dest or flag[2:].replace("-", "_")
+
+    @property
+    def metavar(self) -> str:
+        if isinstance(self.kind, tuple):
+            return "{" + ",".join(self.kind) + "}"
+        return self.name.upper()
+
+
+class Command:
+    """A command: the name of its handler, a function of this module looked
+    up at each call, its help line and its options."""
+
+    __slots__ = ("handler", "help", "options")
+
+    def __init__(self, handler: str, help: str, options: tuple[Option, ...]):
+        self.handler, self.help, self.options = handler, help, options
+
+
+HELP_FLAGS = ("-h", "--help")
+_OUT = Option("--out", help="file to write, or - for stdout (the default)")
+_FORMAT = Option("--format", ("json", "csv"), "json")
+
+COMMANDS = {
+    "audit": Command("_cmd_audit", "run the exact-rational claim audits", (
+        Option("--k", int, required=True),
+        Option("--s", int, required=True),
+        Option("--n", default="auto", help="int, range a..b, or 'auto' (both window endpoints)"),
+        _OUT,
+        _FORMAT,
+        Option("--jobs", int, 1, help="no effect: the points run in one process"),
+    )),
+    "verify": Command("_cmd_verify", "desk-scale extremal verification", (
+        Option("--n", int, required=True),
+        Option("--k", int, required=True),
+        Option("--s", int, required=True),
+        Option("--method", ("exhaustive", "bnb", "shifted_only"), "bnb"),
+        Option(
+            "--node-budget", int,
+            help="most search nodes for bnb and shifted_only (at least 1); exhaustive takes none",
+        ),
+        _OUT,
+        _FORMAT,
+    )),
+    "crossover": Command("_cmd_crossover", "crossover points as CSV", (
+        Option("--k", required=True, help="int or range a..b"),
+        Option("--s-max", int, required=True),
+        _OUT,
+    )),
+    "transversal": Command("_cmd_transversal", "transversal counting checks", (
+        Option("--k", int, required=True),
+        Option("--check", ("counts", "cyclic", "badpairs", "q", "product", "all"), "all"),
+        Option("--seed", int, 0, help="ignored; kept for old command lines"),
+        _OUT,
+        _FORMAT,
+    )),
+    "identities": Command("_cmd_identities", "weight identity checks", (
+        Option("--family", required=True, help="A, B, or a family file path"),
+        Option("--n", int, required=True),
+        Option("--k", int, required=True),
+        Option("--s", int, required=True),
+        _OUT,
+        _FORMAT,
+    )),
+    "shift": Command("_cmd_shift", "compress a family to its shifted fixpoint", (
+        Option("--in", required=True, dest="infile"),
+        _OUT,
+    )),
+    "find-g0": Command("_cmd_find_g0", "search for the distinguished pivot set", (
+        Option("--in", required=True, dest="infile"),
+        Option("--k", int, required=True),
+        Option("--s", int, required=True),
+    )),
+}
+
+
+class UsageError(Exception):
+    """A command line that the option table refuses (exit 2)."""
+
+    def __init__(self, message: str, command: Optional[str] = None):
+        super().__init__(message)
+        self.command = command
+
+
+def _is_value(token: str) -> bool:
+    """Whether the token after an option is its value rather than another
+    option: "-", a negative number and a token with a space are values."""
+    if not token.startswith("-") or token == "-" or " " in token:
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
+
+
+def _convert(opt: Option, value: str, command: str):
+    if opt.kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"argument {opt.flag}: invalid int value: {value!r}", command) from None
+    if isinstance(opt.kind, tuple) and value not in opt.kind:
+        choices = ", ".join(map(repr, opt.kind))
+        raise UsageError(
+            f"argument {opt.flag}: invalid choice: {value!r} (choose from {choices})", command
+        )
+    return value
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
+    """The command named by argv and its options' values, read from ``COMMANDS``.
+
+    Returns ``(command, None)`` when help is asked for, with command None at
+    the top level.  Raises ``UsageError`` for a command line the table refuses.
+    """
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command, *rest = argv
+    if command in HELP_FLAGS:
+        return None, None
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = {opt.flag: opt for opt in COMMANDS[command].options}
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in HELP_FLAGS:
+            return command, None
+        flag, eq, value = token.partition("=")
+        opt = options.get(flag) if token.startswith("--") else None
+        if opt is None:
+            raise UsageError(f"unrecognized arguments: {token}", command)
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise UsageError(f"argument {flag}: expected one argument", command)
+        values[flag] = _convert(opt, value, command)
+    missing = [flag for flag, opt in options.items() if opt.required and flag not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    return command, SimpleNamespace(
+        **{opt.name: values.get(flag, opt.default) for flag, opt in options.items()}
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("audit", help="run the exact-rational claim audits")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", default="auto", help="int, range a..b, or 'auto' (both window endpoints)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--jobs", type=int, default=1, help="no effect: the points run in one process")
-    p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("verify", help="desk-scale extremal verification")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--method", choices=["exhaustive", "bnb", "shifted_only"], default="bnb")
-    p.add_argument(
-        "--node-budget",
-        type=int,
-        default=None,
-        help="most search nodes for bnb and shifted_only (at least 1); exhaustive takes none",
-    )
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_verify)
+def usage(command: Optional[str] = None) -> str:
+    if command is None:
+        return f"usage: emckit {{{','.join(COMMANDS)}}} [options]"
+    parts = [f"usage: emckit {command}"]
+    for opt in COMMANDS[command].options:
+        part = f"{opt.flag} {opt.metavar}"
+        parts.append(part if opt.required else f"[{part}]")
+    return " ".join(parts)
 
-    p = sub.add_parser("crossover", help="crossover points as CSV")
-    p.add_argument("--k", required=True, help="int or range a..b")
-    p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_crossover)
 
-    p = sub.add_parser("transversal", help="transversal counting checks")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--check",
-        choices=["counts", "cyclic", "badpairs", "q", "product", "all"],
-        default="all",
-    )
-    p.add_argument("--seed", type=int, default=0, help="ignored; kept for old command lines")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_transversal)
-
-    p = sub.add_parser("identities", help="weight identity checks")
-    p.add_argument("--family", required=True, help="A, B, or a family file path")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_identities)
-
-    p = sub.add_parser("shift", help="compress a family to its shifted fixpoint")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_shift)
-
-    p = sub.add_parser("find-g0", help="search for the distinguished pivot set")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=_cmd_find_g0)
-
-    return parser
+def help_text(command: Optional[str] = None) -> str:
+    if command is None:
+        lines = [usage(), "", "Exact verification workbench for almost-perfect-matching bounds"]
+        lines += ["", "commands:"] + [f"  {name:<12} {cmd.help}" for name, cmd in COMMANDS.items()]
+        lines += ["", "Options are --opt value or --opt=value, full names only;",
+                  "emckit COMMAND --help lists a command's options."]
+    else:
+        cmd = COMMANDS[command]
+        lines = [usage(command), "", cmd.help, "", "options:"]
+        for opt in cmd.options:
+            notes = [opt.help] if opt.help else []
+            if opt.required:
+                notes.append("required")
+            elif opt.default is not None:
+                notes.append(f"default {opt.default}")
+            lines.append(f"  {opt.flag} {opt.metavar}  " + "; ".join(notes))
+    return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        prog = f"emckit {exc.command}" if exc.command else "emckit"
+        sys.stderr.write(f"{usage(exc.command)}\n{prog}: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(help_text(command))
+        return 0
+    handler = globals()[COMMANDS[command].handler]
     try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:  # ParameterWindowError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

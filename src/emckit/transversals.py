@@ -19,8 +19,9 @@ from .core import KSet, _compositions, mask_of
 from .report import AuditReport, make_report
 from .weights import weight_value
 
-# largest k whose bad-pair statistics are counted; k = 8 needs about 2.5e9
-# mask tests against 15 million stored single-choice masks
+# largest k whose bad-pair statistics are counted; the count itself takes
+# well under a second at k = 8, but ``--check all`` at k = 8 would also
+# enumerate the 8^8 full transversals
 BAD_PAIR_MAX_K = 7
 
 # the rows of ``transversal_reports``, in the order "all" runs them
@@ -186,15 +187,19 @@ def bad_pair_stats(k: int) -> BadPairStats:
     pair.  Hence every count is constant on a class: defect sets with the
     same doubled block, missed pair and minimum flags of the singles, and
     masks with the same missed and doubled blocks and minimum flags.  One
-    representative per defect-set class is tested against every mask of its
-    two types, each bad pair found adds the defect class's size to the mask
-    class's total, and double counting gives the per-mask count as that
+    representative per defect-set class is counted against every mask class
+    of its two types, each bad pair found adds the defect class's size to the
+    mask class's total, and double counting gives the per-mask count as that
     total over the mask class's size, which must divide it exactly.
 
     A mask class is every pair of its doubled block joined with every single
     choice of its class, and the defect set misses that block, so it
     meets no pair: the class's bad pairs with a defect set are its pairs
-    times its single choices disjoint from the defect set.
+    times its single choices disjoint from the defect set.  Those choices
+    are a product over the class's single blocks: a block at its minimum
+    gives 1 if the defect set misses that minimum, else 0, and any other
+    block gives k-1 less the number of its non-minimum elements in the
+    defect set.
     """
     if k < 3:
         raise ValueError("need k >= 3")
@@ -202,30 +207,23 @@ def bad_pair_stats(k: int) -> BadPairStats:
         raise ValueError(f"bad-pair statistics need k <= {BAD_PAIR_MAX_K}, got k={k}")
     _, blocks = _local_layout(k)
     bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
+    block_masks = [sum(b) for b in bits]
+    pairs = k * (k - 1) // 2  # pairs of a mask's doubled block
 
-    # mask classes by type (missed block, doubled block): (class id, minimum
-    # flags of the singles as a bitmask over block indices, the pair masks of
-    # the doubled block, the single-choice masks)
-    mask_classes: dict[tuple[int, int], list[tuple[int, int, list[int], list[int]]]] = {}
+    # mask classes by type (missed block, doubled block): (class id, the
+    # single blocks, their minimum flags as a bitmask over block indices)
+    mask_classes: dict[tuple[int, int], list[tuple[int, list[int], int]]] = {}
     class_sizes: list[int] = []
     for miss in range(k):
         for dbl in range(k):
             if dbl == miss:
                 continue
-            pairs = [a | b for a, b in combinations(bits[dbl], 2)]
-            by_flags = {0: [0]}  # single choices by minimum flags, block by block
-            for i in range(k):
-                if i in (miss, dbl):
-                    continue
-                grown: dict[int, list[int]] = {}
-                for flags, ms in by_flags.items():
-                    grown[flags | 1 << i] = [m | bits[i][0] for m in ms]
-                    grown[flags] = [m | b for m in ms for b in bits[i][1:]]
-                by_flags = grown
+            singles = [i for i in range(k) if i not in (miss, dbl)]
             bucket = []
-            for flags, ms in sorted(by_flags.items()):
-                bucket.append((len(class_sizes), flags, pairs, ms))
-                class_sizes.append(len(pairs) * len(ms))
+            for at_min in product((True, False), repeat=len(singles)):
+                flags = sum(1 << i for i, m in zip(singles, at_min) if m)
+                bucket.append((len(class_sizes), singles, flags))
+                class_sizes.append(pairs * (k - 1) ** at_min.count(False))
             mask_classes[(miss, dbl)] = bucket
 
     totals = [0] * len(class_sizes)  # bad pairs per mask class
@@ -240,16 +238,24 @@ def bad_pair_stats(k: int) -> BadPairStats:
                 tmask = pmask
                 for i, m in zip(singles, at_min):
                     tmask |= bits[i][0 if m else 1]
+                # the single choices of block i that miss the defect set,
+                # at the minimum and off it
+                at_min_free = [0 if bits[i][0] & tmask else 1 for i in range(k)]
+                off_min_free = [
+                    k - 1 - (tmask & m & ~b[0]).bit_count() for m, b in zip(block_masks, bits)
+                ]
                 size = _defect_class_size(k, at_min.count(False))
                 num_t += size
                 cnt = 0
                 for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
-                    for cid, flags, pairs, ms in mask_classes[(dbl_t, f)]:
+                    if block_masks[f] & tmask:
+                        raise AssertionError("a defect set meets the block its masks double")
+                    for cid, mask_singles, flags in mask_classes[(dbl_t, f)]:
                         if flags >> other & 1:
                             continue
-                        if any(p & tmask for p in pairs):
-                            raise AssertionError("a defect set meets the block its masks double")
-                        hits = len(pairs) * len([m for m in ms if not m & tmask])
+                        hits = pairs
+                        for i in mask_singles:
+                            hits *= at_min_free[i] if flags >> i & 1 else off_min_free[i]
                         cnt += hits
                         totals[cid] += size * hits
                 if per_t is None:

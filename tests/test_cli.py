@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,7 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from emckit.cli import fmt_exact, main, render_reports
+from emckit import cli
+from emckit.cli import (
+    _cmd_audit,
+    _cmd_crossover,
+    _cmd_find_g0,
+    _cmd_identities,
+    _cmd_shift,
+    _cmd_transversal,
+    _cmd_verify,
+    fmt_exact,
+    main,
+    render_reports,
+)
 from emckit.audit import make_report
 
 K5_S = 101 * 5**3 + 1
@@ -22,12 +36,86 @@ README = SRC.parent / "README.md"
 # CI runs this test under -W error; modules that site or .pth files load are not counted
 IMPORT_GUARD = (
     "import sys; before = set(sys.modules); import emckit.cli; "
-    "heavy = {'dataclasses', 'inspect', 'logging', 'random', 'fractions', 'decimal', 'json', "
-    "'csv', 'concurrent.futures', 'emckit.constructions', 'emckit.shifting', 'emckit.weights', "
+    "heavy = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'logging', 'random', "
+    "'fractions', 'decimal', 'json', 'csv', 'concurrent.futures', "
+    "'emckit.constructions', 'emckit.shifting', 'emckit.weights', "
     "'emckit.transversals', 'emckit.audit', 'emckit.search', 'emckit.matching', 'emckit.report'} "
     "& (set(sys.modules) - before); "
     "assert not heavy, sorted(heavy)"
 )
+
+
+# the argparse parser that cli.parse_args replaced, kept as its oracle
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="emckit",
+        description="Exact verification workbench for almost-perfect-matching bounds",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("audit", help="run the exact-rational claim audits")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", default="auto", help="int, range a..b, or 'auto' (both window endpoints)")
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--jobs", type=int, default=1, help="no effect: the points run in one process")
+    p.set_defaults(func=_cmd_audit)
+
+    p = sub.add_parser("verify", help="desk-scale extremal verification")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--method", choices=["exhaustive", "bnb", "shifted_only"], default="bnb")
+    p.add_argument(
+        "--node-budget",
+        type=int,
+        default=None,
+        help="most search nodes for bnb and shifted_only (at least 1); exhaustive takes none",
+    )
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("crossover", help="crossover points as CSV")
+    p.add_argument("--k", required=True, help="int or range a..b")
+    p.add_argument("--s-max", type=int, required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_crossover)
+
+    p = sub.add_parser("transversal", help="transversal counting checks")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument(
+        "--check",
+        choices=["counts", "cyclic", "badpairs", "q", "product", "all"],
+        default="all",
+    )
+    p.add_argument("--seed", type=int, default=0, help="ignored; kept for old command lines")
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(func=_cmd_transversal)
+
+    p = sub.add_parser("identities", help="weight identity checks")
+    p.add_argument("--family", required=True, help="A, B, or a family file path")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(func=_cmd_identities)
+
+    p = sub.add_parser("shift", help="compress a family to its shifted fixpoint")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_shift)
+
+    p = sub.add_parser("find-g0", help="search for the distinguished pivot set")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.set_defaults(func=_cmd_find_g0)
+
+    return parser
 
 
 def run(capsys, *argv):
@@ -158,9 +246,150 @@ def test_audit_out_of_window_exits_2(capsys):
     assert code == 2
 
 
+def test_audit_k0_is_refused_before_the_window_ends(capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "emckit.cli", "audit", "--k", "0", "--s", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: audited regime needs k >= 5, got k=0\n"
+    for extra in (["--n", "auto"], ["--n", "5"]):
+        assert main(["audit", "--k", "0", "--s", "1", *extra]) == 2
+        assert capsys.readouterr().err == "error: audited regime needs k >= 5, got k=0\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["audit"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def _valid_values(opt) -> tuple[str, str]:
+    """Two values the option accepts; the second one also checks "-" and a
+    negative number as values."""
+    if opt.kind is int:
+        return "3", "-5"
+    if isinstance(opt.kind, tuple):
+        return opt.kind[-1], opt.kind[0]
+    return "A", "-"
+
+
+def _argvs(name: str) -> list[list[str]]:
+    """Command lines for one command, generated from its option table: valid
+    ones and one refusal of each kind.  None of them has -h or --help, which
+    argparse handles on its own, nor an abbreviated option name, which only
+    argparse reads."""
+    rng = random.Random(name)
+    options = cli.COMMANDS[name].options
+    first = [[opt.flag, _valid_values(opt)[0]] for opt in options]
+    second = [[opt.flag, _valid_values(opt)[1]] for opt in options]
+    required = [pair for pair, opt in zip(first, options) if opt.required]
+
+    def flat(pairs):
+        return [name] + [token for pair in pairs for token in pair]
+
+    def shuffled(pairs):
+        pairs = list(pairs)
+        rng.shuffle(pairs)
+        return pairs
+
+    argvs = [
+        flat(required),
+        flat(first),
+        flat(shuffled(first)),
+        flat(shuffled(second)),
+        [name] + [f"{flag}={value}" for flag, value in shuffled(second)],
+        flat(shuffled(first) + shuffled(second)),  # repeated: the last value wins
+        flat(required) + ["--bogus", "1"],
+        flat(required) + ["stray"],
+        [name],
+    ]
+    for i, opt in enumerate(options):
+        if opt.required:
+            argvs.append(flat(required[:i] + required[i + 1:]))  # one required option missing
+        argvs.append(flat(required) + [opt.flag])  # no value
+        argvs.append(flat(required) + [opt.flag, "--bogus"])  # an option where the value goes
+        argvs.append(flat(required) + [opt.flag, "--out", "x"])
+        if opt.kind is int:
+            argvs += [flat(required) + [opt.flag, bad] for bad in ("x", "1.5", "")]
+            argvs.append(flat(required) + [f"{opt.flag}=x"])
+        if isinstance(opt.kind, tuple):
+            argvs.append(flat(required) + [opt.flag, "nope"])
+            argvs.append(flat(required) + [f"{opt.flag}={opt.kind[0].upper()}"])
+    return argvs
+
+
+def _oracle_parse(argv):
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+    values = dict(vars(ns))
+    return values.pop("command"), values.pop("func").__name__, values
+
+
+def _table_parse(argv):
+    try:
+        command, args = cli.parse_args(argv)
+    except cli.UsageError:
+        return None
+    return command, cli.COMMANDS[command].handler, vars(args)
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_parser_agrees_with_argparse(name, capsys):
+    accepted = refused = 0
+    for argv in [*_argvs(name), ["no-such-command"], []]:
+        expected = _oracle_parse(argv)
+        assert _table_parse(argv) == expected, argv
+        if expected is None:
+            # a usage error: exit 2, usage and an error line on stderr, no stdout
+            capsys.readouterr()
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            usage, error = captured.err.splitlines()
+            assert usage.startswith("usage: emckit") and ": error: " in error, argv
+            refused += 1
+        else:
+            accepted += 1
+    assert accepted >= 6 and refused >= 5
+
+
+def test_abbreviated_options_are_refused(capsys):
+    # argparse reads a prefix of an option name as the option; the table
+    # parser takes full names only
+    for argv in (
+        ["crossover", "--k", "2", "--s", "40"],
+        ["verify", "--n", "6", "--k", "2", "--s", "2", "--node", "9"],
+        ["verify", "--n", "6", "--k", "2", "--s", "2", "--meth=bnb"],
+    ):
+        assert _oracle_parse(argv) is not None
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: unrecognized arguments: --" in captured.err
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_exits_0_with_usage_on_stdout(command, capsys):
+    prefix = [] if command is None else [command]
+    outputs = set()
+    for flag in ("-h", "--help"):
+        assert main([*prefix, flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: emckit")
+        outputs.add(captured.out)
+    (text,) = outputs
+    if command is None:
+        assert all(f"  {name} " in text for name in cli.COMMANDS)
+    else:
+        assert all(f"  {opt.flag} {opt.metavar}" in text for opt in cli.COMMANDS[command].options)
+        assert cli.COMMANDS[command].help in text
+    # help comes before anything after it is read
+    assert main([*prefix, "--help", "--bogus"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

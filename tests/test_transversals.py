@@ -317,6 +317,18 @@ def test_bad_pair_stats_matches_enumeration(k):
     assert bad_pair_stats(k) == enumerated_bad_pair_stats(k)
 
 
+@pytest.mark.parametrize(
+    "k,expected",
+    [(6, (18750, 7500, 194400, 582750)), (7, (326592, 136080, 5294205, 14822892))],
+)
+def test_bad_pair_stats_beyond_enumeration(k, expected):
+    # (per_t, per_mask_max, num_t, num_bad_masks) where the oracle cannot run
+    st = bad_pair_stats(k)
+    assert (st.per_t, st.per_mask_max, st.num_t, st.num_bad_masks) == expected
+    assert st.per_t == k * (k - 1) ** (k - 1)
+    assert st.per_mask_max <= st.per_mask_bound
+
+
 def test_bad_pair_stats_divisibility_guard(monkeypatch):
     # wrong defect-class weights leave some mask-class total that its class
     # size does not divide; the count must refuse rather than round
