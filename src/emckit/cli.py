@@ -57,10 +57,10 @@ def report_to_dict(r: AuditReport) -> dict:
 
 
 def render_reports(reports: list[AuditReport], fmt: str) -> str:
-    import json
+    from .report import to_json
 
     if fmt == "json":
-        return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+        return to_json([report_to_dict(r) for r in reports], indent=2) + "\n"
     if fmt == "csv":
         import csv
         import io
@@ -78,7 +78,7 @@ def render_reports(reports: list[AuditReport], fmt: str) -> str:
                     fmt_exact(r.rhs),
                     r.cmp,
                     str(r.passed).lower(),
-                    "" if r.witness is None else json.dumps(list(r.witness)),
+                    "" if r.witness is None else to_json(r.witness),
                     r.note,
                 ]
             )

@@ -52,16 +52,28 @@ def crossover_n(k: int, s: int) -> int:
     """The minimal n >= (s+1)k at which the [s]-star family overtakes the prefix family.
 
     The star size is strictly increasing in n while the prefix size is
-    constant, so a linear scan with early exit is exact.
+    constant, so "the star is ahead at n" is monotone in n: doubling steps
+    find an n where it is, and bisection the least one.
     """
     if not (s >= k >= 2):
         raise ValueError("need s >= k >= 2")
-    n = (s + 1) * k
-    while True:
+
+    def star_ahead(n: int) -> bool:
         size_a, size_b = extremal_sizes(n, k, s)
-        if size_b > size_a:
-            return n
-        n += 1
+        return size_b > size_a
+
+    behind, step = (s + 1) * k - 1, 1  # the star is behind at every n in [(s+1)k, behind]
+    while not star_ahead(behind + step):
+        behind += step
+        step *= 2
+    ahead = behind + step
+    while ahead - behind > 1:
+        mid = (behind + ahead) // 2
+        if star_ahead(mid):
+            ahead = mid
+        else:
+            behind = mid
+    return ahead
 
 
 def trace_masks(fam: Family, k: int, s: int) -> set[int]:

@@ -2,8 +2,12 @@
 for the distinguished pivot set.
 
 The maximization is over families of k-sets with matching number at most s.
-Two engines: plain exhaustive enumeration over all subfamilies, and a
-branch-and-bound over inclusion decisions.  Method ``shifted_only`` is the
+Two engines: an exhaustive scan of the subfamilies, largest size first, and
+a branch-and-bound over inclusion decisions.  The scan walks each size's
+subfamilies as sorted position tuples in lexicographic order, which is
+colex order on the families they denote (the earlier tuple holds the lowest
+position where the two differ), so the first feasible one at the largest
+feasible size is the colex-least maximizer.  Method ``shifted_only`` is the
 same branch-and-bound restricted to precedence downsets: a set may join only
 after all its single-element decrements.  The restriction is exact because
 shifting keeps |F| and never raises the matching number.
@@ -35,6 +39,7 @@ the search space.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial
 from typing import TYPE_CHECKING, Optional
 
@@ -46,20 +51,12 @@ from .shifting import _decrements
 if TYPE_CHECKING:
     from .report import AuditReport
 
-# The exhaustive scan tests each of the 2^C(n,k) subfamilies against every
-# forbidden (s+1)-matching; it is refused above 2^DEFAULT_EXHAUSTIVE_CAP tests
-# (about a second), and so above DEFAULT_EXHAUSTIVE_CAP k-sets.
+# The exhaustive scan tests subfamilies against every forbidden
+# (s+1)-matching, from the largest size down, so at worst all 2^C(n,k) of
+# them; it is refused above 2^DEFAULT_EXHAUSTIVE_CAP such tests (about a
+# second), and so above DEFAULT_EXHAUSTIVE_CAP k-sets.
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_BNB_CAP = 60
-
-
-def _family_mask_better(a: int, b: int) -> bool:
-    """True if inclusion mask a denotes a colex-smaller family than b (equal sizes)."""
-    diff = a ^ b
-    if not diff:
-        return False
-    low = diff & -diff
-    return bool(a & low)
 
 
 def _matching_count(n: int, k: int, r: int) -> int:
@@ -88,21 +85,17 @@ def _disjoint_tuples(disj: list[int], t: int) -> list[int]:
 
 
 def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
-    """Scan all 2^m subfamilies; returns (max size, best inclusion mask)."""
+    """Scan the subfamilies from the largest size down; returns (max size,
+    inclusion mask of the colex-least maximizer)."""
     m = len(all_masks)
     forbidden = _disjoint_tuples(_disjointness(all_masks), s + 1)
-    best_size = -1
-    best_incl = 0
-    for incl in range(1 << m):
-        size = incl.bit_count()
-        if size < best_size:
-            continue
-        if any(incl & f == f for f in forbidden):
-            continue
-        if size > best_size or _family_mask_better(incl, best_incl):
-            best_size = size
-            best_incl = incl
-    return best_size, best_incl
+    bits = [1 << i for i in range(m)]
+    for size in range(m, 0, -1):
+        for chosen in combinations(bits, size):
+            incl = sum(chosen)
+            if not any(incl & f == f for f in forbidden):
+                return size, incl
+    return 0, 0
 
 
 def _include(

@@ -19,13 +19,15 @@ from .core import KSet, _compositions, mask_of
 from .report import AuditReport, make_report
 from .weights import weight_value
 
-# largest k whose bad-pair statistics are counted; the count itself takes
-# well under a second at k = 8, but ``--check all`` at k = 8 would also
-# enumerate the 8^8 full transversals
-BAD_PAIR_MAX_K = 7
+# largest k whose bad-pair statistics are counted (about 2 s at k = 9)
+BAD_PAIR_MAX_K = 9
 
 # the rows of ``transversal_reports``, in the order "all" runs them
 TRANSVERSAL_CHECKS = ("counts", "cyclic", "badpairs", "q", "product")
+# largest k of each check that enumerates: counts lists the k^k full
+# transversals, cyclic the (k-1)^(k-1) collections (about 10 s and 0.7 GB
+# at k = 8)
+CHECK_MAX_K = {"counts": 7, "cyclic": 8, "badpairs": BAD_PAIR_MAX_K}
 
 
 class _Rotation(NamedTuple):
@@ -457,14 +459,15 @@ def transversal_reports(k: int, check: str = "all") -> list[AuditReport]:
     that order.
 
     A check that cannot run at this k is refused before any row is
-    computed: bad pairs above ``BAD_PAIR_MAX_K``, cyclic collections below
-    k = 2 (there is no defect set).
+    computed: an enumerating check above its ``CHECK_MAX_K``, cyclic
+    collections below k = 2 (there is no defect set).
     """
     if check != "all" and check not in TRANSVERSAL_CHECKS:
         raise ValueError(f"unknown transversal check {check!r}")
     checks = TRANSVERSAL_CHECKS if check == "all" else (check,)
-    if "badpairs" in checks and k > BAD_PAIR_MAX_K:
-        raise ValueError(f"--check badpairs supports k <= {BAD_PAIR_MAX_K}, got k={k}")
+    for name in checks:
+        if name in CHECK_MAX_K and k > CHECK_MAX_K[name]:
+            raise ValueError(f"--check {name} supports k <= {CHECK_MAX_K[name]}, got k={k}")
     if "cyclic" in checks and k < 2:
         raise ValueError(f"--check cyclic needs k >= 2, got k={k}")
     params = {"k": k}

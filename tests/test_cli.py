@@ -155,7 +155,7 @@ def test_family_commands_load_no_reports_weights_or_fractions(tmp_path, command,
     argv = [*command, "--in", str(src)]
     loaded = loaded_by(f"from emckit.cli import main; main({argv!r})")
     assert module in loaded
-    assert not {"fractions", "json", "emckit.weights", "emckit.audit"} & loaded
+    assert not {"fractions", "json", "csv", "emckit.weights", "emckit.audit", "emckit.report"} & loaded
 
 
 @pytest.mark.parametrize(
@@ -169,22 +169,27 @@ def test_family_commands_load_no_reports_weights_or_fractions(tmp_path, command,
     ids=["audit", "verify", "identities", "transversal"],
 )
 def test_only_transversal_loads_the_transversal_layer(argv, loads_transversals):
-    loaded = loaded_by(
-        f"import contextlib, io\nfrom emckit.cli import main\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
-    )
-    assert "emckit.report" in loaded
-    if argv[0] == "verify":
-        # the verdict has integer sides: no audit, weights or rational arithmetic
-        assert "emckit.search" in loaded
-        assert not {"emckit.audit", "emckit.weights", "fractions", "decimal"} & loaded
-    elif argv[0] == "identities":
-        # weights builds the rows itself; no audit is run
-        assert "emckit.weights" in loaded
-        assert "emckit.audit" not in loaded
-    else:
-        assert "emckit.audit" in loaded
-    assert ("emckit.transversals" in loaded) is loads_transversals
+    # emckit.report writes the report in either format, without json
+    for fmt in ("csv", "json"):
+        loaded = loaded_by(
+            f"import contextlib, io\nfrom emckit.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({[*argv, '--format', fmt]!r}) == 0"
+        )
+        assert "emckit.report" in loaded
+        assert "json" not in loaded
+        assert ("csv" in loaded) is (fmt == "csv")
+        if argv[0] == "verify":
+            # the verdict has integer sides: no audit, weights or rational arithmetic
+            assert "emckit.search" in loaded
+            assert not {"emckit.audit", "emckit.weights", "fractions", "decimal"} & loaded
+        elif argv[0] == "identities":
+            # weights builds the rows itself; no audit is run
+            assert "emckit.weights" in loaded
+            assert "emckit.audit" not in loaded
+        else:
+            assert "emckit.audit" in loaded
+        assert ("emckit.transversals" in loaded) is loads_transversals
 
 
 def test_bench_nu_imports_load_no_search_or_fractions():
@@ -220,9 +225,13 @@ def test_render_json_fields_and_order():
 
 def test_render_csv():
     r = make_report("c:x", {"k": 5}, 2, 1, "<", witness=(1, 2))
-    rows = list(csv.reader(io.StringIO(render_reports([r], "csv"))))
+    nested = make_report("c:y", {"k": 5}, 2, 1, "<", witness=((1, 2), (3,)), note="a, \"b\"")
+    rows = list(csv.reader(io.StringIO(render_reports([r, nested], "csv"))))
     assert rows[0][0] == "claim_id"
     assert rows[1][:6] == ["c:x", "k=5", "2", "1", "<", "false"]
+    # the witness column is compact JSON
+    assert rows[1][6] == "[1, 2]"
+    assert rows[2][6:] == ["[[1, 2], [3]]", 'a, "b"']
 
 
 def test_audit_auto_runs_both_endpoints(tmp_path, capsys):
@@ -641,12 +650,23 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
 
 
 def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
-    for check in ("badpairs", "all"):
-        code = main(["transversal", "--k", "8", "--check", check])
+    # each enumerating check has its own largest k; "all" meets the counts gate
+    for k, check in ((10, "badpairs"), (8, "all"), (12, "counts"), (9, "cyclic")):
+        code = main(["transversal", "--k", str(k), "--check", check])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+def test_transversal_badpairs_at_k8_passes(capsys):
+    code, out = run(capsys, "transversal", "--k", "8", "--check", "badpairs")
+    rows = json.loads(out)
+    assert code == 0
+    assert [r["claim_id"] for r in rows] == [
+        "transversal:bad_pair_per_set", "transversal:bad_pair_per_mask", "transversal:bad_pair_doubling"
+    ]
+    assert all(r["pass"] for r in rows)
 
 
 def test_identities_builtin_families(capsys):

@@ -95,6 +95,22 @@ def test_crossover_definition():
             assert b0 <= a0
 
 
+def linear_crossover_n(k: int, s: int) -> int:
+    """Oracle of ``crossover_n``: the first n >= (s+1)k where the star is ahead."""
+    n = (s + 1) * k
+    while True:
+        size_a, size_b = extremal_sizes(n, k, s)
+        if size_b > size_a:
+            return n
+        n += 1
+
+
+def test_crossover_matches_the_linear_scan():
+    for k in range(2, 7):
+        for s in [*range(k, 301), 1000, 5000]:
+            assert crossover_n(k, s) == linear_crossover_n(k, s), (k, s)
+
+
 def test_trace_of_B():
     tr = trace_of(build_B(9, 2, 3), 2, 3)
     # pairs meeting [3] inside the prefix, plus singleton stubs {1},{2},{3}

@@ -203,6 +203,51 @@ def test_methods_agree_small():
         assert matching_number(wit_b)[0] <= s
 
 
+def _family_mask_better(a: int, b: int) -> bool:
+    """True if inclusion mask a denotes a colex-smaller family than b (equal sizes)."""
+    diff = a ^ b
+    if not diff:
+        return False
+    low = diff & -diff
+    return bool(a & low)
+
+
+def full_scan_max(all_masks: list[int], s: int) -> tuple[int, int]:
+    """Oracle of the top-down exhaustive scan: all 2^m subfamilies, keeping
+    the colex-least of the largest feasible ones."""
+    m = len(all_masks)
+    forbidden = _disjoint_tuples(_disjointness(all_masks), s + 1)
+    best_size = -1
+    best_incl = 0
+    for incl in range(1 << m):
+        size = incl.bit_count()
+        if size < best_size:
+            continue
+        if any(incl & f == f for f in forbidden):
+            continue
+        if size > best_size or _family_mask_better(incl, best_incl):
+            best_size = size
+            best_incl = incl
+    return best_size, best_incl
+
+
+def test_exhaustive_scan_matches_the_full_scan():
+    # every instance with n <= 8 and s <= 4 that the exhaustive gate admits
+    cases = 0
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for s in range(1, 5):
+                m = comb(n, k)
+                if m > search.DEFAULT_EXHAUSTIVE_CAP:
+                    continue
+                if (_matching_count(n, k, s + 1) + 1) << m > 1 << search.DEFAULT_EXHAUSTIVE_CAP:
+                    continue
+                masks = list(enumerate_ksets(n, k))
+                assert search._exhaustive_max(masks, s) == full_scan_max(masks, s), (n, k, s)
+                cases += 1
+    assert cases == 114
+
+
 def test_downset_search_matches_unrestricted():
     # compression preserves the maximum, so downsets suffice
     for (n, k, s) in [(4, 2, 1), (6, 2, 2), (6, 3, 1)]:

@@ -319,7 +319,11 @@ def test_bad_pair_stats_matches_enumeration(k):
 
 @pytest.mark.parametrize(
     "k,expected",
-    [(6, (18750, 7500, 194400, 582750)), (7, (326592, 136080, 5294205, 14822892))],
+    [
+        (6, (18750, 7500, 194400, 582750)),
+        (7, (326592, 136080, 5294205, 14822892)),
+        (8, (6588344, 2823576, 154140672, 411040224)),
+    ],
 )
 def test_bad_pair_stats_beyond_enumeration(k, expected):
     # (per_t, per_mask_max, num_t, num_bad_masks) where the oracle cannot run
@@ -341,17 +345,20 @@ def test_bad_pair_stats_guards():
     with pytest.raises(ValueError):
         bad_pair_stats(2)
     with pytest.raises(ValueError):
-        bad_pair_stats(8)
+        bad_pair_stats(10)
 
 
 def test_transversal_reports_refuse_before_any_row(monkeypatch):
     def no_row(k):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(transversals, "full_transversal_masks", no_row)
+    for name in ("full_transversal_masks", "cyclic_collection_masks", "bad_pair_stats"):
+        monkeypatch.setattr(transversals, name, no_row)
     for k, check, message in (
-        (8, "all", "--check badpairs supports k <= 7, got k=8"),
-        (8, "badpairs", "--check badpairs supports k <= 7, got k=8"),
+        (8, "all", "--check counts supports k <= 7, got k=8"),
+        (12, "counts", "--check counts supports k <= 7, got k=12"),
+        (9, "cyclic", "--check cyclic supports k <= 8, got k=9"),
+        (10, "badpairs", "--check badpairs supports k <= 9, got k=10"),
         (1, "all", "--check cyclic needs k >= 2, got k=1"),
         (1, "cyclic", "--check cyclic needs k >= 2, got k=1"),
         (3, "count", "unknown transversal check 'count'"),
