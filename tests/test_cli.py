@@ -155,7 +155,8 @@ def test_family_commands_load_no_reports_weights_or_fractions(tmp_path, command,
     argv = [*command, "--in", str(src)]
     loaded = loaded_by(f"from emckit.cli import main; main({argv!r})")
     assert module in loaded
-    assert not {"fractions", "json", "csv", "emckit.weights", "emckit.audit", "emckit.report"} & loaded
+    unused = {"fractions", "json", "csv", "emckit.weights", "emckit.audit", "emckit.report"}
+    assert not unused & loaded
 
 
 @pytest.mark.parametrize(
@@ -664,7 +665,9 @@ def test_transversal_badpairs_at_k8_passes(capsys):
     rows = json.loads(out)
     assert code == 0
     assert [r["claim_id"] for r in rows] == [
-        "transversal:bad_pair_per_set", "transversal:bad_pair_per_mask", "transversal:bad_pair_doubling"
+        "transversal:bad_pair_per_set",
+        "transversal:bad_pair_per_mask",
+        "transversal:bad_pair_doubling",
     ]
     assert all(r["pass"] for r in rows)
 

@@ -349,7 +349,7 @@ def test_bad_pair_stats_guards():
 
 
 def test_transversal_reports_refuse_before_any_row(monkeypatch):
-    def no_row(k):
+    def no_row(*args):
         raise AssertionError("a row was computed")
 
     for name in ("full_transversal_masks", "cyclic_collection_masks", "bad_pair_stats"):
