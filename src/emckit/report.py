@@ -57,8 +57,6 @@ def _escape(ch: str) -> str:
 
 
 def _quote(text: str) -> str:
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
     body = "".join(ch if " " <= ch <= "~" and ch not in '"\\' else _escape(ch) for ch in text)
     return f'"{body}"'
 

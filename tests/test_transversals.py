@@ -323,6 +323,7 @@ def test_bad_pair_stats_matches_enumeration(k):
         (6, (18750, 7500, 194400, 582750)),
         (7, (326592, 136080, 5294205, 14822892)),
         (8, (6588344, 2823576, 154140672, 411040224)),
+        (9, (150994944, 66060288, 4821232752, 12397453056)),
     ],
 )
 def test_bad_pair_stats_beyond_enumeration(k, expected):
