@@ -32,7 +32,6 @@ _EXPORTS = {
         "crossover_n",
         "extremal_sizes",
         "prefix_size",
-        "trace_of",
     ),
     "weights": (
         "WeightFrame",
@@ -41,7 +40,6 @@ _EXPORTS = {
         "claim3_bound",
         "family_weight_identity",
         "wA_of_M",
-        "weight_cd",
         "weight_value",
         "wg_envelope",
     ),

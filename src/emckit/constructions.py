@@ -91,8 +91,3 @@ def trace_masks(fam: Family, k: int, s: int) -> set[int]:
         sys.stderr.write("trace contains the empty set (member beyond the prefix)\n")
     return masks
 
-
-def trace_of(fam: Family, k: int, s: int) -> Family:
-    """The family of intersections of members with the prefix, duplicates
-    removed (see :func:`trace_masks`)."""
-    return Family.from_masks(prefix_size(k, s), None, trace_masks(fam, k, s))

@@ -5,6 +5,8 @@ partition of the prefix [(s+1)k-1] into s blocks of size k, block i being
 {(i-1)k+1, ..., ik}, and the distinguished (k-1)-set {sk+1, ..., (s+1)k-1}.
 The width of a prefix subset is the number of blocks it meets; weights are
 the exact rationals C(n_bar, k-d) / C(s-c, k-c) of width-c, size-d sets.
+The family weight identity reads only the sizes of the trace members: the
+width cancels from each of its terms, so it reads no partition at all.
 
 The proof anchors its partition to the family; nothing here does, and one
 layout is enough.  A permutation pi of the prefix carries the canonical
@@ -18,10 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 from math import factorial
-from operator import or_, rshift
-from typing import Collection
 
 from .core import Family, binom
 from .constructions import extremal_sizes, trace_masks
@@ -68,61 +67,24 @@ def weight_value(k: int, s: int, n_bar: int, c: int, d: int) -> Fraction:
     return Fraction(binom(n_bar, k - d), binom(s - c, k - c))
 
 
-def weight_cd(c: int, d: int, frame: WeightFrame) -> Fraction:
-    return weight_value(frame.k, frame.s, frame.n_bar, c, d)
-
-
-def _width_zero_weight(frame: WeightFrame, d: int) -> Fraction:
-    # sets inside the distinguished set: multiplier C(s,k), weight C(n_bar,k-d)/C(s,k)
-    return Fraction(binom(frame.n_bar, frame.k - d), binom(frame.s, frame.k))
-
-
-def width_size_counts(masks: Collection[int], k: int, s: int) -> Counter:
-    """Count subsets of the prefix, given as masks, by (width, size).
-
-    Block i holds bits (i-1)k .. ik-1 and the tail bits sk and up.  Bit
-    (i-1)k of the fold m | m>>1 | ... | m>>(k-1) is the OR of bits
-    (i-1)k .. (i-1)k+k-1 of m, all of them in block i: a shift of at most
-    k-1 never carries a bit of another block, or of the tail, onto a block
-    start.  So the fold meets ``starts``, the bits 0, k, ..., (s-1)k, in one
-    bit per block that m meets, and the width is the count of those bits.
-
-    The shifts are lazy maps over ``masks`` zipped in step, so no list of
-    folds is held; ``masks`` must iterate in the same order every time, as
-    an unchanged set or list does.
-    """
-    starts = sum(1 << i * k for i in range(s))
-    folds = masks
-    for j in range(1, k):
-        folds = map(or_, folds, map(rshift, masks, repeat(j)))
-    widths = map(int.bit_count, map(starts.__and__, folds))
-    return Counter(zip(widths, map(int.bit_count, masks)))
-
-
-def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
+def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[int, int, bool]:
     """Double-counting identity: total weighted trace mass equals the family size.
 
     The reduced sum weighs each trace member by the number of index sets M
     (k-subsets of [s]) whose local universe G_M, the distinguished set plus
-    the blocks indexed by M, contains it.  Width and weight depend on the
-    member alone, never on M, so one pass over the trace counts its members
-    by (width, size) (:func:`width_size_counts`), and the sum is, over
-    classes, C(s-v, k-v) * count * weight for width v.  The partition is the
-    canonical one; the identity under any other partition is this one for
-    the relabelled family (see the module docstring).
-
-    The direct sum over every M is not computed again: a member meeting v
-    blocks lies in exactly the C(s-v, k-v) universes whose M holds those
-    blocks, which is the multiplier above, so the two sums agree term by
-    term.  And C(s-v, k-v) * w(v, d) = C(n_bar, k-d), so each term is
-    count * C(n_bar, k-d) and the row does not depend on the widths.  The
-    member-by-member direct sum is the oracle in ``tests/``.
+    the blocks indexed by M, contains it.  A member of width v and size d
+    lies in exactly the C(s-v, k-v) universes whose M holds its v blocks,
+    and weighs C(n_bar, k-d) / C(s-v, k-v) in each, so its term is
+    C(n_bar, k-d) whatever its width: the sum is, over sizes d, the number
+    of trace members of size d times C(n_bar, k-d), and reads no partition.
+    A member larger than k has no weight and is refused.  The
+    member-by-member direct sum over M is the oracle in ``tests/``.
     """
-    k, s = frame.k, frame.s
-    lhs = Fraction(0)
-    for (v, d), count in width_size_counts(trace_masks(fam, k, s), k, s).items():
-        weight = weight_cd(v, d, frame) if v else _width_zero_weight(frame, d)
-        lhs += binom(s - v, k - v) * count * weight
+    k = frame.k
+    sizes = Counter(map(int.bit_count, trace_masks(fam, k, frame.s)))
+    if max(sizes, default=0) > k:
+        raise ValueError(f"trace member larger than k = {k}")
+    lhs = sum(count * binom(frame.n_bar, k - d) for d, count in sizes.items())
     rhs = len(fam)
     return lhs, rhs, lhs == rhs
 

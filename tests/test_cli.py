@@ -578,6 +578,30 @@ def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
     assert (row["lhs"], row["rhs"], row["pass"]) == ("26", "27", False)
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda colls: [colls[0]] + colls[:-1],  # still (k-1)^(k-1) collections
+        lambda colls: [[colls[0][0] | 1] + colls[0][1:]] + colls[1:],  # t's element of block 1
+        lambda colls: [[colls[0][0] | 1 << 9] + colls[0][1:]] + colls[1:],  # distinguished 10
+    ],
+    ids=["repeated-collection", "block-bit-undecodable", "tail-bit-undecodable"],
+)
+def test_transversal_cyclic_no_shared_fails(capsys, monkeypatch, fault):
+    import emckit.transversals as transversals
+
+    original = transversals.cyclic_collection_masks
+    monkeypatch.setattr(
+        transversals, "cyclic_collection_masks", lambda t, k: iter(fault(list(original(t, k))))
+    )
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "cyclic")
+    rows = {r["claim_id"]: r for r in json.loads(out)}
+    assert code == 1
+    row = rows["transversal:cyclic_no_shared"]
+    assert (row["lhs"], row["rhs"], row["pass"]) == ("1", "0", False)
+    assert rows["transversal:cyclic_collections"]["pass"] is True
+
+
 def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
     import emckit.transversals as transversals
 

@@ -11,14 +11,18 @@ from emckit.constructions import (
     extremal_sizes,
     prefix_size,
     trace_masks,
-    trace_of,
 )
-from emckit.core import Family, binom, enumerate_ksets, mask_of
+from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
 from emckit.matching import matching_number
 
 
 class TraceCountMismatch(RuntimeError):
     """The trace counting identity disagreed with the materialized family."""
+
+
+def trace_family(fam: Family, k: int, s: int) -> Family:
+    """The trace as a family on the prefix, for the oracles that take one."""
+    return Family.from_masks(prefix_size(k, s), None, trace_masks(fam, k, s))
 
 
 def generate_from_trace(tr: Family, n: int, k: int) -> Family:
@@ -111,29 +115,29 @@ def test_crossover_matches_the_linear_scan():
             assert crossover_n(k, s) == linear_crossover_n(k, s), (k, s)
 
 
-def test_trace_of_B():
-    tr = trace_of(build_B(9, 2, 3), 2, 3)
+def test_trace_masks_of_B():
+    masks = trace_masks(build_B(9, 2, 3), 2, 3)
     # pairs meeting [3] inside the prefix, plus singleton stubs {1},{2},{3}
-    sizes = sorted(t.bit_count() for t in tr.members)
+    sizes = sorted(t.bit_count() for t in masks)
     assert sizes.count(1) == 3
-    assert all((t & -t).bit_length() <= 3 for t in tr.members)
+    assert all((t & -t).bit_length() <= 3 for t in masks)
 
 
 def test_trace_requires_prefix():
-    fam = build_B(6, 2, 2)
+    # the prefix of (k, s) = (2, 3) is [7]
     with pytest.raises(ValueError):
-        trace_of(fam, 2, 3)
+        trace_masks(Family(6, 2, []), 2, 3)
+    assert trace_masks(Family(7, 2, []), 2, 3) == set()
 
 
-def test_trace_of_warns_on_member_beyond_prefix(capsys):
+def test_trace_masks_warn_on_member_beyond_prefix(capsys):
     # prefix [5] for k = 2, s = 2; {6, 7} leaves the empty set in the trace
     fam = Family(7, 2, [mask_of(7, [1, 2]), mask_of(7, [6, 7])])
-    tr = trace_of(fam, 2, 2)
-    assert 0 in tr.mask_set
+    assert 0 in trace_masks(fam, 2, 2)
     captured = capsys.readouterr()
     assert captured.err == "trace contains the empty set (member beyond the prefix)\n"
     assert captured.out == ""
-    trace_of(build_B(9, 2, 3), 2, 3)
+    trace_masks(build_B(9, 2, 3), 2, 3)
     assert capsys.readouterr().err == ""
 
 
@@ -150,28 +154,29 @@ def test_trace_of_warns_on_member_beyond_prefix(capsys):
 def test_trace_masks_are_the_members_of_the_trace(capsys, fam, k, s):
     masks = trace_masks(fam, k, s)
     masks_err = capsys.readouterr().err
-    assert masks == set(trace_of(fam, k, s).members)
-    assert capsys.readouterr().err == masks_err
+    p = prefix_size(k, s)
+    trace = {
+        mask_of(p, [e for e in KSet(fam.n, m).elements if e <= p]) for m in fam.members
+    }
+    assert masks == trace
     assert (masks_err != "") is (0 in masks)
 
 
 def test_trace_masks_refuse_like_the_trace():
-    fam = build_B(6, 2, 2)
-    for trace in (trace_masks, trace_of):
-        with pytest.raises(ValueError, match="^family ground set 6 smaller than prefix 7$"):
-            trace(fam, 2, 3)
+    with pytest.raises(ValueError, match="^family ground set 6 smaller than prefix 7$"):
+        trace_masks(build_B(6, 2, 2), 2, 3)
 
 
 def test_generate_from_trace_round_trip():
     B = build_B(9, 2, 3)
-    tr = trace_of(B, 2, 3)
+    tr = trace_family(B, 2, 3)
     assert generate_from_trace(tr, 9, 2) == B
 
 
 def test_size_via_trace_on_candidates():
     for (n, k, s) in [(9, 2, 3), (10, 2, 3), (8, 3, 2), (9, 3, 2)]:
         for fam in (build_A(n, k, s), build_B(n, k, s)):
-            tr = trace_of(fam, k, s)
+            tr = trace_family(fam, k, s)
             assert size_via_trace(tr, n, k, s, check=True) == len(fam)
 
 
@@ -190,5 +195,5 @@ def test_random_saturated_families_satisfy_identity():
     for _ in range(20):
         seeds = Family(p, None, rng.sample(list(enumerate_ksets(p, k)), 4))
         fam = generate_from_trace(seeds, n, k)
-        tr = trace_of(fam, k, s)
+        tr = trace_family(fam, k, s)
         assert size_via_trace(tr, n, k, s, check=True) == len(fam)

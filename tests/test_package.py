@@ -1,4 +1,4 @@
-"""The package's public names: the 59 of the frozen list below, each
+"""The package's public names: the 57 of the frozen list below, each
 resolved lazily to the object in its home module."""
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ HOMES = {
     "matching": ("MatchingCertificate", "matching_number"),
     "shifting": ("compress_ij", "is_shifted", "shift_to_fixpoint"),
     "constructions": (
-        "build_A", "build_B", "crossover_n", "extremal_sizes", "prefix_size", "trace_of",
+        "build_A", "build_B", "crossover_n", "extremal_sizes", "prefix_size",
     ),
     "weights": (
         "WeightFrame", "block_subset_count", "candidate_count", "claim3_bound",
-        "family_weight_identity", "wA_of_M", "weight_cd", "weight_value", "wg_envelope",
+        "family_weight_identity", "wA_of_M", "weight_value", "wg_envelope",
     ),
     "transversals": (
         "BadPairStats", "CyclicShift", "ShapeProfile", "bad_pair_stats", "q_family",
@@ -46,7 +46,7 @@ PUBLIC = set(HOMES) | {name for names in HOMES.values() for name in names}
 
 
 def test_all_is_the_frozen_public_surface():
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 57
     assert emckit.__all__ == sorted(PUBLIC)
     # beyond these, dir() lists only submodules imported since, such as cli
     extra = {name for name in dir(emckit) if not name.startswith("_")} - PUBLIC
@@ -76,7 +76,7 @@ def test_star_import_binds_every_name():
         [sys.executable, "-W", "error", "-c", probe],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "59\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "57\n")
 
 
 def test_unknown_name_raises_attribute_error():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emckit.constructions import build_A, build_B, prefix_size, trace_of
+from emckit.constructions import build_A, build_B, prefix_size, trace_masks
 from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
 from emckit.weights import (
     WeightFrame,
@@ -20,12 +20,10 @@ from emckit.weights import (
     claim3_bound,
     family_weight_identity,
     wA_of_M,
-    weight_cd,
     weight_value,
     wg_envelope,
-    width_size_counts,
 )
-from test_constructions import generate_from_trace
+from test_constructions import generate_from_trace, trace_family
 
 
 # the canonical layout of a frame (n, k, s), computed from k and s alone
@@ -107,7 +105,7 @@ def anchor(
     elements = sorted(g0 + tuple(e for b in blocks for e in b))
     if sizes != [k - 1] + [k] * s or elements != list(range(1, p + 1)):
         raise ValueError("need a (k-1)-set and s blocks of size k partitioning the prefix")
-    tr_masks = trace_of(fam, k, s).mask_set
+    tr_masks = trace_masks(fam, k, s)
     for i, b in enumerate(blocks, start=1):
         if mask_of(p, b) not in tr_masks:
             raise ValueError(f"block {i} is not a trace member")
@@ -137,12 +135,11 @@ class RxCounts(NamedTuple):
 
 def rx_counts(fam: Family, frame: WeightFrame) -> RxCounts:
     k = frame.k
-    tr = trace_of(fam, k, frame.s)
     gm = mask_of(prefix(frame), gm_elements(frame))
     g0 = mask_of(prefix(frame), g0_elements(frame))
     r = {d: 0 for d in range(2, k)}
     x = {d: 0 for d in range(2, k)}
-    for t in tr.members:
+    for t in trace_masks(fam, k, frame.s):
         if t & ~gm:
             continue
         d = t.bit_count()
@@ -219,71 +216,18 @@ def test_family_weight_identity_on_random_saturated():
         assert ok and lhs == len(fam)
 
 
-def walked_width_size_counts(masks: Sequence[int], k: int, s: int) -> Counter:
-    """Oracle for :func:`width_size_counts`: the blocks a mask meets, found
-    by walking its bits one by one."""
-    p = prefix_size(k, s)
-    block_bit = [0] * (p + 1)  # element -> bit of the block holding it; 0 in the tail
-    for i in range(1, s + 1):
-        for e in range((i - 1) * k + 1, i * k + 1):
-            block_bit[e] = 1 << (i - 1)
-    counts: Counter = Counter()
-    for mask in masks:
-        met, rest = 0, mask
-        while rest:
-            low = rest & -rest
-            met |= block_bit[low.bit_length()]
-            rest ^= low
-        counts[met.bit_count(), mask.bit_count()] += 1
-    return counts
-
-
-@st.composite
-def prefix_mask_cases(draw):
-    """(masks, k, s): subsets of the prefix [(s+1)k-1] as masks, with
-    tail-only masks (width 0) and the empty mask among them."""
-    k = draw(st.integers(1, 6))
-    s = draw(st.integers(1, 8))
-    p = prefix_size(k, s)
-    anywhere = st.integers(0, (1 << p) - 1)
-    tail_only = st.integers(0, (1 << k - 1) - 1).map(lambda t: t << s * k)
-    masks = draw(st.lists(st.one_of(anywhere, tail_only, st.just(0)), max_size=40))
-    return masks, k, s
-
-
-@settings(max_examples=200, deadline=None)
-@given(prefix_mask_cases())
-# the last bit of a block reaches its start only through the widest shift
-@example(([0b10], 2, 1))
-@example(([0b100000, 0b1000000], 3, 2))
-@example(([], 4, 2))
-def test_width_size_counts_match_the_bit_walk(case):
-    masks, k, s = case
-    assert width_size_counts(masks, k, s) == walked_width_size_counts(masks, k, s)
-
-
-def test_width_size_counts_on_a_candidate_trace():
-    # a set, as family_weight_identity passes it; B(9,2,3) on the prefix [7]
-    # holds pairs meeting [3] and the stubs {1}, {2}, {3} of width 1
-    k, s = 2, 3
-    masks = set(trace_of(build_B(9, k, s), k, s).members)
-    counts = width_size_counts(masks, k, s)
-    assert counts == walked_width_size_counts(sorted(masks), k, s)
-    assert counts[1, 1] == 3 and sum(counts.values()) == len(masks)
-
-
 def direct_sum_weight_identity(fam: Family, frame: WeightFrame) -> tuple[Fraction, int, bool]:
     """Oracle: the weight identity with width and weight recomputed for
     every trace member t, and for every pair (M, t) in the direct M-sum,
     each G_M built from the canonical blocks."""
     k, s = frame.k, frame.s
-    tr = trace_of(fam, k, s)
+    tr = trace_family(fam, k, s)
 
     def weight(t):
         v = width(t, frame)
         if v == 0:
             return Fraction(binom(frame.n_bar, k - t.bit_count()), binom(s, k))
-        return weight_cd(v, t.bit_count(), frame)
+        return weight_value(k, s, frame.n_bar, v, t.bit_count())
 
     lhs = Fraction(0)
     for t in tr.members:
@@ -336,6 +280,14 @@ def test_family_weight_identity_matches_direct_sum_oracle(case):
     fam, fr = case
     assert binom(fr.s, fr.k) <= 400
     assert family_weight_identity(fam, fr) == direct_sum_weight_identity(fam, fr)
+
+
+def test_family_weight_identity_refuses_a_trace_member_larger_than_k():
+    # {1,2,3} lies inside the prefix [7] of the frame (9,2,3) and has no weight there
+    fr = WeightFrame(9, 2, 3)
+    for fam in (Family(9, 3, [0b111]), Family(9, None, [0b1, 0b111])):
+        with pytest.raises(ValueError, match="^trace member larger than k = 2$"):
+            family_weight_identity(fam, fr)
 
 
 def test_wA_symmetry_recovers_prefix_family_size():
@@ -476,7 +428,3 @@ def test_rx_counts_on_B():
     assert rx.r[2] + rx.x[2] > 0
     assert rx.chain_ok  # vacuous for k = 3
 
-
-def test_weight_cd_consistency():
-    fr = WeightFrame(10, 2, 3)
-    assert weight_cd(1, 2, fr) == weight_value(2, 3, fr.n_bar, 1, 2)
