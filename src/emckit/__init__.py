@@ -46,11 +46,9 @@ _EXPORTS = {
     "transversals": (
         "BadPairStats",
         "CyclicShift",
-        "ShapeProfile",
         "bad_pair_stats",
         "q_family",
         "q_family_check",
-        "shape_profile",
     ),
     "report": ("AuditReport", "make_report"),
     "audit": (

@@ -196,7 +196,7 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
 
     # shift-count inequality: (1-1/k)^((k^2-k)/(k-3)) k^(k+1) > 3k (1+3/k) 2 eps k^(k+1)
     exp_frac = Fraction(k * k - k, k - 3)
-    exponent = int(exp_frac) if exp_frac.denominator == 1 else math.ceil(exp_frac)
+    exponent = math.ceil(exp_frac)
     note = "" if exp_frac.denominator == 1 else "fractional exponent rounded up (conservative)"
     shift_lhs = Fraction(k - 1, k) ** exponent * k ** (k + 1)
     shift_rhs = 3 * k * Fraction(k + 3, k) * 2 * eps * k ** (k + 1)

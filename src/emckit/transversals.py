@@ -24,10 +24,17 @@ BAD_PAIR_MAX_K = 9
 
 # the rows of ``transversal_reports``, in the order "all" runs them
 TRANSVERSAL_CHECKS = ("counts", "cyclic", "badpairs", "q", "product")
-# largest k of each check that enumerates: counts lists the k^k full
-# transversals, cyclic the (k-1)^(k-1) collections (about 9 s and 21 MB at
-# k = 8)
-CHECK_MAX_K = {"counts": 7, "cyclic": 8, "badpairs": BAD_PAIR_MAX_K}
+# (least k, largest k or None) of each check: cyclic needs a defect set
+# touching k-1 blocks, badpairs one doubling a block and missing two, and
+# product a profile with a0 < k; counts lists the k^k full transversals,
+# cyclic the (k-1)^(k-1) collections (about 9 s and 21 MB at k = 8)
+CHECK_K_RANGE = {
+    "counts": (1, 7),
+    "cyclic": (2, 8),
+    "badpairs": (3, BAD_PAIR_MAX_K),
+    "q": (1, None),
+    "product": (2, None),
+}
 
 
 class _Rotation(NamedTuple):
@@ -94,18 +101,6 @@ def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
     return met, missed
 
 
-def blocks_missing_last(k: int, t: KSet) -> list[tuple[int, ...]]:
-    """Blocks reordered so that the single block missed by t is last.
-
-    Relabeling utility for the cyclic-shift construction, which distinguishes
-    the missed block.
-    """
-    touched, missed = _split_blocks(k, t)
-    if len(missed) != 1:
-        raise ValueError("set must miss exactly one block")
-    return touched + missed
-
-
 def _cyclic_blocks(t: KSet, k: int) -> list[tuple[int, ...]]:
     """The blocks, those t touches first and the one it misses last, after
     checking that t is a defect set of the cyclic-shift construction: size
@@ -116,11 +111,13 @@ def _cyclic_blocks(t: KSet, k: int) -> list[tuple[int, ...]]:
         raise ValueError("need |t| = k-1")
     if t.mask & mask_of(ground, g0):
         raise ValueError("t must avoid the distinguished set")
-    blocks = blocks_missing_last(k, t)
-    for b in blocks[:-1]:
+    touched, missed = _split_blocks(k, t)
+    if len(missed) != 1:
+        raise ValueError("set must miss exactly one block")
+    for b in touched:
         if (t.mask & mask_of(ground, b)).bit_count() != 1:
             raise ValueError("t must meet each touched block exactly once")
-    return blocks
+    return touched + missed
 
 
 def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
@@ -284,107 +281,52 @@ def bad_pair_stats(k: int) -> BadPairStats:
     )
 
 
-class ShapeProfile(NamedTuple):
-    """Intersection shape of a size-(k-1) defect set, padding convention.
-
-    ``a`` lists (a_1, ..., a_c) block intersections (positive, touched blocks
-    first); ``a0 = k - sum(a)`` is at least 1 by the padding convention (the
-    set has k - 1 - sum(a) distinguished elements).  ``mus[i-1]`` is the
-    block index mu_i = min{j : p_j >= i} for i = 1..p.
-    """
-
-    a0: int
-    a: tuple[int, ...]
-    mus: tuple[int, ...]
-
-    @property
-    def p(self) -> int:
-        return sum(self.a)
-
-
-def shape_profile(t: KSet, k: int) -> ShapeProfile:
-    if t.size != k - 1:
-        raise ValueError("need |t| = k-1")
-    touched, _ = _split_blocks(k, t)
-    a = tuple((t.mask & mask_of(prefix_size(k, k), b)).bit_count() for b in touched)
-    p = sum(a)
-    a0 = k - p
-    if a0 < 1:
-        raise ValueError("profile requires a0 >= 1")
-    prefix_sums = [0]
-    for ai in a:
-        prefix_sums.append(prefix_sums[-1] + ai)
-    mus = tuple(
-        next(j for j in range(1, len(a) + 1) if prefix_sums[j] >= i)
-        for i in range(1, p + 1)
-    )
-    return ShapeProfile(a0, a, mus)
-
-
 def q_family(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
-    """k pairwise disjoint transversals covering around a size-(k-1) defect set.
+    """k pairwise disjoint k-sets avoiding a size-(k-1) defect set t.
 
-    Blocks are reordered so the touched ones come first.  The first p = sum(a)
-    outputs are almost-full transversals (each borrows one free distinguished
-    element and skips one touched block); the rest are full transversals.
-    ``pis`` holds k+1 cyclic shifts: one on the free distinguished elements,
-    then one per block residual, canonical increasing numeration.
+    The construction reads one slot table.  The blocks are walked with those
+    t touches first, each group in block order, and each block gets slots
+    1..k: t's elements in the block take the next slots of a running
+    counter, and the block's residual fills the other slots in increasing
+    order.  So t's p elements in the blocks hold slots 1..p, one block each,
+    and its other k-1-p elements leave p distinguished elements free.
+    Output i takes slot i of every block whose slot i does not hold an
+    element of t; when i <= p that skips exactly one block, and the output
+    takes the i-th free distinguished element instead.  So the first p
+    outputs are almost-full transversals and the rest full ones.  ``pis``
+    holds k+1 cyclic shifts: one on the free distinguished elements, then
+    one per block residual in the walk's order, canonical increasing
+    numeration; each element an output takes is mapped by its part's shift.
     """
     g0, _ = _local_layout(k)
-    prof = shape_profile(t, k)  # validates size and a0 >= 1
+    if t.size != k - 1:
+        raise ValueError("need |t| = k-1")
     touched, untouched = _split_blocks(k, t)
     ordered = touched + untouched
-    c = len(touched)
-    a = prof.a
-    p = prof.p
-
-    prefix_sums = [0]
-    for ai in a:
-        prefix_sums.append(prefix_sums[-1] + ai)
-
-    # per-block numeration: touched block i keeps t's elements in slots
-    # p_{i-1}+1..p_i, residual fills the remaining slots in increasing order
-    numer: list[list[int]] = []
-    for i, b in enumerate(ordered, start=1):
-        slots: list[Optional[int]] = [None] * k
-        if i <= c:
-            t_elts = sorted(e for e in b if e in t)
-            lo, hi = prefix_sums[i - 1], prefix_sums[i]
-            for idx, e in enumerate(t_elts):
-                slots[lo + idx] = e
-            residual = sorted(e for e in b if e not in t)
-        else:
-            residual = sorted(b)
-        it = iter(residual)
-        for j in range(k):
-            if slots[j] is None:
-                slots[j] = next(it)
-        numer.append(slots)  # type: ignore[arg-type]
-
-    g0_t = sorted(e for e in g0 if e in t)
-    g0_free = sorted(e for e in g0 if e not in t)
-    g_numer = g0_free + g0_t  # free slots 1..p, t's slots p+1..k-1
+    in_t = set(t.elements)
+    table = []
+    p = 0
+    for b in ordered:
+        held = [e for e in b if e in in_t]
+        residual = [e for e in b if e not in in_t]
+        table.append(residual[:p] + held + residual[p:])
+        p += len(held)
+    g0_free = [e for e in g0 if e not in in_t]  # p of them, since |t| = k-1
 
     if len(pis) != k + 1:
         raise ValueError("need k+1 cyclic shifts")
     if set(pis[0].base) != set(g0_free):
         raise ValueError("shift 0 must act on the free distinguished elements")
-    for j in range(1, k + 1):
-        residual = [e for e in ordered[j - 1] if e not in t]
-        if set(pis[j].base) != set(residual):
+    for j, b in enumerate(ordered, start=1):
+        if set(pis[j].base) != {e for e in b if e not in in_t}:
             raise ValueError(f"shift {j} must act on the residual of block {j}")
 
     ground = prefix_size(k, k)
     out = []
-    for i in range(1, k + 1):
-        if i <= p:
-            mu = prof.mus[i - 1]
-            elems = [
-                pis[j].apply(numer[j - 1][i - 1]) for j in range(1, k + 1) if j != mu
-            ]
-            elems.append(pis[0].apply(g_numer[i - 1]))
-        else:
-            elems = [pis[j].apply(numer[j - 1][i - 1]) for j in range(1, k + 1)]
+    for i in range(k):
+        elems = [pi.apply(row[i]) for pi, row in zip(pis[1:], table) if row[i] not in in_t]
+        if i < p:
+            elems.append(pis[0].apply(g0_free[i]))
         out.append(KSet.from_elements(ground, elems))
 
     union = t.mask
@@ -403,18 +345,18 @@ def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     the blocks keeping the order within the touched and within the untouched
     ones, and inside each block and inside the distinguished set map t's part
     and the residual each in increasing order.  The relabelling carries t's
-    numeration slot by slot onto that of any defect set with the same
+    slot table slot by slot onto that of any defect set with the same
     profile, and each canonical cyclic shift onto one, so the construction
     commutes with it.  Every size-(k-1) set has a0 = k - p >= 1 with
     p = a1 + ... + a_c, so the profiles are the compositions of p = 0..k-1:
     exactly 2^(k-1) of them.
 
     Disjointness does not depend on the shift tuple.  Output i takes slot i
-    of each block j, skipping block mu_i when i <= p, and that slot holds a
-    residual element: t's slots of block j are p_(j-1)+1..p_j, and mu_i is
-    the one block whose range holds i.  Distinct i use distinct slots, and a
-    shift permutes the residual, so the outputs meet each block in distinct
-    residual elements.  The distinguished part of output i <= p is the free
+    of each block, skipping, when i <= p, the block whose slot i holds t's
+    element, so every slot it takes holds a residual element: t's elements
+    in the blocks hold slots 1..p, one block per slot.  Distinct i use
+    distinct slots, and a shift permutes the residual, so the outputs meet
+    each block in distinct residual elements.  The distinguished part of output i <= p is the free
     element in slot i, again permuted among the p free ones.  So any tuple
     of permutations of the residuals, cyclic or not, gives k pairwise
     disjoint k-sets that avoid t.
@@ -466,18 +408,18 @@ def transversal_reports(k: int, check: str = "all") -> list[AuditReport]:
     """The rows of one check of ``TRANSVERSAL_CHECKS``, or of all of them in
     that order.
 
-    A check that cannot run at this k is refused before any row is
-    computed: an enumerating check above its ``CHECK_MAX_K``, cyclic
-    collections below k = 2 (there is no defect set).
+    A check whose k lies outside its ``CHECK_K_RANGE`` is refused before
+    any row is computed, the first such check in that order.
     """
     if check != "all" and check not in TRANSVERSAL_CHECKS:
         raise ValueError(f"unknown transversal check {check!r}")
     checks = TRANSVERSAL_CHECKS if check == "all" else (check,)
     for name in checks:
-        if name in CHECK_MAX_K and k > CHECK_MAX_K[name]:
-            raise ValueError(f"--check {name} supports k <= {CHECK_MAX_K[name]}, got k={k}")
-    if "cyclic" in checks and k < 2:
-        raise ValueError(f"--check cyclic needs k >= 2, got k={k}")
+        lo, hi = CHECK_K_RANGE[name]
+        if k < lo:
+            raise ValueError(f"--check {name} needs k >= {lo}, got k={k}")
+        if hi is not None and k > hi:
+            raise ValueError(f"--check {name} supports k <= {hi}, got k={k}")
     params = {"k": k}
     reports = []
     if "counts" in checks:

@@ -613,9 +613,10 @@ def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
     original = transversals.q_family
 
     def overlapping_at_2_1(t, pis, k):
+        # the profile (a0, a1, ..., a_c): k - sum a_i, then the positive block intersections
         qs = original(t, pis, k)
-        prof = transversals.shape_profile(t, k)
-        return [qs[0], qs[0], qs[2]] if (prof.a0,) + prof.a == (2, 1) else qs
+        a = [x for x in ((t.mask & m).bit_count() for m in transversals._part_masks(k)[1:]) if x]
+        return [qs[0], qs[0], qs[2]] if (k - sum(a), *a) == (2, 1) else qs
 
     monkeypatch.setattr(transversals, "q_family", overlapping_at_2_1)
     code, out = run(capsys, "transversal", "--k", "3", "--check", "q")

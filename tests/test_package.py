@@ -1,4 +1,4 @@
-"""The package's public names: the 57 of the frozen list below, each
+"""The package's public names: the 55 of the frozen list below, each
 resolved lazily to the object in its home module."""
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ HOMES = {
         "family_weight_identity", "wA_of_M", "weight_value", "wg_envelope",
     ),
     "transversals": (
-        "BadPairStats", "CyclicShift", "ShapeProfile", "bad_pair_stats", "q_family",
-        "q_family_check", "shape_profile",
+        "BadPairStats", "CyclicShift", "bad_pair_stats", "q_family", "q_family_check",
     ),
     "audit": (
         "ParameterWindowError", "audit_all", "audit_claim2", "audit_claim3", "audit_claim4",
@@ -46,7 +45,7 @@ PUBLIC = set(HOMES) | {name for names in HOMES.values() for name in names}
 
 
 def test_all_is_the_frozen_public_surface():
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 55
     assert emckit.__all__ == sorted(PUBLIC)
     # beyond these, dir() lists only submodules imported since, such as cli
     extra = {name for name in dir(emckit) if not name.startswith("_")} - PUBLIC
@@ -76,7 +75,7 @@ def test_star_import_binds_every_name():
         [sys.executable, "-W", "error", "-c", probe],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "57\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "55\n")
 
 
 def test_unknown_name_raises_attribute_error():

@@ -12,7 +12,7 @@ import pytest
 from emckit.audit import AuditReport
 from emckit.core import KSet
 from emckit.matching import MatchingCertificate
-from emckit.transversals import BadPairStats, CyclicShift, ShapeProfile
+from emckit.transversals import BadPairStats, CyclicShift
 
 RECORDS = [
     (MatchingCertificate, ("sets",), ((KSet(4, 0b0011), KSet(4, 0b1100)),)),
@@ -27,7 +27,6 @@ RECORDS = [
         ("per_t", "per_mask_max", "per_mask_bound", "num_t", "num_bad_masks"),
         (36, 9, Fraction(24), 120, 480),
     ),
-    (ShapeProfile, ("a0", "a", "mus"), (1, (2, 1), (1, 1, 2))),
 ]
 
 
@@ -47,8 +46,7 @@ def test_record_defaults():
     assert (r.witness, r.note) == (None, "")
 
 
-def test_shape_profile_p_and_shift_apply():
-    assert ShapeProfile(1, (2, 1), (1, 1, 2)).p == 3
+def test_cyclic_shift_apply_by_keyword():
     assert CyclicShift(base=(2, 5, 9), offset=2).apply(5) == 2
     with pytest.raises(ValueError, match=r"offset outside \[0, len\(base\)\)"):
         CyclicShift(base=(1, 2), offset=-1)

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
 
@@ -18,12 +19,10 @@ from emckit.transversals import (
     _part_masks,
     _split_blocks,
     bad_pair_stats,
-    blocks_missing_last,
     cyclic_collection_masks,
     full_transversal_masks,
     q_family,
     q_family_check,
-    shape_profile,
     transversal_reports,
 )
 from emckit.weights import weight_value
@@ -49,6 +48,13 @@ def shifts_of(elements: Sequence[int]) -> list[CyclicShift]:
 def profile(mask: int, k: int) -> tuple[int, ...]:
     """Intersection sizes of a local-universe set with G0, B_1, ..., B_k."""
     return tuple((mask & part).bit_count() for part in _part_masks(k))
+
+
+def shape(t: KSet, k: int) -> tuple[int, ...]:
+    """The profile (a0, a1, ..., a_c) of a size-(k-1) defect set: its
+    positive block intersections a_i in block order, after a0 = k - sum a_i."""
+    a = [x for x in profile(t.mask, k)[1:] if x]
+    return (k - sum(a), *a)
 
 
 def almost_full_transversals(k: int) -> Iterator[KSet]:
@@ -275,7 +281,7 @@ def test_cyclic_collection_masks_match_the_oracle(k, step):
     # of them up to k = 4, the first one per missed block at k = 5
     seen = 0
     for t in list(cyclic_defect_sets(k))[::step]:
-        blocks = blocks_missing_last(k, t)
+        blocks = _cyclic_blocks(t, k)
         pools = [shifts_of([e for e in b if e not in t]) for b in blocks[:-1]]
         expected = [
             [q.mask for q in cyclic_collection(t, list(sigmas), k)] for sigmas in product(*pools)
@@ -353,8 +359,14 @@ def test_transversal_reports_refuse_before_any_row(monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    for name in ("full_transversal_masks", "cyclic_collection_masks", "bad_pair_stats"):
+    for name in (
+        "full_transversal_masks",
+        "cyclic_collection_masks",
+        "bad_pair_stats",
+        "q_family_check",
+    ):
         monkeypatch.setattr(transversals, name, no_row)
+    monkeypatch.setattr("emckit.audit.product_inequality_report", no_row)
     for k, check, message in (
         (8, "all", "--check counts supports k <= 7, got k=8"),
         (12, "counts", "--check counts supports k <= 7, got k=12"),
@@ -362,11 +374,130 @@ def test_transversal_reports_refuse_before_any_row(monkeypatch):
         (10, "badpairs", "--check badpairs supports k <= 9, got k=10"),
         (1, "all", "--check cyclic needs k >= 2, got k=1"),
         (1, "cyclic", "--check cyclic needs k >= 2, got k=1"),
+        (2, "all", "--check badpairs needs k >= 3, got k=2"),
+        (2, "badpairs", "--check badpairs needs k >= 3, got k=2"),
+        (1, "product", "--check product needs k >= 2, got k=1"),
+        (0, "q", "--check q needs k >= 1, got k=0"),
+        (0, "counts", "--check counts needs k >= 1, got k=0"),
         (3, "count", "unknown transversal check 'count'"),
     ):
         with pytest.raises(ValueError) as info:
             transversal_reports(k, check)
         assert str(info.value) == message
+
+
+# the construction that q_family replaced, kept verbatim as its oracle: it
+# reads the slots of t and the skipped block mu_i from prefix sums of the
+# profile
+class ShapeProfile(NamedTuple):
+    """Intersection shape of a size-(k-1) defect set, padding convention.
+
+    ``a`` lists (a_1, ..., a_c) block intersections (positive, touched blocks
+    first); ``a0 = k - sum(a)`` is at least 1 by the padding convention (the
+    set has k - 1 - sum(a) distinguished elements).  ``mus[i-1]`` is the
+    block index mu_i = min{j : p_j >= i} for i = 1..p.
+    """
+
+    a0: int
+    a: tuple[int, ...]
+    mus: tuple[int, ...]
+
+    @property
+    def p(self) -> int:
+        return sum(self.a)
+
+
+def shape_profile(t: KSet, k: int) -> ShapeProfile:
+    if t.size != k - 1:
+        raise ValueError("need |t| = k-1")
+    touched, _ = _split_blocks(k, t)
+    a = tuple((t.mask & mask_of(prefix_size(k, k), b)).bit_count() for b in touched)
+    p = sum(a)
+    a0 = k - p
+    if a0 < 1:
+        raise ValueError("profile requires a0 >= 1")
+    prefix_sums = [0]
+    for ai in a:
+        prefix_sums.append(prefix_sums[-1] + ai)
+    mus = tuple(
+        next(j for j in range(1, len(a) + 1) if prefix_sums[j] >= i)
+        for i in range(1, p + 1)
+    )
+    return ShapeProfile(a0, a, mus)
+
+
+def q_family_by_profile(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
+    """k pairwise disjoint transversals covering around a size-(k-1) defect set.
+
+    Blocks are reordered so the touched ones come first.  The first p = sum(a)
+    outputs are almost-full transversals (each borrows one free distinguished
+    element and skips one touched block); the rest are full transversals.
+    ``pis`` holds k+1 cyclic shifts: one on the free distinguished elements,
+    then one per block residual, canonical increasing numeration.
+    """
+    g0, _ = _local_layout(k)
+    prof = shape_profile(t, k)  # validates size and a0 >= 1
+    touched, untouched = _split_blocks(k, t)
+    ordered = touched + untouched
+    c = len(touched)
+    a = prof.a
+    p = prof.p
+
+    prefix_sums = [0]
+    for ai in a:
+        prefix_sums.append(prefix_sums[-1] + ai)
+
+    # per-block numeration: touched block i keeps t's elements in slots
+    # p_{i-1}+1..p_i, residual fills the remaining slots in increasing order
+    numer: list[list[int]] = []
+    for i, b in enumerate(ordered, start=1):
+        slots: list[Optional[int]] = [None] * k
+        if i <= c:
+            t_elts = sorted(e for e in b if e in t)
+            lo, hi = prefix_sums[i - 1], prefix_sums[i]
+            for idx, e in enumerate(t_elts):
+                slots[lo + idx] = e
+            residual = sorted(e for e in b if e not in t)
+        else:
+            residual = sorted(b)
+        it = iter(residual)
+        for j in range(k):
+            if slots[j] is None:
+                slots[j] = next(it)
+        numer.append(slots)  # type: ignore[arg-type]
+
+    g0_t = sorted(e for e in g0 if e in t)
+    g0_free = sorted(e for e in g0 if e not in t)
+    g_numer = g0_free + g0_t  # free slots 1..p, t's slots p+1..k-1
+
+    if len(pis) != k + 1:
+        raise ValueError("need k+1 cyclic shifts")
+    if set(pis[0].base) != set(g0_free):
+        raise ValueError("shift 0 must act on the free distinguished elements")
+    for j in range(1, k + 1):
+        residual = [e for e in ordered[j - 1] if e not in t]
+        if set(pis[j].base) != set(residual):
+            raise ValueError(f"shift {j} must act on the residual of block {j}")
+
+    ground = prefix_size(k, k)
+    out = []
+    for i in range(1, k + 1):
+        if i <= p:
+            mu = prof.mus[i - 1]
+            elems = [
+                pis[j].apply(numer[j - 1][i - 1]) for j in range(1, k + 1) if j != mu
+            ]
+            elems.append(pis[0].apply(g_numer[i - 1]))
+        else:
+            elems = [pis[j].apply(numer[j - 1][i - 1]) for j in range(1, k + 1)]
+        out.append(KSet.from_elements(ground, elems))
+
+    union = t.mask
+    for q in out:
+        if union & q.mask:
+            raise AssertionError("outputs must be disjoint from each other and from t")
+        union |= q.mask
+    return out
 
 
 def test_shape_profile():
@@ -377,7 +508,18 @@ def test_shape_profile():
     assert prof.a == (2,)
     assert prof.a0 == 2
     assert prof.p == 2
-    assert prof.mus == (1, 1)
+    assert shape(t, k) == (2, 2)
+
+
+def shift_pools(t: KSet, k: int) -> list[list[CyclicShift]]:
+    """The shifts ``q_family`` admits for each of its k+1 parts: the free
+    distinguished elements, then the block residuals, touched blocks first."""
+    g0, _ = _local_layout(k)
+    touched, untouched = _split_blocks(k, t)
+    pools = [shifts_of([e for e in g0 if e not in t])]
+    for b in touched + untouched:
+        pools.append(shifts_of([e for e in b if e not in t]))
+    return pools
 
 
 def all_shift_collections(t: KSet, k: int) -> Iterator[list[CyclicShift]]:
@@ -387,12 +529,7 @@ def all_shift_collections(t: KSet, k: int) -> Iterator[list[CyclicShift]]:
     factor k - a0 = p, the shifts of the free distinguished elements, read
     as 1 at p = 0.
     """
-    g0, _ = _local_layout(k)
-    touched, untouched = _split_blocks(k, t)
-    pools = [shifts_of([e for e in g0 if e not in t])]
-    for b in touched + untouched:
-        pools.append(shifts_of([e for e in b if e not in t]))
-    for combo in product(*pools):
+    for combo in product(*shift_pools(t, k)):
         yield list(combo)
 
 
@@ -400,9 +537,9 @@ def test_q_family_counts_and_disjointness():
     k = 3
     g0, blocks = _local_layout(k)
     t = KSet.from_elements(ground(k), [blocks[0][0], g0[0]])
-    prof = shape_profile(t, k)
+    a0, a1 = shape(t, k)
     colls = list(all_shift_collections(t, k))
-    expected = (k - prof.a0) * (k - prof.a[0]) * k ** (k - 1)
+    expected = (k - a0) * (k - a1) * k ** (k - 1)
     assert len(colls) == expected
     for pis in colls:
         qs = q_family(t, pis, k)
@@ -419,24 +556,23 @@ def test_q_family_multiplicity_bound():
     k = 3
     g0, blocks = _local_layout(k)
     t = KSet.from_elements(ground(k), [blocks[0][0], g0[0]])
-    prof = shape_profile(t, k)
     counts: dict[int, int] = {}
     for pis in all_shift_collections(t, k):
         for q in q_family(t, pis, k):
             counts[q.mask] = counts.get(q.mask, 0) + 1
-    bound = max(a * (k - a) for a in (prof.a0,) + prof.a) * k ** (k - 1)
+    bound = max(a * (k - a) for a in shape(t, k)) * k ** (k - 1)
     assert max(counts.values()) <= bound
 
 
 def expected_shift_count(t: KSet, k: int) -> int:
     """(k - a0)(k - a1)...(k - a_c) k^(k-c), with k - a0 = p read as 1 at p = 0."""
-    prof = shape_profile(t, k)
-    if prof.p == 0:  # no touched block, no free distinguished element
+    a0, *a = shape(t, k)
+    if a0 == k:  # no touched block, no free distinguished element
         return k**k
-    count = k - prof.a0
-    for a in prof.a:
-        count *= k - a
-    return count * k ** (k - len(prof.a))
+    count = k - a0
+    for ai in a:
+        count *= k - ai
+    return count * k ** (k - len(a))
 
 
 def defect_sets(k: int) -> Iterator[KSet]:
@@ -476,8 +612,7 @@ def test_q_family_k4_every_defect_set_and_every_tuple_per_profile():
     sets = 0
     for t in defect_sets(k):
         assert_disjoint_cover(t, next(all_shift_collections(t, k)), k)
-        prof = shape_profile(t, k)
-        representatives.setdefault((prof.a0,) + prof.a, t)
+        representatives.setdefault(shape(t, k), t)
         sets += 1
     assert sets == 969
     assert len(representatives) == 2 ** (k - 1)
@@ -492,13 +627,58 @@ def test_q_family_k4_every_defect_set_and_every_tuple_per_profile():
     assert q_family_check(k) == (0, None)
 
 
+def test_q_family_equals_the_profile_construction():
+    # every (defect set, shift tuple) pair at k <= 3
+    calls = 0
+    for k in (1, 2, 3):
+        for t in defect_sets(k):
+            for pis in all_shift_collections(t, k):
+                assert q_family(t, pis, k) == q_family_by_profile(t, pis, k)
+                calls += 1
+    assert calls == 1174
+    # every defect set at k = 4, with the identity tuple and two seeded ones
+    k = 4
+    rng = random.Random(4)
+    sets = 0
+    for t in defect_sets(k):
+        pools = shift_pools(t, k)
+        tuples = [[pool[0] for pool in pools]]
+        tuples += [[rng.choice(pool) for pool in pools] for _ in range(2)]
+        for pis in tuples:
+            assert q_family(t, pis, k) == q_family_by_profile(t, pis, k)
+        sets += 1
+    assert sets == 969
+
+
+def test_q_family_refuses_bad_input():
+    k = 3
+    g0, blocks = _local_layout(k)
+    # t touches only the last block, so it comes first in the shift tuple
+    t = KSet.from_elements(ground(k), [blocks[2][0], g0[0]])
+    pis = next(all_shift_collections(t, k))
+    in_block_order = [pis[0], identity_shift(blocks[0]), identity_shift(blocks[1]), pis[1]]
+    for t_, pis_, message in (
+        (KSet.from_elements(ground(k), [blocks[2][0]]), pis, "need |t| = k-1"),
+        (t, pis[:-1], "need k+1 cyclic shifts"),
+        (
+            t,
+            [identity_shift(g0)] + pis[1:],
+            "shift 0 must act on the free distinguished elements",
+        ),
+        (t, pis[:2] + [pis[3], pis[2]], "shift 2 must act on the residual of block 2"),
+        (t, in_block_order, "shift 1 must act on the residual of block 1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            q_family(t_, pis_, k)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("k", list(range(1, 8)))
 def test_q_family_check_visits_every_profile_once(k, monkeypatch):
     seen = []
 
     def failing(t, pis, k):
-        prof = shape_profile(t, k)
-        seen.append((prof.a0,) + prof.a)
+        seen.append(shape(t, k))
         raise AssertionError("injected")
 
     monkeypatch.setattr(transversals, "q_family", failing)
