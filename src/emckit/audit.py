@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .core import _compositions
@@ -248,6 +249,9 @@ def audit_all(k: int, s: int, n: int) -> list[AuditReport]:
     return reports
 
 
+# depends on k alone, so ``audit --n auto`` walks the profiles once for both
+# window ends; the result is a tuple of ints, one k is kept
+@lru_cache(maxsize=1)
 def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Shift-count inequality over every admissible intersection profile.
 

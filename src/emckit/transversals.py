@@ -1,40 +1,35 @@
-"""Full transversals of the local universe, cyclic-shift
-collections, mask/bad-pair statistics, and the disjoint-cover construction
-for defect sets, together with its multiplicity bounds; and the report rows
-of these checks (``transversal_reports``).
+"""Full transversals of the local universe, cyclic-shift collections,
+mask/bad-pair statistics, and the disjoint-cover construction for defect
+sets; and the report rows of these checks (``transversal_reports``).
 
 All constructions live inside the local universe: the distinguished
 (k-1)-set plus the k blocks B_1..B_k, laid out canonically in the prefix
-[(k+1)k-1] (see ``_local_layout``).  Each function takes k alone.
+[(k+1)k-1] (see ``_local_layout``).  Each function takes k alone.  The
+counts, cyclic and bad-pair rows are decided one block at a time, with no
+enumeration of transversals, collections or pairs; those enumerations are
+the oracles in ``tests/``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from math import comb, isqrt, prod
+from typing import NamedTuple, Optional, Sequence
 
 from .constructions import prefix_size
-from .core import KSet, _compositions, mask_of
+from .core import _MAX_GROUND, KSet, _compositions, mask_of
 from .report import AuditReport, make_report
 from .weights import weight_value
 
-# largest k whose bad-pair statistics are counted (about 2 s at k = 9)
-BAD_PAIR_MAX_K = 9
-
 # the rows of ``transversal_reports``, in the order "all" runs them
 TRANSVERSAL_CHECKS = ("counts", "cyclic", "badpairs", "q", "product")
-# (least k, largest k or None) of each check: cyclic needs a defect set
-# touching k-1 blocks, badpairs one doubling a block and missing two, and
-# product a profile with a0 < k; counts lists the k^k full transversals,
-# cyclic the (k-1)^(k-1) collections (about 9 s and 21 MB at k = 8)
-CHECK_K_RANGE = {
-    "counts": (1, 7),
-    "cyclic": (2, 8),
-    "badpairs": (3, BAD_PAIR_MAX_K),
-    "q": (1, None),
-    "product": (2, None),
-}
+# least k of each check: cyclic needs a defect set touching k-1 blocks,
+# badpairs one doubling a block and missing two, and product a profile
+# with a0 < k
+CHECK_MIN_K = {"counts": 1, "cyclic": 2, "badpairs": 3, "q": 1, "product": 2}
+# largest k of every check: the local universe [(k+1)k-1] fits in the ground set
+MAX_K = (isqrt(4 * _MAX_GROUND + 5) - 1) // 2
 
 
 class _Rotation(NamedTuple):
@@ -71,26 +66,6 @@ def _local_layout(k: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     return tuple(range(k * k + 1, k * (k + 1))), blocks
 
 
-def _part_masks(k: int) -> list[int]:
-    """Masks of the distinguished set and the blocks, in that order."""
-    g0, blocks = _local_layout(k)
-    return [mask_of(prefix_size(k, k), part) for part in (g0, *blocks)]
-
-
-def full_transversal_masks(k: int) -> list[int]:
-    """The masks of the k^k sets taking exactly one element from each block,
-    in ``itertools.product`` order over the blocks.
-
-    The product of the block bits is built one block at a time.
-    """
-    _, blocks = _local_layout(k)
-    masks = [0]
-    for b in blocks:
-        bits = [1 << (e - 1) for e in b]
-        masks = [m | bit for m in masks for bit in bits]
-    return masks
-
-
 def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
     """The blocks that t meets, then those it misses, in block order."""
     _, blocks = _local_layout(k)
@@ -101,59 +76,6 @@ def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
     return met, missed
 
 
-def _cyclic_blocks(t: KSet, k: int) -> list[tuple[int, ...]]:
-    """The blocks, those t touches first and the one it misses last, after
-    checking that t is a defect set of the cyclic-shift construction: size
-    k-1, width k-1, no distinguished element."""
-    g0, _ = _local_layout(k)
-    ground = prefix_size(k, k)
-    if t.size != k - 1:
-        raise ValueError("need |t| = k-1")
-    if t.mask & mask_of(ground, g0):
-        raise ValueError("t must avoid the distinguished set")
-    touched, missed = _split_blocks(k, t)
-    if len(missed) != 1:
-        raise ValueError("set must miss exactly one block")
-    for b in touched:
-        if (t.mask & mask_of(ground, b)).bit_count() != 1:
-            raise ValueError("t must meet each touched block exactly once")
-    return touched + missed
-
-
-def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
-    """The masks of the (k-1)^(k-1) collections of k-1 pairwise disjoint
-    full transversals generated from the defect set t, one per tuple of
-    cyclic shifts of the touched blocks' residuals (offsets 0..k-2 on each),
-    in ``itertools.product`` order.
-
-    ``t`` must have size k-1, width k-1, avoid the distinguished set, and
-    miss exactly one block; the generator checks this on its first ``next``.
-    Slot i of a collection takes residual element i + offset (mod k-1) of
-    each touched block and the i-th non-minimal element of the missed block,
-    whose minimum never appears.  The tests build each collection from
-    explicit shifts and numerations as the oracle of this one.
-    Each block's bit per slot is computed once per offset, and a collection
-    ORs the bits of its offset tuple.
-    """
-    *touched, missed = _cyclic_blocks(t, k)
-    # rotations[j][o][i]: the bit in slot i of touched block j at offset o
-    rotations = []
-    for b in touched:
-        residual = [1 << (e - 1) for e in b if e not in t]
-        rotations.append([residual[o:] + residual[:o] for o in range(k - 1)])
-    last = [1 << (e - 1) for e in missed[1:]]  # blocks are sorted: minimum first
-    for rotation in product(*rotations):
-        coll = last
-        for bits in rotation:
-            coll = [q | bit for q, bit in zip(coll, bits)]
-        union = 0
-        for q in coll:
-            if union & q:
-                raise AssertionError("collection members must be pairwise disjoint")
-            union |= q
-        yield coll
-
-
 class BadPairStats(NamedTuple):
     per_t: int  # masks in a bad pair with any fixed defect set (uniform)
     per_mask_max: int  # maximum defect sets paired with one mask
@@ -162,15 +84,17 @@ class BadPairStats(NamedTuple):
     num_bad_masks: int
 
 
-def _defect_class_size(k: int, nonmin_singles: int) -> int:
-    """Number of defect sets with a given doubled block, missed pair and
-    minimum flags of the singles: C(k, 2) doubled pairs, and k-1 choices for
-    each single that is not its block's minimum."""
-    return k * (k - 1) // 2 * (k - 1) ** nonmin_singles
+def _class_size(k: int, layouts: int, singles: int, at_min: int) -> int:
+    """The sets of one class: ``layouts`` choices of the doubled and the
+    missed blocks, C(k, 2) pairs of the doubled block, C(singles, at_min)
+    choices of the singles at their block minimum, and k-1 choices for each
+    other single."""
+    return layouts * comb(k, 2) * comb(singles, at_min) * (k - 1) ** (singles - at_min)
 
 
 def bad_pair_stats(k: int) -> BadPairStats:
-    """Mask/bad-pair statistics over the local universe, by class representatives.
+    """Mask/bad-pair statistics over the local universe, one representative
+    per class.
 
     Defect sets have size k-1, width k-2, avoid the distinguished set: they
     double one block and miss two.  A mask is a distinguished-set-avoiding
@@ -178,104 +102,71 @@ def bad_pair_stats(k: int) -> BadPairStats:
     two missed ones; a bad pair additionally requires disjointness and that
     the mask's element in the other missed block is not that block's minimum.
 
-    The group G = prod_i Sym(B_i - {min B_i}) keeps every block and every
-    block minimum, so it preserves disjointness, both set types and every
-    minimum flag.  Moreover a defect set never meets the block its masks
-    double, nor a mask the block the defect set doubles, so swapping the
-    doubled pair of either for another pair of the same block changes no bad
-    pair.  Hence every count is constant on a class: defect sets with the
-    same doubled block, missed pair and minimum flags of the singles, and
-    masks with the same missed and doubled blocks and minimum flags.  One
-    representative per defect-set class is counted against every mask class
-    of its two types, each bad pair found adds the defect class's size to the
-    mask class's total, and double counting gives the per-mask count as that
-    total over the mask class's size, which must divide it exactly.
-
-    A mask class is every pair of its doubled block joined with every single
-    choice of its class, and the defect set misses that block, so it
-    meets no pair: the class's bad pairs with a defect set are its pairs
-    times its single choices disjoint from the defect set.  Those choices
-    are a product over the class's single blocks: a block at its minimum
-    gives 1 if the defect set misses that minimum, else 0, and any other
-    block gives k-1 less the number of its non-minimum elements in the
-    defect set.
+    Relabelling the blocks, and the non-minimum elements inside each block,
+    keeps every block minimum, so it preserves disjointness, both set types
+    and the bad-pair condition.  The partners of a defect set or a mask all
+    miss the block it doubles, so its doubled pair never matters.  Hence
+    every count depends only on j, the number of singles at their block
+    minimum, and one representative per j decides it: it takes the least
+    pair of its doubled block, the minimum of its first j singles and the
+    second least element of the others.  Its partners are counted as a product over the
+    blocks of the choices the representative leaves free, and the classes
+    weigh in with ``_class_size``.  Both sides count the same bad pairs, so
+    per_t times the number of defect sets must equal the sum over the mask
+    classes of count times size, or the statistics are refused.
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    if k > BAD_PAIR_MAX_K:
-        raise ValueError(f"bad-pair statistics need k <= {BAD_PAIR_MAX_K}, got k={k}")
-    _, blocks = _local_layout(k)
-    bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
-    block_masks = [sum(b) for b in bits]
-    pairs = k * (k - 1) // 2  # pairs of a mask's doubled block
+    _, blocks = _local_layout(k)  # blocks are sorted: minimum first
 
-    # mask classes by type (missed block, doubled block): (class id, the
-    # single blocks, their minimum flags as a bitmask over block indices)
-    mask_classes: dict[tuple[int, int], list[tuple[int, list[int], int]]] = {}
-    class_sizes: list[int] = []
-    for miss in range(k):
-        for dbl in range(k):
-            if dbl == miss:
-                continue
-            singles = [i for i in range(k) if i not in (miss, dbl)]
-            bucket = []
-            for at_min in product((True, False), repeat=len(singles)):
-                flags = sum(1 << i for i, m in zip(singles, at_min) if m)
-                bucket.append((len(class_sizes), singles, flags))
-                class_sizes.append(pairs * (k - 1) ** at_min.count(False))
-            mask_classes[(miss, dbl)] = bucket
+    def representative(dbl: int, singles: range, j: int) -> set[int]:
+        taken = {blocks[dbl][0], blocks[dbl][1]}
+        taken.update(blocks[i][0 if n < j else 1] for n, i in enumerate(singles))
+        return taken
 
-    totals = [0] * len(class_sizes)  # bad pairs per mask class
-    per_t: Optional[int] = None
+    def free(taken: set[int], start: int = 0) -> list[int]:
+        """Per block, its elements from position ``start`` on outside ``taken``."""
+        return [sum(e not in taken for e in b[start:]) for b in blocks]
+
+    # defect sets double block 0 and miss blocks 1 and 2; a mask paired with
+    # one misses block 0, doubles f and takes a non-minimum element of g
+    per_t = None
     num_t = 0
-    for dbl_t in range(k):  # block doubled by the defect set
-        others = [i for i in range(k) if i != dbl_t]
-        pmask = bits[dbl_t][0] | bits[dbl_t][1]
-        for missed in combinations(others, 2):
-            singles = [i for i in others if i not in missed]
-            for at_min in product((True, False), repeat=len(singles)):
-                tmask = pmask
-                for i, m in zip(singles, at_min):
-                    tmask |= bits[i][0 if m else 1]
-                # the single choices of block i that miss the defect set,
-                # at the minimum and off it
-                at_min_free = [0 if bits[i][0] & tmask else 1 for i in range(k)]
-                off_min_free = [
-                    k - 1 - (tmask & m & ~b[0]).bit_count() for m, b in zip(block_masks, bits)
-                ]
-                size = _defect_class_size(k, at_min.count(False))
-                num_t += size
-                cnt = 0
-                for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
-                    if block_masks[f] & tmask:
-                        raise AssertionError("a defect set meets the block its masks double")
-                    for cid, mask_singles, flags in mask_classes[(dbl_t, f)]:
-                        if flags >> other & 1:
-                            continue
-                        hits = pairs
-                        for i in mask_singles:
-                            hits *= at_min_free[i] if flags >> i & 1 else off_min_free[i]
-                        cnt += hits
-                        totals[cid] += size * hits
-                if per_t is None:
-                    per_t = cnt
-                elif per_t != cnt:
-                    raise AssertionError(
-                        f"per-defect-set mask count is not uniform: {per_t} vs {cnt}"
-                    )
-    per_mask = []
-    for total, size in zip(totals, class_sizes):
-        if total % size:
-            raise AssertionError(
-                f"bad pairs of a mask class ({total}) not divisible by its size ({size})"
-            )
-        per_mask.append(total // size)
-    num_bad = sum(size for c, size in zip(per_mask, class_sizes) if c)
-    bound = Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2)
+    for j in range(k - 2):
+        t = representative(0, range(3, k), j)
+        free_t, off_min = free(t), free(t, 1)
+        singles = prod(free_t[3:])
+        count = sum(comb(free_t[f], 2) * off_min[g] * singles for f, g in ((1, 2), (2, 1)))
+        if per_t is None:
+            per_t = count
+        elif per_t != count:
+            raise AssertionError(f"per-defect-set mask count is not uniform: {per_t} vs {count}")
+        num_t += _class_size(k, k * comb(k - 1, 2), k - 3, j)
+
+    # masks miss block 0 and double block 1; a defect set paired with one
+    # doubles block 0 and misses block 1 and a single g where the mask's
+    # element is not g's minimum
+    per_mask_max = num_bad = pairs = 0
+    for j in range(k - 1):
+        q = representative(1, range(2, k), j)
+        free_q = free(q)
+        count = sum(
+            comb(free_q[0], 2) * prod(free_q[2:g] + free_q[g + 1 :])
+            for g in range(2, k)
+            if blocks[g][0] not in q
+        )
+        size = _class_size(k, k * (k - 1), k - 2, j)
+        per_mask_max = max(per_mask_max, count)
+        num_bad += size if count else 0
+        pairs += count * size
+    if pairs != per_t * num_t:
+        raise AssertionError(
+            f"bad pairs counted by mask class ({pairs}) and by defect set ({per_t * num_t}) differ"
+        )
     return BadPairStats(
-        per_t=per_t or 0,
-        per_mask_max=max(per_mask, default=0),
-        per_mask_bound=bound,
+        per_t=per_t,
+        per_mask_max=per_mask_max,
+        per_mask_bound=Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2),
         num_t=num_t,
         num_bad_masks=num_bad,
     )
@@ -396,77 +287,93 @@ def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     return failures, first_failure
 
 
-def _digit_table(digits: list[list[tuple[int, int]]]) -> dict[int, int]:
-    """The union of one bit from each list, mapped to the sum of their digits."""
-    table = {0: 0}
-    for choices in digits:
-        table = {m | bit: v + d for m, v in table.items() for bit, d in choices}
-    return table
+def _full_count(k: int) -> int:
+    """The number of full transversals that take from each block an element
+    of no other part (the distinguished set or another block): the product
+    over the blocks of the block's such elements.
+
+    Such an element names its block, so distinct choices give distinct sets,
+    each with profile (0, 1, ..., 1).  With blocks of k elements, the k^k
+    transversals are all distinct with that profile iff every factor is k.
+    """
+    g0, blocks = _local_layout(k)
+    parts = [set(part) for part in (g0, *blocks)]
+    seen = Counter(e for part in parts for e in part)
+    return prod(sum(seen[e] == 1 for e in part) for part in parts[1:])
+
+
+def _rotation_table(residual: list[int]) -> list[list[int]]:
+    """R[o][i] = residual[(i + o) mod len]: the element of slot i at offset o."""
+    return [residual[o:] + residual[:o] for o in range(len(residual))]
+
+
+def _cyclic_check(k: int) -> tuple[int, bool]:
+    """The number of collections of the canonical defect set, and whether
+    their full transversals are distinct, within a collection and across
+    collections.
+
+    The defect set t takes the minimum of blocks 1..k-1 and misses block k.
+    A collection picks an offset o_j for each touched block j, and its
+    member i takes R_j[o_j][i] from each touched block's rotation table and
+    the i-th non-minimum element of block k, its slot element.  So there
+    are as many collections as the product of the tables' row counts.  The
+    members are pairwise disjoint full transversals avoiding t, and no
+    member lies in two collections, when every row and every column of
+    every table is k-1 distinct residual elements and the parts (the
+    distinguished set, t, the residuals and the slot elements) are pairwise
+    disjoint: a member's slot element names i, and the injective column i
+    then names each offset.  That is O(k^3) work, with no collection listed.
+    """
+    g0, blocks = _local_layout(k)
+    *touched, missed = blocks
+    t = [b[0] for b in touched]
+    residuals = [[e for e in b if e not in t] for b in touched]
+    tables = [_rotation_table(r) for r in residuals]
+    parts = [g0, t, *residuals, missed[1:]]  # blocks are sorted: minimum first
+    elements = [e for part in parts for e in part]
+    latin = all(
+        len(line) == len(set(line)) == k - 1 and set(line) <= set(r)
+        for r, table in zip(residuals, tables)
+        for line in (*table, *zip(*table))
+    )
+    return prod(map(len, tables)), latin and len(set(elements)) == len(elements)
 
 
 def transversal_reports(k: int, check: str = "all") -> list[AuditReport]:
     """The rows of one check of ``TRANSVERSAL_CHECKS``, or of all of them in
     that order.
 
-    A check whose k lies outside its ``CHECK_K_RANGE`` is refused before
-    any row is computed, the first such check in that order.
+    Before any row is computed, k above ``MAX_K`` is refused, and so is k
+    below a check's ``CHECK_MIN_K``, naming the first such check in that
+    order.
     """
     if check != "all" and check not in TRANSVERSAL_CHECKS:
         raise ValueError(f"unknown transversal check {check!r}")
+    if k > MAX_K:
+        raise ValueError(
+            f"--check {check} needs k <= {MAX_K}, got k={k}: "
+            f"the local universe [(k+1)k-1] must fit in [{_MAX_GROUND}]"
+        )
     checks = TRANSVERSAL_CHECKS if check == "all" else (check,)
     for name in checks:
-        lo, hi = CHECK_K_RANGE[name]
-        if k < lo:
-            raise ValueError(f"--check {name} needs k >= {lo}, got k={k}")
-        if hi is not None and k > hi:
-            raise ValueError(f"--check {name} supports k <= {hi}, got k={k}")
+        if k < CHECK_MIN_K[name]:
+            raise ValueError(f"--check {name} needs k >= {CHECK_MIN_K[name]}, got k={k}")
     params = {"k": k}
     reports = []
     if "counts" in checks:
-        parts = _part_masks(k)
-        full = [0] + [1] * k  # per-part popcounts: no distinguished element, one per block
-        distinct = {
-            m for m in full_transversal_masks(k) if [(m & p).bit_count() for p in parts] == full
-        }
-        reports.append(make_report("transversal:full_count", params, len(distinct), k**k, "=="))
+        reports.append(make_report("transversal:full_count", params, _full_count(k), k**k, "=="))
         # every full transversal has width k and size k, so one weight serves
         # all; in the frame ((k+1)k, k, k) it is C(n_bar, 0) / C(0, 0) = 1
         wrong_weight = 0 if weight_value(k, k, 1, k, k) == 1 else 1
         reports.append(make_report("transversal:full_weight", params, wrong_weight, 0, "=="))
     if "cyclic" in checks:
-        # defect set touching blocks 1..k-1 once, canonical choice
-        _, blocks = _local_layout(k)
-        t = KSet.from_elements(prefix_size(k, k), [b[0] for b in blocks[:-1]])
-        # a collection's mask takes one non-minimum element of the missed
-        # block, its slot, and one residual element of each touched block:
-        # base-(k-1) digits of an index below (k-1)^k that names every
-        # element, so two masks share an index only when they are equal.  The
-        # digits of the lower and the upper half of the blocks are looked up
-        # in one table each; a mask missing from a table does not decode.
-        digits = [
-            [(1 << e - 1, r * (k - 1) ** (j + 1)) for r, e in enumerate(b[1:])]
-            for j, b in enumerate(blocks[:-1])  # t holds each touched block's minimum
-        ]
-        digits.append([(1 << e - 1, i) for i, e in enumerate(blocks[-1][1:])])
-        half = k // 2
-        lower, upper = _digit_table(digits[:half]), _digit_table(digits[half:])
-        lower_bits = (1 << half * k) - 1
-        marked = bytearray((k - 1) ** k)
-        ok = True
-        count = 0
-        for coll in cyclic_collection_masks(t, k):
-            count += 1
-            for q in coll:
-                low = q & lower_bits
-                lo, hi = lower.get(low), upper.get(q ^ low)
-                if lo is None or hi is None or marked[lo + hi]:
-                    ok = False
-                else:
-                    marked[lo + hi] = 1
+        count, distinct = _cyclic_check(k)
         reports.append(
             make_report("transversal:cyclic_collections", params, count, (k - 1) ** (k - 1), "==")
         )
-        reports.append(make_report("transversal:cyclic_no_shared", params, 0 if ok else 1, 0, "=="))
+        reports.append(
+            make_report("transversal:cyclic_no_shared", params, 0 if distinct else 1, 0, "==")
+        )
     if "badpairs" in checks:
         stats = bad_pair_stats(k)
         reports.append(

@@ -251,6 +251,21 @@ def test_audit_jobs_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_audit_auto_walks_the_claim8_profiles_once(capsys, monkeypatch):
+    from emckit import audit
+
+    walks = []
+    original = audit._compositions
+    monkeypatch.setattr(audit, "_compositions", lambda n, c: walks.append((n, c)) or original(n, c))
+    audit.product_inequality_check.cache_clear()
+    code, out = run(capsys, "audit", "--k", "5", "--s", str(K5_S), "--n", "auto")
+    assert code == 0
+    rows = [r for r in json.loads(out) if r["claim_id"] == "claim8:product_inequality"]
+    assert len(rows) == 2 and rows[0] == rows[1]
+    # one walk: a composition count per (a0, c) with 1 <= c <= k - a0
+    assert len(walks) == 5 * 4 // 2
+
+
 def test_audit_out_of_window_exits_2(capsys):
     code, _ = run(capsys, "audit", "--k", "4", "--s", "999999")
     assert code == 2
@@ -561,39 +576,71 @@ def test_transversal_full_weight_fails_on_a_wrong_weight(capsys, monkeypatch):
     assert rows["transversal:full_count"]["pass"] is True
 
 
-def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
+def _fault_in_block(monkeypatch, i, j, element):
+    """Put ``element`` at position j of block i of the local layout."""
     import emckit.transversals as transversals
 
-    original = transversals.full_transversal_masks
+    original = transversals._local_layout
 
-    def one_set_twice(k):
-        masks = original(k)
-        return masks[:-1] + masks[:1]  # still k^k sets, k^k - 1 distinct
+    def faulty(k):
+        g0, blocks = original(k)
+        block = list(blocks[i])
+        block[j] = element
+        return g0, blocks[:i] + [tuple(block)] + blocks[i + 1 :]
 
-    monkeypatch.setattr(transversals, "full_transversal_masks", one_set_twice)
+    monkeypatch.setattr(transversals, "_local_layout", faulty)
+
+
+def test_transversal_full_count_fails_on_a_repeated_set(capsys, monkeypatch):
+    # block 1 lists 2 twice, so two choices give the same set: 2 * 3 * 3 distinct
+    _fault_in_block(monkeypatch, 0, 2, 2)
     code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
     rows = {r["claim_id"]: r for r in json.loads(out)}
     assert code == 1
     row = rows["transversal:full_count"]
-    assert (row["lhs"], row["rhs"], row["pass"]) == ("26", "27", False)
+    assert (row["lhs"], row["rhs"], row["pass"]) == ("18", "27", False)
 
 
 @pytest.mark.parametrize(
-    "fault",
-    [
-        lambda colls: [colls[0]] + colls[:-1],  # still (k-1)^(k-1) collections
-        lambda colls: [[colls[0][0] | 1] + colls[0][1:]] + colls[1:],  # t's element of block 1
-        lambda colls: [[colls[0][0] | 1 << 9] + colls[0][1:]] + colls[1:],  # distinguished 10
-    ],
-    ids=["repeated-collection", "block-bit-undecodable", "tail-bit-undecodable"],
+    "i, element, lhs",
+    [(1, 3, "12"), (2, 10, "18")],  # block 2 shares 3 with block 1; block 3 holds distinguished 10
+    ids=["another-block", "distinguished"],
 )
-def test_transversal_cyclic_no_shared_fails(capsys, monkeypatch, fault):
-    import emckit.transversals as transversals
+def test_transversal_full_count_fails_on_a_shared_element(capsys, monkeypatch, i, element, lhs):
+    _fault_in_block(monkeypatch, i, 0, element)
+    code, out = run(capsys, "transversal", "--k", "3", "--check", "counts")
+    rows = {r["claim_id"]: r for r in json.loads(out)}
+    assert code == 1
+    row = rows["transversal:full_count"]
+    assert (row["lhs"], row["rhs"], row["pass"]) == (lhs, "27", False)
 
-    original = transversals.cyclic_collection_masks
-    monkeypatch.setattr(
-        transversals, "cyclic_collection_masks", lambda t, k: iter(fault(list(original(t, k))))
-    )
+
+def _fault_in_tables(fault):
+    """Apply ``fault`` to every rotation table the cyclic check builds."""
+
+    def install(monkeypatch):
+        import emckit.transversals as transversals
+
+        original = transversals._rotation_table
+        monkeypatch.setattr(transversals, "_rotation_table", lambda r: fault(original(r)))
+
+    return install
+
+
+@pytest.mark.parametrize(
+    "install",
+    [
+        # still k-1 offsets, two give one collection
+        _fault_in_tables(lambda table: [table[0]] + table[:-1]),
+        _fault_in_tables(lambda table: [[1] + table[0][1:]] + table[1:]),  # t's element of block 1
+        _fault_in_tables(lambda table: [[10] + table[0][1:]] + table[1:]),  # distinguished 10
+        # the missed block's slot element 8 becomes 2, a residual element of block 1
+        lambda monkeypatch: _fault_in_block(monkeypatch, 2, 1, 2),
+    ],
+    ids=["repeated-collection", "block-bit-undecodable", "tail-bit-undecodable", "shared-slot"],
+)
+def test_transversal_cyclic_no_shared_fails(capsys, monkeypatch, install):
+    install(monkeypatch)
     code, out = run(capsys, "transversal", "--k", "3", "--check", "cyclic")
     rows = {r["claim_id"]: r for r in json.loads(out)}
     assert code == 1
@@ -615,7 +662,8 @@ def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
     def overlapping_at_2_1(t, pis, k):
         # the profile (a0, a1, ..., a_c): k - sum a_i, then the positive block intersections
         qs = original(t, pis, k)
-        a = [x for x in ((t.mask & m).bit_count() for m in transversals._part_masks(k)[1:]) if x]
+        _, blocks = transversals._local_layout(k)
+        a = [x for x in (sum(e in t for e in b) for b in blocks) if x]
         return [qs[0], qs[0], qs[2]] if (k - sum(a), *a) == (2, 1) else qs
 
     monkeypatch.setattr(transversals, "q_family", overlapping_at_2_1)
@@ -647,7 +695,7 @@ def test_transversal_seed_has_no_effect(capsys):
 
 
 def test_transversal_q_exit_codes(capsys):
-    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (8, 0, 2)):
+    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (8, 0, 0), (64, 2, 2)):
         assert main(["transversal", "--k", str(k), "--check", "q"]) == q_code
         assert main(["transversal", "--k", str(k), "--check", "all"]) == all_code
         capsys.readouterr()
@@ -675,14 +723,26 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
-def test_transversal_badpairs_beyond_enumeration_exits_2(capsys):
-    # each enumerating check has its own largest k; "all" meets the counts gate
-    for k, check in ((10, "badpairs"), (8, "all"), (12, "counts"), (9, "cyclic")):
-        code = main(["transversal", "--k", str(k), "--check", check])
+def test_transversal_above_max_k_exits_2(capsys):
+    # one largest k for every check: the local universe [(k+1)k-1] fits in [4096]
+    for check in ("counts", "cyclic", "badpairs", "q", "product", "all"):
+        code = main(["transversal", "--k", "64", "--check", check])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error:")
+        assert captured.err == (
+            f"error: --check {check} needs k <= 63, got k=64: "
+            "the local universe [(k+1)k-1] must fit in [4096]\n"
+        )
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("k", [10, 20, 40, 63])
+@pytest.mark.parametrize("check", ["counts", "cyclic", "badpairs"])
+def test_transversal_block_checks_pass_up_to_max_k(capsys, k, check):
+    code, out = run(capsys, "transversal", "--k", str(k), "--check", check)
+    rows = json.loads(out)
+    assert code == 0
+    assert len(rows) in (2, 3) and all(r["pass"] for r in rows)
 
 
 def test_transversal_badpairs_at_k8_passes(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
@@ -10,17 +11,15 @@ import pytest
 from emckit import transversals
 from emckit.audit import product_inequality_check
 from emckit.constructions import prefix_size
-from emckit.core import KSet, mask_of
+from emckit.core import _MAX_GROUND, KSet, mask_of
+from emckit.report import AuditReport, make_report
 from emckit.transversals import (
+    MAX_K,
     BadPairStats,
     CyclicShift,
-    _cyclic_blocks,
     _local_layout,
-    _part_masks,
     _split_blocks,
     bad_pair_stats,
-    cyclic_collection_masks,
-    full_transversal_masks,
     q_family,
     q_family_check,
     transversal_reports,
@@ -43,6 +42,206 @@ def shifts_of(elements: Sequence[int]) -> list[CyclicShift]:
     if not base:
         return [CyclicShift((), 0)]
     return [CyclicShift(base, j) for j in range(len(base))]
+
+
+# The enumerators that the per-block counts, cyclic and bad-pair rows
+# replaced, kept verbatim as their oracles.
+
+
+def _part_masks(k: int) -> list[int]:
+    """Masks of the distinguished set and the blocks, in that order."""
+    g0, blocks = _local_layout(k)
+    return [mask_of(prefix_size(k, k), part) for part in (g0, *blocks)]
+
+
+def full_transversal_masks(k: int) -> list[int]:
+    """The masks of the k^k sets taking exactly one element from each block,
+    in ``itertools.product`` order over the blocks.
+
+    The product of the block bits is built one block at a time.
+    """
+    _, blocks = _local_layout(k)
+    masks = [0]
+    for b in blocks:
+        bits = [1 << (e - 1) for e in b]
+        masks = [m | bit for m in masks for bit in bits]
+    return masks
+
+
+def _cyclic_blocks(t: KSet, k: int) -> list[tuple[int, ...]]:
+    """The blocks, those t touches first and the one it misses last, after
+    checking that t is a defect set of the cyclic-shift construction: size
+    k-1, width k-1, no distinguished element."""
+    g0, _ = _local_layout(k)
+    ground = prefix_size(k, k)
+    if t.size != k - 1:
+        raise ValueError("need |t| = k-1")
+    if t.mask & mask_of(ground, g0):
+        raise ValueError("t must avoid the distinguished set")
+    touched, missed = _split_blocks(k, t)
+    if len(missed) != 1:
+        raise ValueError("set must miss exactly one block")
+    for b in touched:
+        if (t.mask & mask_of(ground, b)).bit_count() != 1:
+            raise ValueError("t must meet each touched block exactly once")
+    return touched + missed
+
+
+def cyclic_collection_masks(t: KSet, k: int) -> Iterator[list[int]]:
+    """The masks of the (k-1)^(k-1) collections of k-1 pairwise disjoint
+    full transversals generated from the defect set t, one per tuple of
+    cyclic shifts of the touched blocks' residuals (offsets 0..k-2 on each),
+    in ``itertools.product`` order.
+
+    ``t`` must have size k-1, width k-1, avoid the distinguished set, and
+    miss exactly one block; the generator checks this on its first ``next``.
+    Slot i of a collection takes residual element i + offset (mod k-1) of
+    each touched block and the i-th non-minimal element of the missed block,
+    whose minimum never appears.  The tests build each collection from
+    explicit shifts and numerations as the oracle of this one.
+    Each block's bit per slot is computed once per offset, and a collection
+    ORs the bits of its offset tuple.
+    """
+    *touched, missed = _cyclic_blocks(t, k)
+    # rotations[j][o][i]: the bit in slot i of touched block j at offset o
+    rotations = []
+    for b in touched:
+        residual = [1 << (e - 1) for e in b if e not in t]
+        rotations.append([residual[o:] + residual[:o] for o in range(k - 1)])
+    last = [1 << (e - 1) for e in missed[1:]]  # blocks are sorted: minimum first
+    for rotation in product(*rotations):
+        coll = last
+        for bits in rotation:
+            coll = [q | bit for q, bit in zip(coll, bits)]
+        union = 0
+        for q in coll:
+            if union & q:
+                raise AssertionError("collection members must be pairwise disjoint")
+            union |= q
+        yield coll
+
+
+# the largest k the class counter below was run at
+BAD_PAIR_MAX_K = 9
+
+
+def _defect_class_size(k: int, nonmin_singles: int) -> int:
+    """Number of defect sets with a given doubled block, missed pair and
+    minimum flags of the singles: C(k, 2) doubled pairs, and k-1 choices for
+    each single that is not its block's minimum."""
+    return k * (k - 1) // 2 * (k - 1) ** nonmin_singles
+
+
+def class_bad_pair_stats(k: int) -> BadPairStats:
+    """Mask/bad-pair statistics over the local universe, by class representatives.
+
+    Defect sets have size k-1, width k-2, avoid the distinguished set: they
+    double one block and miss two.  A mask is a distinguished-set-avoiding
+    almost-full transversal missing the doubled block and doubling one of the
+    two missed ones; a bad pair additionally requires disjointness and that
+    the mask's element in the other missed block is not that block's minimum.
+
+    The group G = prod_i Sym(B_i - {min B_i}) keeps every block and every
+    block minimum, so it preserves disjointness, both set types and every
+    minimum flag.  Moreover a defect set never meets the block its masks
+    double, nor a mask the block the defect set doubles, so swapping the
+    doubled pair of either for another pair of the same block changes no bad
+    pair.  Hence every count is constant on a class: defect sets with the
+    same doubled block, missed pair and minimum flags of the singles, and
+    masks with the same missed and doubled blocks and minimum flags.  One
+    representative per defect-set class is counted against every mask class
+    of its two types, each bad pair found adds the defect class's size to the
+    mask class's total, and double counting gives the per-mask count as that
+    total over the mask class's size, which must divide it exactly.
+
+    A mask class is every pair of its doubled block joined with every single
+    choice of its class, and the defect set misses that block, so it
+    meets no pair: the class's bad pairs with a defect set are its pairs
+    times its single choices disjoint from the defect set.  Those choices
+    are a product over the class's single blocks: a block at its minimum
+    gives 1 if the defect set misses that minimum, else 0, and any other
+    block gives k-1 less the number of its non-minimum elements in the
+    defect set.
+    """
+    if k < 3:
+        raise ValueError("need k >= 3")
+    if k > BAD_PAIR_MAX_K:
+        raise ValueError(f"bad-pair statistics need k <= {BAD_PAIR_MAX_K}, got k={k}")
+    _, blocks = _local_layout(k)
+    bits = [[1 << (e - 1) for e in b] for b in blocks]  # blocks sorted: min first
+    block_masks = [sum(b) for b in bits]
+    pairs = k * (k - 1) // 2  # pairs of a mask's doubled block
+
+    # mask classes by type (missed block, doubled block): (class id, the
+    # single blocks, their minimum flags as a bitmask over block indices)
+    mask_classes: dict[tuple[int, int], list[tuple[int, list[int], int]]] = {}
+    class_sizes: list[int] = []
+    for miss in range(k):
+        for dbl in range(k):
+            if dbl == miss:
+                continue
+            singles = [i for i in range(k) if i not in (miss, dbl)]
+            bucket = []
+            for at_min in product((True, False), repeat=len(singles)):
+                flags = sum(1 << i for i, m in zip(singles, at_min) if m)
+                bucket.append((len(class_sizes), singles, flags))
+                class_sizes.append(pairs * (k - 1) ** at_min.count(False))
+            mask_classes[(miss, dbl)] = bucket
+
+    totals = [0] * len(class_sizes)  # bad pairs per mask class
+    per_t: Optional[int] = None
+    num_t = 0
+    for dbl_t in range(k):  # block doubled by the defect set
+        others = [i for i in range(k) if i != dbl_t]
+        pmask = bits[dbl_t][0] | bits[dbl_t][1]
+        for missed in combinations(others, 2):
+            singles = [i for i in others if i not in missed]
+            for at_min in product((True, False), repeat=len(singles)):
+                tmask = pmask
+                for i, m in zip(singles, at_min):
+                    tmask |= bits[i][0 if m else 1]
+                # the single choices of block i that miss the defect set,
+                # at the minimum and off it
+                at_min_free = [0 if bits[i][0] & tmask else 1 for i in range(k)]
+                off_min_free = [
+                    k - 1 - (tmask & m & ~b[0]).bit_count() for m, b in zip(block_masks, bits)
+                ]
+                size = _defect_class_size(k, at_min.count(False))
+                num_t += size
+                cnt = 0
+                for f, other in ((missed[0], missed[1]), (missed[1], missed[0])):
+                    if block_masks[f] & tmask:
+                        raise AssertionError("a defect set meets the block its masks double")
+                    for cid, mask_singles, flags in mask_classes[(dbl_t, f)]:
+                        if flags >> other & 1:
+                            continue
+                        hits = pairs
+                        for i in mask_singles:
+                            hits *= at_min_free[i] if flags >> i & 1 else off_min_free[i]
+                        cnt += hits
+                        totals[cid] += size * hits
+                if per_t is None:
+                    per_t = cnt
+                elif per_t != cnt:
+                    raise AssertionError(
+                        f"per-defect-set mask count is not uniform: {per_t} vs {cnt}"
+                    )
+    per_mask = []
+    for total, size in zip(totals, class_sizes):
+        if total % size:
+            raise AssertionError(
+                f"bad pairs of a mask class ({total}) not divisible by its size ({size})"
+            )
+        per_mask.append(total // size)
+    num_bad = sum(size for c, size in zip(per_mask, class_sizes) if c)
+    bound = Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2)
+    return BadPairStats(
+        per_t=per_t or 0,
+        per_mask_max=max(per_mask, default=0),
+        per_mask_bound=bound,
+        num_t=num_t,
+        num_bad_masks=num_bad,
+    )
 
 
 def profile(mask: int, k: int) -> tuple[int, ...]:
@@ -340,38 +539,105 @@ def test_bad_pair_stats_beyond_enumeration(k, expected):
     assert st.per_mask_max <= st.per_mask_bound
 
 
-def test_bad_pair_stats_divisibility_guard(monkeypatch):
-    # wrong defect-class weights leave some mask-class total that its class
-    # size does not divide; the count must refuse rather than round
-    monkeypatch.setattr(transversals, "_defect_class_size", lambda k, nonmin: 1)
-    with pytest.raises(AssertionError, match="not divisible"):
+def test_bad_pair_stats_double_counting_guard(monkeypatch):
+    # a wrong class multiplicity breaks the double count of the bad pairs,
+    # and the statistics are refused rather than reported
+    original = transversals._class_size
+
+    def one_class_off(k, layouts, singles, at_min):
+        return original(k, layouts, singles, at_min) + (at_min == 1)
+
+    monkeypatch.setattr(transversals, "_class_size", one_class_off)
+    with pytest.raises(AssertionError, match="by mask class .* and by defect set .* differ"):
         bad_pair_stats(4)
 
 
 def test_bad_pair_stats_guards():
     with pytest.raises(ValueError):
         bad_pair_stats(2)
-    with pytest.raises(ValueError):
-        bad_pair_stats(10)
+    # no upper gate: k = 10 is counted like any other k
+    st = bad_pair_stats(10)
+    assert st.per_t == 10 * 9**9
+    assert st.per_mask_max == st.per_mask_bound
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_bad_pair_stats_equals_the_class_counter(k):
+    assert bad_pair_stats(k) == class_bad_pair_stats(k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 13, 21, 40])
+def test_bad_pair_stats_closed_forms(k):
+    # cross-checks of the counted statistics; the rows never use these
+    c2 = comb(k, 2)
+    st = bad_pair_stats(k)
+    assert st.num_t == k * comb(k - 1, 2) * c2 * k ** (k - 3)
+    assert st.per_t == k * (k - 1) ** (k - 1)
+    assert st.per_mask_max == c2 * (k - 2) * (k - 1) ** (k - 3)
+    assert st.num_bad_masks == k * (k - 1) * c2 * (k ** (k - 2) - 1)
+
+
+def enumerated_rows(k: int, check: str) -> list[AuditReport]:
+    """The counts or the cyclic rows derived from the enumerators: the
+    distinct full-profile sets among the k^k full transversals, and the
+    collections of the canonical defect set, whose members must be full
+    transversals avoiding t and the missed block's minimum, none shared."""
+    params = {"k": k}
+    parts = _part_masks(k)
+    full = [0] + [1] * k
+    if check == "counts":
+        distinct = {
+            m for m in full_transversal_masks(k) if [(m & p).bit_count() for p in parts] == full
+        }
+        wrong_weight = 0 if weight_value(k, k, 1, k, k) == 1 else 1
+        return [
+            make_report("transversal:full_count", params, len(distinct), k**k, "=="),
+            make_report("transversal:full_weight", params, wrong_weight, 0, "=="),
+        ]
+    _, blocks = _local_layout(k)
+    t = KSet.from_elements(ground(k), [b[0] for b in blocks[:-1]])
+    avoid = t.mask | 1 << blocks[-1][0] - 1
+    seen: set[int] = set()
+    count = shared = 0
+    for coll in cyclic_collection_masks(t, k):
+        count += 1
+        for q in coll:
+            if q & avoid or q in seen or [(q & p).bit_count() for p in parts] != full:
+                shared = 1
+            seen.add(q)
+    return [
+        make_report("transversal:cyclic_collections", params, count, (k - 1) ** (k - 1), "=="),
+        make_report("transversal:cyclic_no_shared", params, shared, 0, "=="),
+    ]
+
+
+@pytest.mark.parametrize(
+    "k, check", [(k, "counts") for k in range(1, 8)] + [(k, "cyclic") for k in range(2, 8)]
+)
+def test_block_rows_equal_the_enumerated_rows(k, check):
+    assert transversal_reports(k, check) == enumerated_rows(k, check)
+
+
+def test_max_k_is_the_largest_local_universe_in_the_ground_set():
+    assert ground(MAX_K) <= _MAX_GROUND < ground(MAX_K + 1)
+    assert MAX_K == 63
 
 
 def test_transversal_reports_refuse_before_any_row(monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    for name in (
-        "full_transversal_masks",
-        "cyclic_collection_masks",
-        "bad_pair_stats",
-        "q_family_check",
-    ):
+    for name in ("_full_count", "_cyclic_check", "bad_pair_stats", "q_family_check"):
         monkeypatch.setattr(transversals, name, no_row)
     monkeypatch.setattr("emckit.audit.product_inequality_report", no_row)
+    too_large = "needs k <= 63, got k=64: the local universe [(k+1)k-1] must fit in [4096]"
     for k, check, message in (
-        (8, "all", "--check counts supports k <= 7, got k=8"),
-        (12, "counts", "--check counts supports k <= 7, got k=12"),
-        (9, "cyclic", "--check cyclic supports k <= 8, got k=9"),
-        (10, "badpairs", "--check badpairs supports k <= 9, got k=10"),
+        (64, "all", f"--check all {too_large}"),
+        (64, "counts", f"--check counts {too_large}"),
+        (64, "q", f"--check q {too_large}"),
+        (64, "product", f"--check product {too_large}"),
+        (1000, "badpairs", "--check badpairs needs k <= 63, got k=1000: "
+         "the local universe [(k+1)k-1] must fit in [4096]"),
         (1, "all", "--check cyclic needs k >= 2, got k=1"),
         (1, "cyclic", "--check cyclic needs k >= 2, got k=1"),
         (2, "all", "--check badpairs needs k >= 3, got k=2"),
