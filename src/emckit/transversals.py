@@ -85,10 +85,10 @@ class BadPairStats(NamedTuple):
 
 
 def _class_size(k: int, layouts: int, singles: int, at_min: int) -> int:
-    """The sets of one class: ``layouts`` choices of the doubled and the
-    missed blocks, C(k, 2) pairs of the doubled block, C(singles, at_min)
-    choices of the singles at their block minimum, and k-1 choices for each
-    other single."""
+    """The number of sets in one class: ``layouts`` choices of the doubled
+    and the missed blocks, C(k, 2) pairs of the doubled block,
+    C(singles, at_min) choices of the singles at their block minimum, and
+    k-1 choices for each other single."""
     return layouts * comb(k, 2) * comb(singles, at_min) * (k - 1) ** (singles - at_min)
 
 
