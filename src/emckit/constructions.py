@@ -8,8 +8,9 @@ identities in ``weights``.
 from __future__ import annotations
 
 import sys
+from itertools import groupby
 
-from .core import Family, binom, enumerate_ksets
+from .core import Family, _adjacent_repeat, binom, enumerate_ksets
 
 
 def prefix_size(k: int, s: int) -> int:
@@ -33,7 +34,7 @@ def build_B(n: int, k: int, s: int) -> Family:
     if s > n or s < 1:
         raise ValueError(f"need 1 <= s <= n, got s={s}")
     head = (1 << s) - 1
-    return Family(n, k, [m for m in enumerate_ksets(n, k) if m & head])
+    return Family(n, k, filter(head.__and__, enumerate_ksets(n, k)))
 
 
 def extremal_sizes(n: int, k: int, s: int) -> tuple[int, int]:
@@ -76,9 +77,12 @@ def crossover_n(k: int, s: int) -> int:
     return ahead
 
 
-def trace_masks(fam: Family, k: int, s: int) -> set[int]:
-    """The distinct intersections of members with the prefix, as masks.
+def trace_masks(fam: Family, k: int, s: int) -> list[int]:
+    """The distinct intersections of members with the prefix, as masks in
+    ascending order.
 
+    The intersections are sorted, so repeats sit next to each other and are
+    dropped without a hash set; a member inside the prefix is its own trace.
     An empty trace member (a member entirely beyond the prefix) is retained
     and flagged by a warning on stderr; it only makes counting sense when n_bar >= k.
     """
@@ -86,8 +90,9 @@ def trace_masks(fam: Family, k: int, s: int) -> set[int]:
     if fam.n < p:
         raise ValueError(f"family ground set {fam.n} smaller than prefix {p}")
     head = (1 << p) - 1
-    masks = {m & head for m in fam.members}
-    if 0 in masks:
+    masks = sorted(m if m <= head else m & head for m in fam.members)
+    if _adjacent_repeat(masks):
+        masks = [t for t, _ in groupby(masks)]
+    if masks and masks[0] == 0:
         sys.stderr.write("trace contains the empty set (member beyond the prefix)\n")
     return masks
-

@@ -13,6 +13,8 @@ inequality is exact: integers stay integers, ratios are
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import eq
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 if TYPE_CHECKING:
@@ -87,16 +89,21 @@ class KSet:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
+def _adjacent_repeat(masks: list[int]) -> bool:
+    """True iff two neighbours of ``masks`` are equal: a repeat in a sorted list."""
+    return any(map(eq, masks, islice(masks, 1, None)))
+
+
 def _refuse_member(n: int, k: Optional[int], members: list[int]) -> None:
     """Raise for the first member, in canonical order, that breaks uniformity
-    or repeats an earlier one."""
-    seen = set()
+    or repeats an earlier one; a repeat sits next to the member it repeats."""
+    prev = None
     for m in members:
         if k is not None and m.bit_count() != k:
             raise ValueError(f"member {KSet(n, m)!r} violates uniformity k={k}")
-        if m in seen:
+        if m == prev:
             raise ValueError(f"duplicate member {KSet(n, m)!r}")
-        seen.add(m)
+        prev = m
 
 
 class Family:
@@ -104,30 +111,38 @@ class Family:
 
     ``k`` is the uniformity: every member has size k, or ``None`` for mixed
     families (traces).  ``members`` holds the masks sorted by (size, colex),
-    which makes equality and diffing canonical; ``mask_set`` holds them as a
-    frozenset for membership tests.
+    which makes equality and diffing canonical; it is the one container a
+    family keeps.  ``mask_set``, the members as a frozenset for membership
+    tests, is built on first use and then kept.
     """
 
-    __slots__ = ("n", "k", "members", "mask_set")
+    __slots__ = ("n", "k", "members", "_mask_set")
 
     def __init__(self, n: int, k: Optional[int], masks: Iterable[int]):
         _check_ground(n)
         if k is not None and not 0 <= k <= n:
             raise ValueError(f"uniformity k={k} outside [0, {n}]")
-        # colex on equal-size sets is numeric mask order; both sorts are stable
+        # colex on equal-size sets is numeric mask order; both sorts are
+        # stable, so equal masks stay next to each other
         members = sorted(masks)
         if members and (members[0] < 0 or members[-1] >> n):
             raise ValueError("set bits outside ground set")
-        members.sort(key=int.bit_count)
-        mask_set = frozenset(members)
-        if len(mask_set) != len(members) or (
-            k is not None and members and not members[0].bit_count() == k == members[-1].bit_count()
-        ):
+        sizes = set(map(int.bit_count, members))
+        if len(sizes) > 1:
+            members.sort(key=int.bit_count)
+        if _adjacent_repeat(members) or (k is not None and not sizes <= {k}):
             _refuse_member(n, k, members)
         self.n = n
         self.k = k
         self.members = tuple(members)
-        self.mask_set = mask_set
+        self._mask_set = None
+
+    @property
+    def mask_set(self) -> frozenset[int]:
+        """The members as a frozenset, built on first use."""
+        if self._mask_set is None:
+            self._mask_set = frozenset(self.members)
+        return self._mask_set
 
     @classmethod
     def from_masks(cls, n: int, k: Optional[int], masks: Iterable[int]) -> "Family":

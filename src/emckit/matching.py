@@ -38,9 +38,9 @@ def _holders(all_masks: list[int]) -> list[int]:
     return holders
 
 
-def _disjointness(all_masks: list[int]) -> list[int]:
-    """``disj[j]``: bitset over list positions of the sets disjoint from set j."""
-    holders = _holders(all_masks)
+def _disjointness(all_masks: list[int], holders: list[int]) -> list[int]:
+    """``disj[j]``: bitset over list positions of the sets disjoint from set j,
+    given ``holders = _holders(all_masks)``."""
     full = (1 << len(all_masks)) - 1
     disj = []
     for x in all_masks:
@@ -67,7 +67,7 @@ def matching_number(
         base = [0]
         masks = masks[1:]
     holders = _holders(masks)
-    disj = _disjointness(masks)
+    disj = _disjointness(masks, holders)
     by_size: dict[int, int] = {}  # member size -> positions of the members of that size
     for j, x in enumerate(masks):
         by_size[x.bit_count()] = by_size.get(x.bit_count(), 0) | 1 << j

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .constructions import extremal_sizes, prefix_size, trace_masks
 from .core import _MAX_GROUND, BudgetExceeded, Family, KSet, binom, enumerate_ksets
-from .matching import _bits, _disjointness
+from .matching import _bits, _disjointness, _holders
 from .shifting import _decrements
 
 if TYPE_CHECKING:
@@ -88,7 +88,7 @@ def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
     """Scan the subfamilies from the largest size down; returns (max size,
     inclusion mask of the colex-least maximizer)."""
     m = len(all_masks)
-    forbidden = _disjoint_tuples(_disjointness(all_masks), s + 1)
+    forbidden = _disjoint_tuples(_disjointness(all_masks, _holders(all_masks)), s + 1)
     bits = [1 << i for i in range(m)]
     for size in range(m, 0, -1):
         for chosen in combinations(bits, size):
@@ -257,7 +257,7 @@ def _bnb_max(
     is_parent = 0
     for p in parents:
         is_parent |= p
-    disj = _disjointness(all_masks)
+    disj = _disjointness(all_masks, _holders(all_masks))
     most = s if all(m.bit_count() == 1 for m in all_masks) else len(all_masks)
     best_size = 0  # the empty family
     best_incl = 0
@@ -391,7 +391,7 @@ def find_G0(fam: Family, k: int, s: int) -> Optional[KSet]:
     p = prefix_size(k, s)
     if fam.n < p:
         raise ValueError("family ground set smaller than prefix")
-    tr_masks = trace_masks(fam, k, s)
+    tr_masks = set(trace_masks(fam, k, s))
     fam_masks = fam.mask_set
     for cmask in enumerate_ksets(p, k - 1):
         if cmask in tr_masks:

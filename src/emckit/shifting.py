@@ -66,7 +66,7 @@ def shift_to_fixpoint(fam: Family) -> Family:
     The sweep rewrites a plain set of masks and builds a single ``Family`` at
     the end.
     """
-    present = set(fam.mask_set)
+    present = set(fam.members)
     for j in range(2, fam.n + 1):
         bj = 1 << (j - 1)
         holding_j = {m for m in present if m & bj}

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
+from emckit.core import _MAX_GROUND, Family, KSet, binom, enumerate_ksets, mask_of
 
 
 def precedes(f: KSet, g: KSet) -> bool:
@@ -162,6 +162,70 @@ def test_family_refuses_invalid_masks(case, data):
         Family(4097, k, masks)
     with pytest.raises(ValueError):
         Family.from_text(f"4097 {'*' if k is None else k}\n")
+
+
+def eager_family(n: int, k, masks) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Oracle: the constructor that built ``mask_set`` up front and found
+    duplicates by the frozenset's size; returns (members, mask_set)."""
+    if not 0 <= n <= _MAX_GROUND:
+        raise ValueError(f"ground set size {n} outside [0, {_MAX_GROUND}]")
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"uniformity k={k} outside [0, {n}]")
+    members = sorted(masks)
+    if members and (members[0] < 0 or members[-1] >> n):
+        raise ValueError("set bits outside ground set")
+    members.sort(key=int.bit_count)
+    mask_set = frozenset(members)
+    if len(mask_set) != len(members) or (
+        k is not None and members and not members[0].bit_count() == k == members[-1].bit_count()
+    ):
+        seen = set()
+        for m in members:
+            if k is not None and m.bit_count() != k:
+                raise ValueError(f"member {KSet(n, m)!r} violates uniformity k={k}")
+            if m in seen:
+                raise ValueError(f"duplicate member {KSet(n, m)!r}")
+            seen.add(m)
+    return tuple(members), mask_set
+
+
+@st.composite
+def family_inputs(draw):
+    """(n, k, masks): uniform or mixed-size masks over [n], n <= 10, with k
+    None or in [-1, n+1], possibly with repeats and out-of-range masks, in
+    random order."""
+    n = draw(st.integers(0, 10))
+    k = draw(st.none() | st.integers(-1, n + 1))
+    if k is not None and 0 <= k <= n and draw(st.booleans()):
+        pool = st.sampled_from(list(enumerate_ksets(n, k)))
+    else:
+        pool = st.integers(0, (1 << n) - 1)
+    masks = draw(st.lists(pool, max_size=30))
+    if masks and draw(st.booleans()):
+        masks += draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        masks.append(draw(st.integers(-8, -1) | st.integers(1 << n, 1 << (n + 3))))
+    return n, k, draw(st.permutations(masks))
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_inputs())
+def test_family_matches_the_eager_constructor(case):
+    n, k, masks = case
+
+    def lazy():
+        fam = Family(n, k, masks)
+        assert fam.mask_set is fam.mask_set  # built once, then kept
+        return fam.members, fam.mask_set
+
+    assert outcome(lazy) == outcome(lambda: eager_family(n, k, masks))
 
 
 def test_binom_conventions():

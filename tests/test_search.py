@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from emckit.constructions import build_B, extremal_sizes
 from emckit.core import Family, binom, enumerate_ksets, mask_of
-from emckit.matching import BudgetExceeded, _disjointness, matching_number
+from emckit.matching import BudgetExceeded, _disjointness, _holders, matching_number
 from emckit.shifting import _decrements
 from emckit import search
 from emckit.search import (
@@ -216,7 +216,7 @@ def full_scan_max(all_masks: list[int], s: int) -> tuple[int, int]:
     """Oracle of the top-down exhaustive scan: all 2^m subfamilies, keeping
     the colex-least of the largest feasible ones."""
     m = len(all_masks)
-    forbidden = _disjoint_tuples(_disjointness(all_masks), s + 1)
+    forbidden = _disjoint_tuples(_disjointness(all_masks, _holders(all_masks)), s + 1)
     best_size = -1
     best_incl = 0
     for incl in range(1 << m):
@@ -297,7 +297,7 @@ def test_disjoint_tuples_matches_combinations(masks, t):
         for combo in combinations(range(len(masks)), t)
         if pairwise_disjoint(combo)
     ]
-    assert _disjoint_tuples(_disjointness(masks), t) == expected
+    assert _disjoint_tuples(_disjointness(masks, _holders(masks)), t) == expected
 
 
 @st.composite
@@ -353,7 +353,7 @@ def test_incremental_prune_matches_matching_oracle(case):
     masks = grown + pool
     c = len(cur)
     pool_bits = (1 << len(masks)) - (1 << c + 1)
-    kept_bits, _ = _include(c, (1 << c) - 1, pool_bits, [0] * len(masks), s, masks, _disjointness(masks))
+    kept_bits, _ = _include(c, (1 << c) - 1, pool_bits, [0] * len(masks), s, masks, _disjointness(masks, _holders(masks)))
     assert [masks[j] for j in _positions(kept_bits)] == feasible
 
 
@@ -389,7 +389,7 @@ def test_clique_cover_bounds_joinable_sets(case):
     # grow the pool and the conflicts as the branch-and-bound does, one
     # include at a time from the empty family
     s, masks, cur, sub = case
-    disj = _disjointness(masks)
+    disj = _disjointness(masks, _holders(masks))
     incl, pool = 0, (1 << len(masks)) - 1
     conf = disj if s == 1 else [0] * len(masks)
     for c in cur:
@@ -641,7 +641,7 @@ def test_size_gates_checked_before_enumeration(monkeypatch):
 @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (7, 2), (8, 2), (7, 3), (9, 3), (8, 4)])
 def test_matching_count_closed_form(n, k):
     masks = list(enumerate_ksets(n, k))
-    disj = _disjointness(masks)
+    disj = _disjointness(masks, _holders(masks))
     for r in range(1, n // k + 2):
         assert _matching_count(n, k, r) == len(_disjoint_tuples(disj, r)), r
 

@@ -331,7 +331,7 @@ def enumerated_bad_pair_stats(k: int) -> BadPairStats:
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    if k > 6:
+    if k > 5:
         raise RuntimeError(f"bad-pair enumeration infeasible for k={k}")
     _, blocks = _local_layout(k)
     bmins = [min(b) for b in blocks]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from emckit.weights import (
     candidate_count,
     claim3_bound,
     family_weight_identity,
+    identity_reports,
     wA_of_M,
     weight_value,
     wg_envelope,
@@ -288,6 +290,20 @@ def test_family_weight_identity_refuses_a_trace_member_larger_than_k():
     for fam in (Family(9, 3, [0b111]), Family(9, None, [0b1, 0b111])):
         with pytest.raises(ValueError, match="^trace member larger than k = 2$"):
             family_weight_identity(fam, fr)
+
+
+def test_identity_reports_allocate_little_beyond_the_family():
+    # 27 405 members, all inside the prefix [27]: the trace is the family
+    # itself, sorted once, with no hash set beside it
+    fam = build_A(30, 4, 6)
+    identity_reports(build_A(13, 3, 3), 3, "A")  # first-use allocations
+    tracemalloc.start()
+    try:
+        identity_reports(fam, 6, "A")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600_000
 
 
 def test_wA_symmetry_recovers_prefix_family_size():
