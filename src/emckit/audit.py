@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .core import _compositions
 from .report import AuditReport, make_report
 from .weights import (
     WeightFrame,
@@ -249,35 +248,48 @@ def audit_all(k: int, s: int, n: int) -> list[AuditReport]:
     return reports
 
 
-# depends on k alone, so ``audit --n auto`` walks the profiles once for both
+def _claim8_holds(k: int, product: int, worst: int, c: int) -> bool:
+    """(k-a0)...(k-a_c) k^(k-c) >= max_i a_i (k-a_i) k^(k-1), divided by
+    k^(k-c), from the product of the k - a_i and their largest a_i (k-a_i)."""
+    return product >= worst * k ** (c - 1)
+
+
+# depends on k alone, so ``audit --n auto`` walks the classes once for both
 # window ends; the result is a tuple of ints, one k is kept
 @lru_cache(maxsize=1)
 def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Shift-count inequality over every admissible intersection profile.
 
     For a0 >= 1, a_i >= 1 with a0 + a1 + ... + a_c = k, checks
-    (k-a0)...(k-a_c) k^(k-c) >= max_i a_i (k-a_i) * k^(k-1) exhaustively
-    over integer compositions.  Returns the number of violating profiles and
-    the first one, (a0, a1, ..., a_c), or None when there is none.
+    (k-a0)...(k-a_c) k^(k-c) >= max_i a_i (k-a_i) * k^(k-1).  Both sides
+    are symmetric in all parts, a0 included, so each partition of k into at
+    least two parts is tested once and a violating one counts its
+    (c+1)!/prod(mult!) orderings.  In the order of a0, then c, then
+    lexicographic, a partition's first ordering is its parts in increasing
+    order, so the first violating profile has the least key (least part,
+    c, the parts).  Returns the number of violating profiles and the first
+    one, (a0, a1, ..., a_c), or None when there is none.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     violations = 0
-    first_violation = None
-    for a0 in range(1, k):
-        rem = k - a0
-        for c in range(1, rem + 1):
-            for comp in _compositions(rem, c):
-                lhs = k - a0
-                for ai in comp:
-                    lhs *= k - ai
-                lhs *= k ** (k - c)
-                rhs = max(ai * (k - ai) for ai in (a0,) + comp) * k ** (k - 1)
-                if lhs < rhs:
-                    violations += 1
-                    if first_violation is None:
-                        first_violation = (a0,) + comp
-    return violations, first_violation
+    first = None  # the least key of a violating partition
+    # the parts so far, increasing, the product of their k - a, their
+    # largest a (k - a), and the rest of k, which closes the partition
+    stack = [((), 1, 0, k)]
+    while stack:
+        parts, product, worst, rest = stack.pop()
+        if parts and not _claim8_holds(
+            k, product * (k - rest), max(worst, rest * (k - rest)), len(parts)
+        ):
+            full = parts + (rest,)
+            repeats = math.prod(math.factorial(full.count(a)) for a in set(full))
+            violations += math.factorial(len(full)) // repeats
+            key = (full[0], len(full), full)
+            first = min(first, key) if first else key
+        for a in range(parts[-1] if parts else 1, rest // 2 + 1):
+            stack.append((parts + (a,), product * (k - a), max(worst, a * (k - a)), rest - a))
+    return violations, first[2] if first else None
 
 
 def product_inequality_report(k: int) -> AuditReport:

@@ -188,12 +188,12 @@ class Family:
             if not line:
                 continue
             if header is None:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValueError(f"line {lineno}: header must be 'n k'")
-                n = int(parts[0])
+                try:
+                    n_field, k_field = line.split()
+                    n, k = int(n_field), None if k_field == "*" else int(k_field)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: header must be 'n k'") from None
                 _check_ground(n)
-                k = None if parts[1] == "*" else int(parts[1])
                 header = (n, k)
                 continue
             try:
@@ -215,18 +215,6 @@ def binom(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The compositions of ``total`` into ``parts`` positive parts, in
-    lexicographic order; only the empty one for ``total = parts = 0``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def enumerate_ksets(n: int, k: int) -> Iterator[int]:

@@ -11,17 +11,12 @@ one ``verify`` writes, loads no rational arithmetic.
 
 from __future__ import annotations
 
+from operator import eq, ge, gt, le, lt
 from typing import NamedTuple, Optional
 
 from .core import ExactScalar
 
-_CMP = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    "==": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_CMP = {"<=": le, "<": lt, "==": eq, ">=": ge, ">": gt}
 
 
 class AuditReport(NamedTuple):

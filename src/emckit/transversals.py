@@ -18,7 +18,7 @@ from math import comb, isqrt, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .constructions import prefix_size
-from .core import _MAX_GROUND, KSet, _compositions, mask_of
+from .core import _MAX_GROUND, KSet, mask_of
 from .report import AuditReport, make_report
 from .weights import weight_value
 
@@ -172,6 +172,14 @@ def bad_pair_stats(k: int) -> BadPairStats:
     )
 
 
+def _slot_row(block: Sequence[int], in_t: set[int], p: int) -> list[int]:
+    """Slots 1..k of one block in ``q_family``'s table: the block's residual
+    in increasing order, with t's elements in the block at slots p+1..p+a."""
+    held = [e for e in block if e in in_t]
+    residual = [e for e in block if e not in in_t]
+    return residual[:p] + held + residual[p:]
+
+
 def q_family(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
     """k pairwise disjoint k-sets avoiding a size-(k-1) defect set t.
 
@@ -198,10 +206,8 @@ def q_family(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
     table = []
     p = 0
     for b in ordered:
-        held = [e for e in b if e in in_t]
-        residual = [e for e in b if e not in in_t]
-        table.append(residual[:p] + held + residual[p:])
-        p += len(held)
+        table.append(_slot_row(b, in_t, p))
+        p += len(in_t.intersection(b))
     g0_free = [e for e in g0 if e not in in_t]  # p of them, since |t| = k-1
 
     if len(pis) != k + 1:
@@ -230,60 +236,58 @@ def q_family(t: KSet, pis: Sequence[CyclicShift], k: int) -> list[KSet]:
 
 def q_family_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Disjointness of ``q_family`` for every size-(k-1) defect set and every
-    shift tuple, decided on one defect set per intersection profile.
+    shift tuple, decided one slot-table row type at a time.
 
-    ``q_family`` sees t only through its profile (a0; a1, ..., a_c): relabel
-    the blocks keeping the order within the touched and within the untouched
-    ones, and inside each block and inside the distinguished set map t's part
-    and the residual each in increasing order.  The relabelling carries t's
-    slot table slot by slot onto that of any defect set with the same
-    profile, and each canonical cyclic shift onto one, so the construction
-    commutes with it.  Every size-(k-1) set has a0 = k - p >= 1 with
-    p = a1 + ... + a_c, so the profiles are the compositions of p = 0..k-1:
-    exactly 2^(k-1) of them.
+    A defect set has the profile (a0; a1, ..., a_c): a_i >= 1 elements in
+    its i-th touched block, P = a1 + ... + a_c, and a0 = k - P >= 1, since
+    k-1-P elements are distinguished.  The profiles are the compositions of
+    P = 0..k-1, 2^(k-1) of them.  ``q_family``'s table has one
+    ``_slot_row`` per block, touched blocks first, and a row depends only
+    on its type (p, a): t's elements in the blocks before it, and in it; an
+    untouched block has type (P, 0).  An order-keeping relabelling carries
+    one block of a type onto any other, so one block decides each type.  A
+    row is good when slots p+1..p+a hold t's elements and the other slots
+    the block's residual, each once.
 
-    Disjointness does not depend on the shift tuple.  Output i takes slot i
-    of each block, skipping, when i <= p, the block whose slot i holds t's
-    element, so every slot it takes holds a residual element: t's elements
-    in the blocks hold slots 1..p, one block per slot.  Distinct i use
-    distinct slots, and a shift permutes the residual, so the outputs meet
-    each block in distinct residual elements.  The distinguished part of output i <= p is the free
-    element in slot i, again permuted among the p free ones.  So any tuple
-    of permutations of the residuals, cyclic or not, gives k pairwise
-    disjoint k-sets that avoid t.
+    When every row is good, t's block elements hold slots 1..P, one block
+    per slot.  Output i takes slot i of every block not holding t there,
+    plus the i-th free distinguished element when i <= P: k elements
+    outside t, and distinct i use distinct slots.  A shift only permutes a
+    residual or the free distinguished elements, so every shift tuple gives
+    k pairwise disjoint k-sets avoiding t.  A profile with a bad row fails.
 
-    Hence one representative per profile, with the identity tuple, decides
-    every (t, tuple) pair.  The representative takes the least a_i elements
-    of blocks 1..c and the least k-1-p distinguished elements.  A profile
-    fails when ``q_family`` raises ``AssertionError`` or its output is not k
-    pairwise disjoint k-sets avoiding t.  Returns the number of failing
-    profiles and the first one, (a0, a1, ..., a_c), or None when there is none.
+    So the failures number the sum over P of 2^(P-1) (1 at P = 0) minus
+    ok[P], which is 0 when (P, 0) is bad and else counts the compositions
+    of P with all touched rows good, forward over the O(k^2) types.  In the
+    order of P, c, then lexicographic, the first failure has the least
+    failing P.  It is (k-P, P), or (k,), when (P, 0) or (0, P) is bad.
+    Else every (q, a) with q + a < P is good, so a failing profile ends in
+    a bad (q, P-q), and the first is (k-P, q, P-q) for the least such
+    q >= 1.  Returns the number of failing profiles and the first one, or
+    None when there is none.
     """
-    g0, blocks = _local_layout(k)
+    block = _local_layout(k)[1][0]
+
+    def row_is_good(p: int, a: int) -> bool:
+        held = block[:a]
+        row = _slot_row(block, set(held), p)
+        in_place = [e in held for e in row] == [p <= i < p + a for i in range(k)]
+        return in_place and sorted(e for e in row if e not in held) == list(block[a:])
+
+    good = {(p, a): row_is_good(p, a) for p in range(k) for a in range(k - p)}
+    ways = [1] + [0] * (k - 1)  # compositions of p whose touched rows are good
+    for (p, a), is_good in good.items():  # p increasing, so ways[p] is final
+        if a and is_good:
+            ways[p + a] += ways[p]
     failures = 0
     first_failure = None
-    for p in range(k):
-        for c in range(p + 1):
-            for comp in _compositions(p, c):
-                elems = list(g0[: k - 1 - p])
-                for b, ai in zip(blocks, comp):
-                    elems.extend(b[:ai])
-                t = KSet.from_elements(prefix_size(k, k), elems)
-                # q_family puts the touched blocks first; t touches blocks
-                # 1..c, so its shifts come in block order
-                identity = [
-                    CyclicShift(tuple(e for e in part if e not in t), 0)
-                    for part in (g0, *blocks)
-                ]
-                try:
-                    qs = q_family(t, identity, k)
-                except AssertionError:
-                    qs = []
-                cover = [e for q in qs for e in q.elements] + elems
-                if len(qs) != k or any(q.size != k for q in qs) or len(set(cover)) != len(cover):
-                    failures += 1
-                    if first_failure is None:
-                        first_failure = (k - p,) + comp
+    for total in range(k):
+        failing = (2 ** (total - 1) if total else 1) - (ways[total] if good[total, 0] else 0)
+        failures += failing
+        if failing and first_failure is None:
+            ends_bad = (q for q in range(1, total) if not good[q, total - q])
+            q = next(ends_bad) if good[total, 0] and good[0, total] else 0
+            first_failure = tuple(x for x in (k - total, q, total - q) if x)
     return failures, first_failure
 
 

@@ -254,16 +254,17 @@ def test_audit_jobs_byte_identical(tmp_path, capsys):
 def test_audit_auto_walks_the_claim8_profiles_once(capsys, monkeypatch):
     from emckit import audit
 
-    walks = []
-    original = audit._compositions
-    monkeypatch.setattr(audit, "_compositions", lambda n, c: walks.append((n, c)) or original(n, c))
+    tested = []
+    original = audit._claim8_holds
+    monkeypatch.setattr(audit, "_claim8_holds", lambda *args: tested.append(args) or original(*args))
     audit.product_inequality_check.cache_clear()
     code, out = run(capsys, "audit", "--k", "5", "--s", str(K5_S), "--n", "auto")
+    audit.product_inequality_check.cache_clear()
     assert code == 0
     rows = [r for r in json.loads(out) if r["claim_id"] == "claim8:product_inequality"]
     assert len(rows) == 2 and rows[0] == rows[1]
-    # one walk: a composition count per (a0, c) with 1 <= c <= k - a0
-    assert len(walks) == 5 * 4 // 2
+    # one walk: one test per partition of 5 into at least two parts
+    assert len(tested) == 6
 
 
 def test_audit_out_of_window_exits_2(capsys):
@@ -657,20 +658,21 @@ def test_transversal_q_row_names_the_failing_profile(capsys, monkeypatch):
     assert code == 0
     assert row["params"] == {"k": 3} and row["lhs"] == "0" and "witness" not in row
 
-    original = transversals.q_family
+    original = transversals._slot_row
 
-    def overlapping_at_2_1(t, pis, k):
-        # the profile (a0, a1, ..., a_c): k - sum a_i, then the positive block intersections
-        qs = original(t, pis, k)
-        _, blocks = transversals._local_layout(k)
-        a = [x for x in (sum(e in t for e in b) for b in blocks) if x]
-        return [qs[0], qs[0], qs[2]] if (k - sum(a), *a) == (2, 1) else qs
+    def swapped_at_0_1(block, in_t, p):
+        # a first touched block with one element of t puts it in slot 2,
+        # which fails the profiles (2, 1) and (1, 1, 1)
+        row = original(block, in_t, p)
+        if (p, len(in_t.intersection(block))) == (0, 1):
+            row[0], row[1] = row[1], row[0]
+        return row
 
-    monkeypatch.setattr(transversals, "q_family", overlapping_at_2_1)
+    monkeypatch.setattr(transversals, "_slot_row", swapped_at_0_1)
     code, out = run(capsys, "transversal", "--k", "3", "--check", "q")
     (row,) = json.loads(out)
     assert code == 1
-    assert (row["lhs"], row["rhs"], row["pass"]) == ("1", "0", False)
+    assert (row["lhs"], row["rhs"], row["pass"]) == ("2", "0", False)
     assert row["witness"] == [2, 1]
 
 
@@ -858,6 +860,17 @@ def test_find_g0_refuses_out_of_domain(tmp_path, capsys):
         assert captured.err.startswith("error:")
         assert captured.out == ""
     assert run(capsys, "find-g0", "--in", str(fam_file), "--k", "3", "--s", "5") == (0, "6,7\n")
+
+
+def test_family_header_that_is_not_two_integers_exits_2_naming_its_line(tmp_path, capsys):
+    for header in ("x 2", "5 y", "5", "5 2 3"):
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(f"# a family\n{header}\n1,2\n")
+        code = main(["shift", "--in", str(fam_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: line 2: header must be 'n k'\n"
+        assert captured.out == ""
 
 
 def test_family_header_out_of_domain_exits_2(tmp_path, capsys):

@@ -103,6 +103,13 @@ def test_family_text_rejects_out_of_range_and_bad_header():
             Family.from_text(text)
 
 
+def test_family_text_names_the_line_of_a_bad_header():
+    for header in ("x 2", "5 y", "x *", "5", "5 2 3", "5 2.0"):
+        with pytest.raises(ValueError) as info:
+            Family.from_text(f"{header}\n1,2\n")
+        assert str(info.value) == "line 1: header must be 'n k'"
+
+
 @st.composite
 def mask_lists(draw):
     """(n, k, masks): a duplicate-free list over [n], n <= 12, uniform

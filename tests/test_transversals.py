@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
 
-from emckit import transversals
+from emckit import audit, transversals
 from emckit.audit import product_inequality_check
 from emckit.constructions import prefix_size
 from emckit.core import _MAX_GROUND, KSet, mask_of
@@ -939,8 +939,55 @@ def test_q_family_refuses_bad_input():
         assert str(info.value) == message
 
 
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order; only the empty one for ``total = parts = 0``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+# the profile walk that the row types of q_family_check replaced, kept
+# verbatim as its oracle, but for reading q_family from the module
+def q_family_check_by_profile(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """The failing profiles of ``q_family`` and the first one, with one
+    representative per profile and the identity shift tuple."""
+    g0, blocks = _local_layout(k)
+    failures = 0
+    first_failure = None
+    for p in range(k):
+        for c in range(p + 1):
+            for comp in _compositions(p, c):
+                elems = list(g0[: k - 1 - p])
+                for b, ai in zip(blocks, comp):
+                    elems.extend(b[:ai])
+                t = KSet.from_elements(prefix_size(k, k), elems)
+                # q_family puts the touched blocks first; t touches blocks
+                # 1..c, so its shifts come in block order
+                identity = [
+                    CyclicShift(tuple(e for e in part if e not in t), 0)
+                    for part in (g0, *blocks)
+                ]
+                try:
+                    qs = transversals.q_family(t, identity, k)
+                except AssertionError:
+                    qs = []
+                cover = [e for q in qs for e in q.elements] + elems
+                if len(qs) != k or any(q.size != k for q in qs) or len(set(cover)) != len(cover):
+                    failures += 1
+                    if first_failure is None:
+                        first_failure = (k - p,) + comp
+    return failures, first_failure
+
+
 @pytest.mark.parametrize("k", list(range(1, 8)))
 def test_q_family_check_visits_every_profile_once(k, monkeypatch):
+    # the walk meets each of the 2^(k-1) profiles once, and with every row
+    # bad the row types count each of them as failing
     seen = []
 
     def failing(t, pis, k):
@@ -948,19 +995,134 @@ def test_q_family_check_visits_every_profile_once(k, monkeypatch):
         raise AssertionError("injected")
 
     monkeypatch.setattr(transversals, "q_family", failing)
-    assert q_family_check(k) == (2 ** (k - 1), (k,))
+    assert q_family_check_by_profile(k) == (2 ** (k - 1), (k,))
     assert len(set(seen)) == len(seen) == 2 ** (k - 1)
     assert all(sum(prof) == k and min(prof) >= 1 for prof in seen)
+    monkeypatch.setattr(transversals, "_slot_row", lambda block, in_t, p: [0] * len(block))
+    assert q_family_check(k) == (2 ** (k - 1), (k,))
 
 
 def test_q_family_check_counts_a_short_cover_as_a_failure(monkeypatch):
-    original = transversals.q_family
-    monkeypatch.setattr(transversals, "q_family", lambda t, pis, k: original(t, pis, k)[1:])
-    assert q_family_check(3) == (4, (3,))
+    # a touched block that repeats t's element in its last slot leaves a
+    # residual element out, and the last output one short
+    original = transversals._slot_row
+
+    def short(block, in_t, p):
+        row = original(block, in_t, p)
+        return row[:-1] + [row[p]] if in_t.intersection(block) else row
+
+    monkeypatch.setattr(transversals, "_slot_row", short)
+    assert q_family_check(3) == q_family_check_by_profile(3) == (3, (2, 1))
     with pytest.raises(ValueError):
         q_family_check(0)
+
+
+def test_q_family_check_equals_the_walk_on_injected_row_faults(monkeypatch):
+    # each trial breaks the rows of one type (p, a), inside the block: two
+    # slots swapped, or one slot copied over another (which may repeat an
+    # element of t and still give a disjoint cover)
+    original = transversals._slot_row
+
+    def inject(fault_type, i, j, copy):
+        def faulty(block, in_t, p):
+            row = original(block, in_t, p)
+            if (p, len(in_t.intersection(block))) == fault_type:
+                row[j], row[i] = row[i], row[i] if copy else row[j]
+            return row
+
+        return faulty
+
+    rng = random.Random(28)
+    outcomes = []
+    for _ in range(150):
+        k = rng.randint(1, 9)
+        p = rng.randrange(k)
+        fault_type = (p, rng.randrange(k - p))
+        i, j = rng.randrange(k), rng.randrange(k)
+        monkeypatch.setattr(transversals, "_slot_row", inject(fault_type, i, j, rng.random() < 0.5))
+        walked = q_family_check_by_profile(k)
+        assert q_family_check(k) == walked, (k, fault_type, i, j)
+        outcomes.append(len(walked[1] or ()))
+    # 58 trials fail, with first failures of two parts and of three
+    assert sum(map(bool, outcomes)) == 58 and {2, 3} <= set(outcomes)
 
 
 @pytest.mark.parametrize("k", list(range(2, 11)))
 def test_product_inequality(k):
     assert product_inequality_check(k) == (0, None)
+
+
+# the composition walk that the partition walk of product_inequality_check
+# replaced, kept as its oracle; it reads the inequality from
+# audit._claim8_holds, so both walks can be run on a perturbed one
+def product_inequality_by_composition(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """The violating profiles (a0, a1, ..., a_c) and the first one, over
+    every composition of k into at least two parts."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    violations = 0
+    first_violation = None
+    for a0 in range(1, k):
+        rem = k - a0
+        for c in range(1, rem + 1):
+            for comp in _compositions(rem, c):
+                product = k - a0
+                for ai in comp:
+                    product *= k - ai
+                worst = max(ai * (k - ai) for ai in (a0,) + comp)
+                if not audit._claim8_holds(k, product, worst, c):
+                    violations += 1
+                    if first_violation is None:
+                        first_violation = (a0,) + comp
+    return violations, first_violation
+
+
+@pytest.fixture
+def fresh_claim8():
+    """Empty the cache of product_inequality_check before and after a test
+    that perturbs the inequality."""
+    product_inequality_check.cache_clear()
+    yield
+    product_inequality_check.cache_clear()
+
+
+def test_claim8_holds_is_the_unreduced_inequality():
+    for k in range(2, 7):
+        for c in range(1, k):
+            for product in range(60):
+                for worst in range(60):
+                    unreduced = product * k ** (k - c) >= worst * k ** (k - 1)
+                    assert audit._claim8_holds(k, product, worst, c) == unreduced
+
+
+def test_product_inequality_partitions_equal_the_compositions_when_perturbed(
+    monkeypatch, fresh_claim8
+):
+    # the right side scaled, and two residue tests of the class invariants
+    # that move the first violation off (1, k-1)
+    original = audit._claim8_holds
+
+    def scaled(scale):
+        return lambda k, product, worst, c: original(k, product, scale * worst, c)
+
+    perturbed = [scaled(scale) for scale in (1, 2, 3, 10)]
+    perturbed.append(lambda k, product, worst, c: (7 * product + worst) % 5 != 1)
+    perturbed.append(lambda k, product, worst, c: product % 4 != 0)
+    results = []
+    for holds in perturbed:
+        monkeypatch.setattr(audit, "_claim8_holds", holds)
+        for k in range(2, 14):
+            product_inequality_check.cache_clear()
+            walked = product_inequality_by_composition(k)
+            assert product_inequality_check(k) == walked, (perturbed.index(holds), k)
+            results.append(walked)
+    assert results[:12] == [(0, None)] * 12
+    assert (1814, (1, 11)) in results and (1, (2, 2, 2)) in results and (9, (2, 2, 7)) in results
+
+
+@pytest.mark.parametrize("k", list(range(2, 21)))
+def test_product_inequality_orderings_cover_every_profile(k, monkeypatch, fresh_claim8):
+    # every class violates, so the orderings sum to the compositions of k
+    # into at least two parts
+    monkeypatch.setattr(audit, "_claim8_holds", lambda k, product, worst, c: False)
+    assert product_inequality_check(k) == (2 ** (k - 1) - 1, (1, k - 1))
