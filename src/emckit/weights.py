@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .core import Family, binom
@@ -118,9 +119,8 @@ def wA_of_M(frame: WeightFrame) -> Fraction:
     size k.
     """
     k, s, n_bar = frame.k, frame.s, frame.n_bar
-    return sum(
-        weight_value(k, s, n_bar, c, k) * candidate_count(c, k, k) for c in range(1, k + 1)
-    )
+    counts = _count_table(k)
+    return sum(weight_value(k, s, n_bar, c, k) * counts[c, k] for c in range(1, k + 1))
 
 
 def block_subset_count(k: int, c: int, m: int) -> int:
@@ -150,6 +150,16 @@ def candidate_count(c: int, d: int, k: int) -> int:
     )
 
 
+@lru_cache(maxsize=1)
+def _count_table(k: int) -> dict[tuple[int, int], int]:
+    """candidate_count(c, d, k) for every 1 <= c <= d <= k, keyed (c, d).
+
+    The claim-3 rows, the claim-4 envelope at every g and wA_of_M read their
+    counts here, so an audit computes each count once per k.
+    """
+    return {(c, d): candidate_count(c, d, k) for c in range(1, k + 1) for d in range(c, k + 1)}
+
+
 def claim3_bound(c: int, d: int, k: int) -> Fraction:
     """The counting bound C(k,c) * k^(2d-c) / (d-c)!."""
     if not 1 <= c <= d <= k:
@@ -167,10 +177,11 @@ def wg_envelope(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
     k, s, n_bar = frame.k, frame.s, frame.n_bar
     if not 0 <= g <= k - 2:
         raise ValueError("need 0 <= g <= k-2")
+    counts = _count_table(k)
     lhs = Fraction(0)
     for c in range(1, k - g):
         for d in range(c + g, k):
-            cnt = candidate_count(c, d, k)
+            cnt = counts[c, d]
             if cnt:
                 lhs += weight_value(k, s, n_bar, c, d) * cnt
     rhs = (

@@ -109,6 +109,25 @@ def test_audit_all_shape():
     assert all(r.recheck() == r.passed for r in reports)
 
 
+def test_audit_computes_each_candidate_count_once_per_k(monkeypatch):
+    from emckit import weights
+
+    real, calls = weights.candidate_count, []
+
+    def counted(c, d, k):
+        calls.append((c, d, k))
+        return real(c, d, k)
+
+    monkeypatch.setattr(weights, "candidate_count", counted)
+    weights._count_table.cache_clear()
+    k, s = 8, 101 * 8**3 + 1
+    for n in (min_window_n(k, s), max_window_n(k, s)):
+        audit_all(k, s, n)
+    weights._count_table.cache_clear()
+    # claim 3 and the claim-4 envelope at every g read one table
+    assert sorted(calls) == [(c, d, k) for c in range(1, k + 1) for d in range(c, k + 1)]
+
+
 def test_audit_all_rejects_out_of_window():
     with pytest.raises(ParameterWindowError):
         audit_all(5, K5_S, min_window_n(5, K5_S) - 1)

@@ -882,3 +882,124 @@ def test_family_header_out_of_domain_exits_2(tmp_path, capsys):
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+def cli_process(
+    *argv: str, redirect: str = "", unbuffered: bool = False
+) -> subprocess.CompletedProcess:
+    """``python -W error -m emckit.cli ARGV`` in a fresh process, as a user runs
+    it, with stdout and stderr piped; ``redirect`` is a shell redirection
+    applied on top, such as ``>&-``.  stdout is block-buffered, so a small
+    report fails only when ``entrypoint`` flushes it, unless ``unbuffered``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1" if unbuffered else "")
+    cmd = [sys.executable, "-W", "error", "-m", "emckit.cli", *argv]
+    if redirect:
+        cmd = ["sh", "-c", f'exec "$@" {redirect}', "sh", *cmd]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.fixture
+def family_1_8(tmp_path):
+    fam_file = tmp_path / "f.txt"
+    fam_file.write_text("9 2\n1,8\n")
+    return str(fam_file)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["transversal", "--k", "5", "--check", "all"], 0),
+        (["--help"], 0),
+        (["identities", "--family", "FAMILY", "--n", "9", "--k", "2", "--s", "3"], 1),
+        (["verify", "--n", "9", "--k", "2", "--s", "3", "--node-budget", "1"], 1),
+        (["verify", "--n", "x", "--k", "2", "--s", "3"], 2),
+        (["audit", "--k", "4", "--s", "999999"], 2),
+    ],
+    ids=["pass", "help", "fail", "unknown", "usage", "parameter"],
+)
+def test_process_exit_matches_main(argv, code, family_1_8, capsys):
+    argv = [family_1_8 if a == "FAMILY" else a for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    proc = cli_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def test_process_pipes_a_report_larger_than_the_pipe_buffer():
+    from emckit.audit import audit_all, max_window_n, min_window_n
+
+    k, s = 12, 174529
+    reports = [r for n in (min_window_n(k, s), max_window_n(k, s)) for r in audit_all(k, s, n)]
+    expected = render_reports(reports, "json")
+    assert len(expected) > 65536
+    proc = cli_process("audit", "--k", str(k), "--s", str(s), "--n", "auto")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
+needs_sh_and_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs a POSIX shell and /dev/full"
+)
+
+
+@needs_sh_and_dev_full
+def test_closed_stdout_is_a_write_failure_and_closed_stderr_is_silent():
+    proc = cli_process("transversal", "--k", "5", "--check", "all", redirect=">&-")
+    assert (proc.returncode, proc.stderr) == (1, "error: stdout is closed\n")
+    # with stderr closed too there is nowhere to say so: exit 1 alone
+    proc = cli_process("transversal", "--k", "5", "--check", "all", redirect=">&- 2>&-")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    # an error line never falls back to stdout
+    proc = cli_process("find-g0", "--in", os.devnull, "--k", "2", "--s", "1", redirect="2>&-")
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@needs_sh_and_dev_full
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], 1),
+        (["crossover", "--k", "2", "--s-max", "4"], 1),
+        (["transversal", "--k", "5", "--check", "all"], 1),
+        (["identities", "--family", "FAMILY", "--n", "9", "--k", "2", "--s", "3"], 1),
+        (["verify", "--n", "x", "--k", "2", "--s", "3"], 2),
+    ],
+    ids=["help", "pass-small", "pass-large", "fail", "usage"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_is_a_write_failure(argv, code, unbuffered, family_1_8):
+    argv = [family_1_8 if a == "FAMILY" else a for a in argv]
+    proc = cli_process(*argv, redirect="> /dev/full", unbuffered=unbuffered)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 1:  # exit 0 becomes 1; a usage error writes nothing to stdout
+        assert proc.stderr.endswith("error: [Errno 28] No space left on device\n")
+
+
+@needs_sh_and_dev_full
+def test_full_stderr_keeps_the_exit_code():
+    for argv, code in (
+        (["verify", "--n", "9", "--k", "2", "--s", "3", "--node-budget", "1"], 1),
+        (["verify", "--n", "x", "--k", "2", "--s", "3"], 2),
+    ):
+        proc = cli_process(*argv, redirect="2> /dev/full")
+        assert (proc.returncode, proc.stdout) == (code, "")
+
+
+def test_main_reports_a_missing_or_failing_stdout(tmp_path, capsys, monkeypatch):
+    class FullStdout:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    fam_file = str(_star_file(tmp_path))
+    full = (FullStdout(), "[Errno 28] No space left on device")
+    for stdout, message in ((None, "stdout is closed"), full):
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", stdout)
+            assert main(["--help"]) == 1
+            assert main(["find-g0", "--in", fam_file, "--k", "3", "--s", "5"]) == 1
+            assert main(["crossover", "--k", "2", "--s-max", "4", "--out", "-"]) == 1
+            # a report written to a file does not touch stdout
+            out = str(tmp_path / "x.csv")
+            assert main(["crossover", "--k", "2", "--s-max", "4", "--out", out]) == 0
+        assert capsys.readouterr().err == f"error: {message}\n" * 3
