@@ -35,13 +35,12 @@ _EXPORTS = {
     ),
     "weights": (
         "WeightFrame",
-        "block_subset_count",
         "candidate_count",
         "claim3_bound",
         "family_weight_identity",
         "wA_of_M",
         "weight_value",
-        "wg_envelope",
+        "wg_envelopes",
     ),
     "transversals": (
         "BadPairStats",

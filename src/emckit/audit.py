@@ -9,19 +9,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .report import AuditReport, make_report
 from .weights import (
     WeightFrame,
     _count_table,
-    block_subset_count,
-    candidate_count,
     claim3_bound,
     epsilon_of,
     weight_value,
-    wg_envelope,
+    wg_envelopes,
 )
 
 
@@ -97,7 +94,7 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
 
 def audit_claim3(k: int) -> list[AuditReport]:
     """Candidate counts against C(k,c) k^(2d-c)/(d-c)!, in closed form."""
-    counts = _count_table(k)
+    counts = _count_table(k)[0]
     reports = []
     for c in range(1, k + 1):
         for d in range(c, k + 1):
@@ -105,7 +102,7 @@ def audit_claim3(k: int) -> list[AuditReport]:
                 make_report(
                     "claim3:count_bound",
                     {"k": k, "c": c, "d": d},
-                    counts[c, d],
+                    counts[c][d],
                     claim3_bound(c, d, k),
                     "<=",
                 )
@@ -118,8 +115,7 @@ def audit_claim4(k: int, s: int, n: int) -> list[AuditReport]:
     require_window(k, s, n)
     frame = WeightFrame(n, k, s)
     reports = []
-    for g in range(0, k - 1):
-        lhs, rhs, _ = wg_envelope(frame, g)
+    for g, (lhs, rhs, _) in enumerate(wg_envelopes(frame)):
         reports.append(
             make_report(
                 "claim4:wg_envelope",
@@ -211,9 +207,8 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
     # envelope for r_{k-1}: size-(k-1), width-(k-2) local subsets meeting the
     # distinguished set (all of them minus those inside the blocks) vs
     # (k-1)^2 k^(k-1) / 2
-    r_count = candidate_count(k - 2, k - 1, k) - block_subset_count(
-        k, k - 2, k - 1
-    )
+    every, inside = _count_table(k)
+    r_count = every[k - 2][k - 1] - inside[k - 2][k - 1]
     reports.append(
         make_report(
             "lemma:r_count_envelope",
@@ -256,9 +251,6 @@ def _claim8_holds(k: int, product: int, worst: int, c: int) -> bool:
     return product >= worst * k ** (c - 1)
 
 
-# depends on k alone, so ``audit --n auto`` walks the classes once for both
-# window ends; the result is a tuple of ints, one k is kept
-@lru_cache(maxsize=1)
 def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     """Shift-count inequality over every admissible intersection profile.
 
@@ -271,6 +263,18 @@ def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     order, so the first violating profile has the least key (least part,
     c, the parts).  Returns the number of violating profiles and the first
     one, (a0, a1, ..., a_c), or None when there is none.
+
+    The walk stops where the inequality's proof does.  Take a node with
+    parts a_1..a_L, P = prod (k-a_i), W = max a_i (k-a_i), and the rest
+    r < k that closes it.  Parts b_1 + ... + b_m = r below it multiply their
+    k - b_j to at least k^(m-1) (k-r), as (k-x)(k-y) >= k(k-x-y).  If the
+    closed partition holds, P (k-r) >= max(W, r(k-r)) k^(L-1), then each
+    one below holds: against W, P k^(m-1) (k-r) >= W k^(L+m-2); against a new
+    part b (m >= 2), P (k-b) k^(m-2) (k-r+b) >= b (k-b) k^(L+m-2), as
+    P (k-r+b) >= b k^L is linear in b and holds at b = 0 and, by
+    P >= r k^(L-1), at b = r.  So such a node is not expanded, and the
+    result is the full walk's.  Every node of depth 1 holds with equality,
+    so the walk tests floor(k/2) partitions.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -278,18 +282,17 @@ def product_inequality_check(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
     first = None  # the least key of a violating partition
     # the parts so far, increasing, the product of their k - a, their
     # largest a (k - a), and the rest of k, which closes the partition
-    stack = [((), 1, 0, k)]
+    stack = [((a,), k - a, a * (k - a), k - a) for a in range(1, k // 2 + 1)]
     while stack:
         parts, product, worst, rest = stack.pop()
-        if parts and not _claim8_holds(
-            k, product * (k - rest), max(worst, rest * (k - rest)), len(parts)
-        ):
-            full = parts + (rest,)
-            repeats = math.prod(math.factorial(full.count(a)) for a in set(full))
-            violations += math.factorial(len(full)) // repeats
-            key = (full[0], len(full), full)
-            first = min(first, key) if first else key
-        for a in range(parts[-1] if parts else 1, rest // 2 + 1):
+        if _claim8_holds(k, product * (k - rest), max(worst, rest * (k - rest)), len(parts)):
+            continue  # and so does every partition below this node
+        full = parts + (rest,)
+        repeats = math.prod(math.factorial(full.count(a)) for a in set(full))
+        violations += math.factorial(len(full)) // repeats
+        key = (full[0], len(full), full)
+        first = min(first, key) if first else key
+        for a in range(parts[-1], rest // 2 + 1):
             stack.append((parts + (a,), product * (k - a), max(worst, a * (k - a)), rest - a))
     return violations, first[2] if first else None
 

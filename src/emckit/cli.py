@@ -147,8 +147,12 @@ def _cmd_verify(args) -> int:
 def _cmd_crossover(args) -> int:
     from .constructions import crossover_n
 
+    ks = _parse_range(args.k)
+    bare = next((k for k in ks if k >= args.s_max), None)
+    if bare is not None:  # s runs over k+1..s_max, so this k would have no row
+        raise ValueError(f"k = {bare} has no s in {bare + 1}..{args.s_max}: needs --s-max > {bare}")
     rows = ["k,s,crossover_n,bound,ok"]
-    for k in _parse_range(args.k):
+    for k in ks:
         for s in range(k + 1, args.s_max + 1):
             cx = crossover_n(k, s)
             bound = ((s + 1) * (2 * k + 1) + 1) // 2  # ceil((s+1)(2k+1)/2)

@@ -115,49 +115,44 @@ def wA_of_M(frame: WeightFrame) -> Fraction:
     Every local universe G_M is k blocks of size k plus the distinguished
     (k-1)-set, so the value is the same for each index set M, and C(s, k)
     times it is the size of the prefix candidate family.  The count of
-    width-c k-subsets is :func:`candidate_count`; width 0 is impossible at
-    size k.
+    width-c k-subsets is read from :func:`_count_table`; width 0 is
+    impossible at size k.
     """
     k, s, n_bar = frame.k, frame.s, frame.n_bar
-    counts = _count_table(k)
-    return sum(weight_value(k, s, n_bar, c, k) * counts[c, k] for c in range(1, k + 1))
-
-
-def block_subset_count(k: int, c: int, m: int) -> int:
-    """Number of m-subsets of the k selected blocks that meet exactly c of them.
-
-    Choose the c blocks, then count the m-subsets of their union that meet
-    each of them by inclusion-exclusion over the blocks left empty.
-    """
-    return binom(k, c) * sum(
-        (-1) ** i * binom(c, i) * binom((c - i) * k, m) for i in range(c + 1)
-    )
+    every = _count_table(k)[0]
+    return sum(weight_value(k, s, n_bar, c, k) * every[c][k] for c in range(1, k + 1))
 
 
 def candidate_count(c: int, d: int, k: int) -> int:
-    """Number of local-universe subsets with width c and size d, in closed form.
-
-    The local universe is k blocks of size k plus the distinguished
-    (k-1)-set, which adds no width: a subset takes j elements from the
-    distinguished set and d-j from the blocks, so the count is
-    sum_j C(k-1, j) * block_subset_count(k, c, d-j).  This is an upper
-    envelope for the corresponding per-family counts.
-    """
+    """Number of local-universe subsets with width c and size d, read from
+    :func:`_count_table`.  This is an upper envelope for the corresponding
+    per-family counts."""
     if k < 1 or not 0 <= c <= d <= k:
         raise ValueError("need k >= 1 and 0 <= c <= d <= k")
-    return sum(
-        binom(k - 1, j) * block_subset_count(k, c, d - j) for j in range(min(k - 1, d) + 1)
-    )
+    return _count_table(k)[0][c][d]
 
 
 @lru_cache(maxsize=1)
-def _count_table(k: int) -> dict[tuple[int, int], int]:
-    """candidate_count(c, d, k) for every 1 <= c <= d <= k, keyed (c, d).
+def _count_table(k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Local-universe subset counts ``every[c][d]`` and ``inside[c][d]`` by
+    width c and size d, for every 0 <= c, d <= k.
 
-    The claim-3 rows, the claim-4 envelope at every g and wA_of_M read their
-    counts here, so an audit computes each count once per k.
+    A width-c, size-d subset takes any part of the distinguished (k-1)-set
+    and a non-empty part of each of c chosen blocks of size k, so
+    every[c][d] = C(k, c) * [x^d] (1+x)^(k-1) * ((1+x)^k - 1)^c, and
+    inside[c][d], the subsets inside the blocks, drops the factor
+    (1+x)^(k-1).  Row c is row c-1 times (1+x)^k - 1, truncated at degree
+    k: O(k^3) integer products.  The audits read their counts here, so one
+    k is kept.
     """
-    return {(c, d): candidate_count(c, d, k) for c in range(1, k + 1) for d in range(c, k + 1)}
+    blocks = [0] + [binom(k, j) for j in range(1, k + 1)]  # (1+x)^k - 1
+    every, inside = [[binom(k - 1, d) for d in range(k + 1)]], [[1] + [0] * k]
+    for rows in (every, inside):
+        for _ in range(k):
+            # blocks[0] is 0, so the term i = d drops out
+            rows.append([sum(rows[-1][i] * blocks[d - i] for i in range(d)) for d in range(k + 1)])
+        rows[:] = [[binom(k, c) * count for count in row] for c, row in enumerate(rows)]
+    return every, inside
 
 
 def claim3_bound(c: int, d: int, k: int) -> Fraction:
@@ -167,27 +162,21 @@ def claim3_bound(c: int, d: int, k: int) -> Fraction:
     return Fraction(binom(k, c) * k ** (2 * d - c), factorial(d - c))
 
 
-def wg_envelope(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
-    """Family-independent envelope for the weighted mass of defect >= g.
+def wg_envelopes(frame: WeightFrame) -> list[tuple[Fraction, Fraction, bool]]:
+    """Family-independent envelopes (lhs, rhs, lhs <= rhs) for the weighted
+    mass of defect >= g, for g = 0, ..., k-2.
 
-    lhs sums weight * candidate count over widths c and sizes d < k with
-    d - c >= g; rhs is the exponential-decay bound
+    The mass of defect g sums weight * candidate count over widths c >= 1
+    and sizes d = c + g < k; lhs(g) sums the masses of the defects >= g, so
+    each term is computed once.  rhs(g) is the exponential-decay bound
     (1 + 2/k) * k^(k+2g) * eps / (s^g * g!).  Exact rationals throughout.
     """
     k, s, n_bar = frame.k, frame.s, frame.n_bar
-    if not 0 <= g <= k - 2:
-        raise ValueError("need 0 <= g <= k-2")
-    counts = _count_table(k)
+    every = _count_table(k)[0]
+    envelopes = []
     lhs = Fraction(0)
-    for c in range(1, k - g):
-        for d in range(c + g, k):
-            cnt = counts[c, d]
-            if cnt:
-                lhs += weight_value(k, s, n_bar, c, d) * cnt
-    rhs = (
-        Fraction(k + 2, k)
-        * k ** (k + 2 * g)
-        * epsilon_of(k)
-        / (s**g * factorial(g))
-    )
-    return lhs, rhs, lhs <= rhs
+    for g in range(k - 2, -1, -1):
+        lhs += sum(weight_value(k, s, n_bar, c, c + g) * every[c][c + g] for c in range(1, k - g))
+        rhs = Fraction(k + 2, k) * k ** (k + 2 * g) * epsilon_of(k) / (s**g * factorial(g))
+        envelopes.append((lhs, rhs, lhs <= rhs))
+    return envelopes[::-1]

@@ -109,23 +109,18 @@ def test_audit_all_shape():
     assert all(r.recheck() == r.passed for r in reports)
 
 
-def test_audit_computes_each_candidate_count_once_per_k(monkeypatch):
+def test_audit_computes_each_candidate_count_once_per_k():
     from emckit import weights
 
-    real, calls = weights.candidate_count, []
-
-    def counted(c, d, k):
-        calls.append((c, d, k))
-        return real(c, d, k)
-
-    monkeypatch.setattr(weights, "candidate_count", counted)
     weights._count_table.cache_clear()
     k, s = 8, 101 * 8**3 + 1
     for n in (min_window_n(k, s), max_window_n(k, s)):
         audit_all(k, s, n)
+    info = weights._count_table.cache_info()
     weights._count_table.cache_clear()
-    # claim 3 and the claim-4 envelope at every g read one table
-    assert sorted(calls) == [(c, d, k) for c in range(1, k + 1) for d in range(c, k + 1)]
+    # claim 3, the claim-4 envelopes, the r-count lemma and both window ends
+    # read one table
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_audit_all_rejects_out_of_window():

@@ -251,20 +251,19 @@ def test_audit_jobs_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_audit_auto_walks_the_claim8_profiles_once(capsys, monkeypatch):
+def test_audit_auto_tests_half_of_k_claim8_partitions_per_walk(capsys, monkeypatch):
     from emckit import audit
 
     tested = []
     original = audit._claim8_holds
     monkeypatch.setattr(audit, "_claim8_holds", lambda *args: tested.append(args) or original(*args))
-    audit.product_inequality_check.cache_clear()
     code, out = run(capsys, "audit", "--k", "5", "--s", str(K5_S), "--n", "auto")
-    audit.product_inequality_check.cache_clear()
     assert code == 0
     rows = [r for r in json.loads(out) if r["claim_id"] == "claim8:product_inequality"]
     assert len(rows) == 2 and rows[0] == rows[1]
-    # one walk: one test per partition of 5 into at least two parts
-    assert len(tested) == 6
+    # one walk per window end, each testing only (1, 4) and (2, 3): both hold,
+    # and the proof closes everything below them
+    assert len(tested) == 2 * (5 // 2)
 
 
 def test_audit_out_of_window_exits_2(capsys):
@@ -546,6 +545,18 @@ def test_crossover_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "k,s,crossover_n,bound,ok"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "k,s_max,bare", [("2..6", "5", 5), ("2", "1", 2), ("3..9", "4", 4), ("7", "7", 7)]
+)
+def test_crossover_refuses_a_k_without_rows(capsys, k, s_max, bare):
+    # s runs over k+1..s_max, so a k >= s_max would have no row: refused
+    # before any row, naming the first such k
+    code = main(["crossover", "--k", k, "--s-max", s_max])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: k = {bare} has no s in {bare + 1}..{s_max}: needs --s-max > {bare}\n"
 
 
 def test_transversal_all_k3(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
@@ -1077,13 +1077,29 @@ def product_inequality_by_composition(k: int) -> tuple[int, Optional[tuple[int, 
     return violations, first_violation
 
 
-@pytest.fixture
-def fresh_claim8():
-    """Empty the cache of product_inequality_check before and after a test
-    that perturbs the inequality."""
-    product_inequality_check.cache_clear()
-    yield
-    product_inequality_check.cache_clear()
+# the partition walk that product_inequality_check now cuts short, kept as
+# its oracle: it tests every partition of k into at least two parts
+def product_inequality_by_partition(k: int) -> tuple[int, Optional[tuple[int, ...]]]:
+    """The violating profiles and the first one, from each partition of k
+    into at least two parts, tested once and counted with its orderings."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    violations = 0
+    first = None
+    stack = [((), 1, 0, k)]
+    while stack:
+        parts, product, worst, rest = stack.pop()
+        if parts and not audit._claim8_holds(
+            k, product * (k - rest), max(worst, rest * (k - rest)), len(parts)
+        ):
+            full = parts + (rest,)
+            repeats = prod(factorial(full.count(a)) for a in set(full))
+            violations += factorial(len(full)) // repeats
+            key = (full[0], len(full), full)
+            first = min(first, key) if first else key
+        for a in range(parts[-1] if parts else 1, rest // 2 + 1):
+            stack.append((parts + (a,), product * (k - a), max(worst, a * (k - a)), rest - a))
+    return violations, first[2] if first else None
 
 
 def test_claim8_holds_is_the_unreduced_inequality():
@@ -1095,9 +1111,7 @@ def test_claim8_holds_is_the_unreduced_inequality():
                     assert audit._claim8_holds(k, product, worst, c) == unreduced
 
 
-def test_product_inequality_partitions_equal_the_compositions_when_perturbed(
-    monkeypatch, fresh_claim8
-):
+def test_product_inequality_partitions_equal_the_compositions_when_perturbed(monkeypatch):
     # the right side scaled, and two residue tests of the class invariants
     # that move the first violation off (1, k-1)
     original = audit._claim8_holds
@@ -1109,20 +1123,40 @@ def test_product_inequality_partitions_equal_the_compositions_when_perturbed(
     perturbed.append(lambda k, product, worst, c: (7 * product + worst) % 5 != 1)
     perturbed.append(lambda k, product, worst, c: product % 4 != 0)
     results = []
-    for holds in perturbed:
+    for rule, holds in enumerate(perturbed):
         monkeypatch.setattr(audit, "_claim8_holds", holds)
         for k in range(2, 14):
-            product_inequality_check.cache_clear()
             walked = product_inequality_by_composition(k)
-            assert product_inequality_check(k) == walked, (perturbed.index(holds), k)
+            assert product_inequality_by_partition(k) == walked, (rule, k)
+            # the package walk cuts by the product bound, which only the
+            # scaled rules keep
+            if rule < 4:
+                assert product_inequality_check(k) == walked, (rule, k)
             results.append(walked)
     assert results[:12] == [(0, None)] * 12
     assert (1814, (1, 11)) in results and (1, (2, 2, 2)) in results and (9, (2, 2, 7)) in results
 
 
 @pytest.mark.parametrize("k", list(range(2, 21)))
-def test_product_inequality_orderings_cover_every_profile(k, monkeypatch, fresh_claim8):
-    # every class violates, so the orderings sum to the compositions of k
-    # into at least two parts
+def test_product_inequality_orderings_cover_every_profile(k, monkeypatch):
+    # every class violates, so nothing is cut and the orderings sum to the
+    # compositions of k into at least two parts
     monkeypatch.setattr(audit, "_claim8_holds", lambda k, product, worst, c: False)
-    assert product_inequality_check(k) == (2 ** (k - 1) - 1, (1, k - 1))
+    walked = product_inequality_by_composition(k)
+    assert product_inequality_check(k) == walked == (2 ** (k - 1) - 1, (1, k - 1))
+
+
+@pytest.mark.parametrize("k", [*range(2, 41), 50, 63])
+def test_product_inequality_equals_the_partition_walk(k):
+    assert product_inequality_check(k) == product_inequality_by_partition(k) == (0, None)
+
+
+def test_product_inequality_tests_half_of_k_partitions(monkeypatch):
+    # the walk tests (a, k - a) for a <= k/2; each holds, and the proof
+    # closes every partition below it
+    original, tested = audit._claim8_holds, []
+    monkeypatch.setattr(audit, "_claim8_holds", lambda *args: tested.append(args) or original(*args))
+    for k in range(2, 64):
+        tested.clear()
+        assert product_inequality_check(k) == (0, None)
+        assert len(tested) == k // 2, k

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
 import pytest
@@ -14,16 +15,18 @@ from hypothesis import strategies as st
 
 from emckit.constructions import build_A, build_B, prefix_size, trace_masks
 from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
+from emckit.audit import max_window_n, min_window_n
 from emckit.weights import (
     WeightFrame,
-    block_subset_count,
+    _count_table,
     candidate_count,
     claim3_bound,
+    epsilon_of,
     family_weight_identity,
     identity_reports,
     wA_of_M,
     weight_value,
-    wg_envelope,
+    wg_envelopes,
 )
 from test_constructions import generate_from_trace, trace_family
 
@@ -401,6 +404,42 @@ def enumerated_r_shape_count(k: int) -> int:
     return count
 
 
+# the per-(c, d) inclusion-exclusion sums that the count table replaced,
+# kept as its oracle
+
+
+@lru_cache(maxsize=None)
+def block_subset_count(k: int, c: int, m: int) -> int:
+    """Number of m-subsets of the k selected blocks that meet exactly c of them.
+
+    Choose the c blocks, then count the m-subsets of their union that meet
+    each of them by inclusion-exclusion over the blocks left empty.
+    """
+    return binom(k, c) * sum(
+        (-1) ** i * binom(c, i) * binom((c - i) * k, m) for i in range(c + 1)
+    )
+
+
+def candidate_count_by_sum(c: int, d: int, k: int) -> int:
+    """Number of local-universe subsets with width c and size d: j elements
+    from the distinguished (k-1)-set and d-j from the blocks, so
+    sum_j C(k-1, j) * block_subset_count(k, c, d-j)."""
+    return sum(
+        binom(k - 1, j) * block_subset_count(k, c, d - j) for j in range(min(k - 1, d) + 1)
+    )
+
+
+@pytest.mark.parametrize("k", list(range(1, 41)))
+def test_count_table_matches_the_inclusion_exclusion_sums(k):
+    every, inside = _count_table(k)
+    assert len(every) == len(inside) == k + 1
+    for c in range(k + 1):
+        assert len(every[c]) == len(inside[c]) == k + 1
+        for d in range(k + 1):
+            assert every[c][d] == candidate_count_by_sum(c, d, k), (c, d)
+            assert inside[c][d] == block_subset_count(k, c, d), (c, d)
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=2, max_value=5))
 def test_candidate_count_matches_enumeration(k):
@@ -410,8 +449,8 @@ def test_candidate_count_matches_enumeration(k):
             assert candidate_count(c, d, k) == counts.get(c, 0)
     if k >= 3:
         # the lemma:r_count_envelope count: all of the shape minus the block-only part
-        r_count = candidate_count(k - 2, k - 1, k) - block_subset_count(k, k - 2, k - 1)
-        assert r_count == enumerated_r_shape_count(k)
+        every, inside = _count_table(k)
+        assert every[k - 2][k - 1] - inside[k - 2][k - 1] == enumerated_r_shape_count(k)
 
 
 def test_candidate_count_closed_form_at_large_k():
@@ -427,11 +466,31 @@ def test_claim3_bound_values():
 
 
 def test_wg_envelope_small():
-    fr = WeightFrame(20, 4, 4)
-    lhs, rhs, ok = wg_envelope(fr, 0)
+    envelopes = wg_envelopes(WeightFrame(20, 4, 4))
+    assert len(envelopes) == 3  # g = 0, 1, 2: defects of sizes below k
+    lhs, rhs, ok = envelopes[0]
     assert lhs > 0 and isinstance(lhs, Fraction)
-    with pytest.raises(ValueError):
-        wg_envelope(fr, 3)
+
+
+def wg_envelope_by_g(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
+    """The per-g double sum that defect masses replaced, kept as their oracle:
+    weight * candidate count over widths c and sizes d < k with d - c >= g,
+    against (1 + 2/k) * k^(k+2g) * eps / (s^g * g!)."""
+    k, s, n_bar = frame.k, frame.s, frame.n_bar
+    lhs = Fraction(0)
+    for c in range(1, k - g):
+        for d in range(c + g, k):
+            lhs += weight_value(k, s, n_bar, c, d) * candidate_count_by_sum(c, d, k)
+    rhs = Fraction(k + 2, k) * k ** (k + 2 * g) * epsilon_of(k) / (s**g * factorial(g))
+    return lhs, rhs, lhs <= rhs
+
+
+@pytest.mark.parametrize("k", list(range(5, 21)))
+def test_wg_envelopes_equal_the_per_g_sums(k):
+    s = 101 * k**3 + 1
+    for n in (min_window_n(k, s), max_window_n(k, s)):
+        frame = WeightFrame(n, k, s)
+        assert wg_envelopes(frame) == [wg_envelope_by_g(frame, g) for g in range(k - 1)]
 
 
 def test_rx_counts_on_B():
