@@ -9,8 +9,8 @@ option is given as ``--opt value`` or ``--opt=value``, by its full name
 only; a repeated option keeps its last value.
 
 Exit codes: 0 all requested checks pass, 1 any check failed (reports still
-written), a budget ran out, or a file could not be read or written
-(``OSError``, or a closed stdout), 2 usage or parameter error.
+written), a budget or memory ran out, or a file could not be read or
+written (``OSError``, or a closed stdout), 2 usage or parameter error.
 
 Each command imports what it runs inside its handler, so it loads only those
 modules: ``shift`` never loads the audits, the weights or ``fractions``.
@@ -441,6 +441,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         _report_error(f"error: {exc}")
         return 1
+    except MemoryError:
+        pass  # reported below, once the frames that held the memory are gone
+    _report_error("unknown: out of memory")
+    return 1
 
 
 def entrypoint() -> None:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, isqrt, prod
+from math import comb, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .constructions import prefix_size
-from .core import _MAX_GROUND, KSet, mask_of
+from .core import KSet
 from .report import AuditReport, make_report
 from .weights import weight_value
 
@@ -28,8 +28,6 @@ TRANSVERSAL_CHECKS = ("counts", "cyclic", "badpairs", "q", "product")
 # badpairs one doubling a block and missing two, and product a profile
 # with a0 < k
 CHECK_MIN_K = {"counts": 1, "cyclic": 2, "badpairs": 3, "q": 1, "product": 2}
-# largest k of every check: the local universe [(k+1)k-1] fits in the ground set
-MAX_K = (isqrt(4 * _MAX_GROUND + 5) - 1) // 2
 
 
 class _Rotation(NamedTuple):
@@ -69,11 +67,9 @@ def _local_layout(k: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
 def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
     """The blocks that t meets, then those it misses, in block order."""
     _, blocks = _local_layout(k)
-    met: list[tuple[int, ...]] = []
-    missed: list[tuple[int, ...]] = []
-    for b in blocks:
-        (met if t.mask & mask_of(prefix_size(k, k), b) else missed).append(b)
-    return met, missed
+    in_t = set(t.elements)
+    met = [b for b in blocks if in_t.intersection(b)]
+    return met, [b for b in blocks if not in_t.intersection(b)]
 
 
 class BadPairStats(NamedTuple):
@@ -326,38 +322,37 @@ def _cyclic_check(k: int) -> tuple[int, bool]:
     every table is k-1 distinct residual elements and the parts (the
     distinguished set, t, the residuals and the slot elements) are pairwise
     disjoint: a member's slot element names i, and the injective column i
-    then names each offset.  That is O(k^3) work, with no collection listed.
+    then names each offset.  Each table is built, checked and dropped in
+    turn, so that is O(k^3) work in O(k^2) memory, with no collection listed.
     """
     g0, blocks = _local_layout(k)
     *touched, missed = blocks
     t = [b[0] for b in touched]
-    residuals = [[e for e in b if e not in t] for b in touched]
-    tables = [_rotation_table(r) for r in residuals]
-    parts = [g0, t, *residuals, missed[1:]]  # blocks are sorted: minimum first
-    elements = [e for part in parts for e in part]
-    latin = all(
-        len(line) == len(set(line)) == k - 1 and set(line) <= set(r)
-        for r, table in zip(residuals, tables)
-        for line in (*table, *zip(*table))
-    )
-    return prod(map(len, tables)), latin and len(set(elements)) == len(elements)
+    in_t = set(t)
+    elements = [*g0, *t, *missed[1:]]  # blocks are sorted: minimum first
+    count, latin = 1, True
+    for b in touched:
+        residual = [e for e in b if e not in in_t]
+        table = _rotation_table(residual)
+        count *= len(table)
+        latin = latin and all(
+            len(line) == len(set(line)) == k - 1 and set(line) <= set(residual)
+            for line in (*table, *zip(*table))
+        )
+        elements += residual
+    return count, latin and len(set(elements)) == len(elements)
 
 
 def transversal_reports(k: int, check: str = "all") -> list[AuditReport]:
     """The rows of one check of ``TRANSVERSAL_CHECKS``, or of all of them in
     that order.
 
-    Before any row is computed, k above ``MAX_K`` is refused, and so is k
-    below a check's ``CHECK_MIN_K``, naming the first such check in that
-    order.
+    Before any row is computed, k below a check's ``CHECK_MIN_K`` is
+    refused, naming the first such check in that order.  No check has an
+    upper k.
     """
     if check != "all" and check not in TRANSVERSAL_CHECKS:
         raise ValueError(f"unknown transversal check {check!r}")
-    if k > MAX_K:
-        raise ValueError(
-            f"--check {check} needs k <= {MAX_K}, got k={k}: "
-            f"the local universe [(k+1)k-1] must fit in [{_MAX_GROUND}]"
-        )
     checks = TRANSVERSAL_CHECKS if check == "all" else (check,)
     for name in checks:
         if k < CHECK_MIN_K[name]:

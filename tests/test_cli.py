@@ -708,7 +708,7 @@ def test_transversal_seed_has_no_effect(capsys):
 
 
 def test_transversal_q_exit_codes(capsys):
-    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (8, 0, 0), (64, 2, 2)):
+    for k, q_code, all_code in ((0, 2, 2), (1, 0, 2), (2, 0, 2), (8, 0, 0), (64, 0, 0)):
         assert main(["transversal", "--k", str(k), "--check", "q"]) == q_code
         assert main(["transversal", "--k", str(k), "--check", "all"]) == all_code
         capsys.readouterr()
@@ -736,26 +736,45 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
-def test_transversal_above_max_k_exits_2(capsys):
-    # one largest k for every check: the local universe [(k+1)k-1] fits in [4096]
+def test_transversal_at_k_64_passes_every_check(capsys):
+    # the local universe [(k+1)k-1] no longer fits in [4096]; no row needs it to
     for check in ("counts", "cyclic", "badpairs", "q", "product", "all"):
         code = main(["transversal", "--k", "64", "--check", check])
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == (
-            f"error: --check {check} needs k <= 63, got k=64: "
-            "the local universe [(k+1)k-1] must fit in [4096]\n"
-        )
-        assert captured.out == ""
+        assert code == 0
+        assert captured.err == ""
+        assert all(r["pass"] for r in json.loads(captured.out))
 
 
-@pytest.mark.parametrize("k", [10, 20, 40, 63])
-@pytest.mark.parametrize("check", ["counts", "cyclic", "badpairs"])
+@pytest.mark.parametrize("k", [10, 20, 40, 63, 64, 100])
+@pytest.mark.parametrize("check", ["counts", "cyclic", "badpairs", "all"])
 def test_transversal_block_checks_pass_up_to_max_k(capsys, k, check):
     code, out = run(capsys, "transversal", "--k", str(k), "--check", check)
     rows = json.loads(out)
     assert code == 0
-    assert len(rows) in (2, 3) and all(r["pass"] for r in rows)
+    assert len(rows) == {"counts": 2, "cyclic": 2, "badpairs": 3, "all": 9}[check]
+    assert all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transversal", "--k", "5"],
+        ["audit", "--k", "5", "--s", str(K5_S)],
+        ["verify", "--n", "7", "--k", "2", "--s", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_memory_is_an_unknown(capsys, monkeypatch, argv):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, cli.COMMANDS[argv[0]].handler, exhausted)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "unknown: out of memory\n"
+    assert captured.out == ""
 
 
 def test_transversal_badpairs_at_k8_passes(capsys):

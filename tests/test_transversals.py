@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -11,12 +12,12 @@ import pytest
 from emckit import audit, transversals
 from emckit.audit import product_inequality_check
 from emckit.constructions import prefix_size
-from emckit.core import _MAX_GROUND, KSet, mask_of
+from emckit.core import KSet, mask_of
 from emckit.report import AuditReport, make_report
 from emckit.transversals import (
-    MAX_K,
     BadPairStats,
     CyclicShift,
+    _cyclic_check,
     _local_layout,
     _split_blocks,
     bad_pair_stats,
@@ -618,9 +619,58 @@ def test_block_rows_equal_the_enumerated_rows(k, check):
     assert transversal_reports(k, check) == enumerated_rows(k, check)
 
 
-def test_max_k_is_the_largest_local_universe_in_the_ground_set():
-    assert ground(MAX_K) <= _MAX_GROUND < ground(MAX_K + 1)
-    assert MAX_K == 63
+def all_tables_cyclic_check(k: int) -> tuple[int, bool]:
+    """``_cyclic_check`` with every rotation table held at once, O(k^3)
+    memory: the version the one-table-at-a-time check replaced, kept as
+    its oracle."""
+    g0, blocks = _local_layout(k)
+    *touched, missed = blocks
+    t = [b[0] for b in touched]
+    residuals = [[e for e in b if e not in t] for b in touched]
+    tables = [transversals._rotation_table(r) for r in residuals]
+    parts = [g0, t, *residuals, missed[1:]]  # blocks are sorted: minimum first
+    elements = [e for part in parts for e in part]
+    latin = all(
+        len(line) == len(set(line)) == k - 1 and set(line) <= set(r)
+        for r, table in zip(residuals, tables)
+        for line in (*table, *zip(*table))
+    )
+    return prod(map(len, tables)), latin and len(set(elements)) == len(elements)
+
+
+def test_cyclic_check_equals_the_all_tables_check():
+    for k in range(2, 71):
+        assert _cyclic_check(k) == all_tables_cyclic_check(k) == ((k - 1) ** (k - 1), True)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda table: [table[0]] + table[:-1],  # a repeated row
+        lambda table: table[:-1],  # a missing row
+        lambda table: [[table[0][-1]] + table[0][1:]] + table[1:],  # a repeated element
+        lambda table: [[1] + table[0][1:]] + table[1:],  # t's element of block 1
+    ],
+    ids=["repeated-row", "missing-row", "repeated-element", "t-element"],
+)
+@pytest.mark.parametrize("k", [3, 4, 7])
+def test_cyclic_check_equals_the_all_tables_check_on_faulty_tables(monkeypatch, k, fault):
+    original = transversals._rotation_table
+    monkeypatch.setattr(transversals, "_rotation_table", lambda r: fault(original(r)))
+    streamed = transversals._cyclic_check(k)
+    assert streamed == all_tables_cyclic_check(k)
+    assert streamed[1] is False
+
+
+def test_cyclic_check_holds_one_table_at_a_time():
+    # all k-1 tables of k = 120 at once take 15 MiB; one takes well under 1
+    tracemalloc.start()
+    try:
+        assert _cyclic_check(120) == (119**119, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_transversal_reports_refuse_before_any_row(monkeypatch):
@@ -630,14 +680,7 @@ def test_transversal_reports_refuse_before_any_row(monkeypatch):
     for name in ("_full_count", "_cyclic_check", "bad_pair_stats", "q_family_check"):
         monkeypatch.setattr(transversals, name, no_row)
     monkeypatch.setattr("emckit.audit.product_inequality_report", no_row)
-    too_large = "needs k <= 63, got k=64: the local universe [(k+1)k-1] must fit in [4096]"
     for k, check, message in (
-        (64, "all", f"--check all {too_large}"),
-        (64, "counts", f"--check counts {too_large}"),
-        (64, "q", f"--check q {too_large}"),
-        (64, "product", f"--check product {too_large}"),
-        (1000, "badpairs", "--check badpairs needs k <= 63, got k=1000: "
-         "the local universe [(k+1)k-1] must fit in [4096]"),
         (1, "all", "--check cyclic needs k >= 2, got k=1"),
         (1, "cyclic", "--check cyclic needs k >= 2, got k=1"),
         (2, "all", "--check badpairs needs k >= 3, got k=2"),
