@@ -2,7 +2,7 @@
 families in the almost-perfect-matching regime.
 
 Subset families live on ground sets [n]; everything quantitative is exact
-(int / fractions.Fraction).  The public surface re-exports the working core:
+(int / emckit.exact.Rational).  The public surface re-exports the working core:
 family primitives, matching numbers, shifting, the extremal candidates,
 width/weight calculus, transversal constructions, the verdict record, claim
 audits, and the small-scale extremal search.

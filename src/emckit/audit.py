@@ -8,9 +8,9 @@ comparison direction.  Nothing is evaluated in floating point.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional
 
+from .exact import Rational
 from .report import AuditReport, make_report
 from .weights import (
     WeightFrame,
@@ -63,10 +63,10 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
         for d in range(c, k + 1):
             lhs = weight_value(k, s, n_bar, c, d)
             rhs = (
-                Fraction(k + 1, k)
+                Rational(k + 1, k)
                 * eps ** (k - d)
                 / s ** (d - c)
-                * Fraction(math.factorial(k - c), math.factorial(k - d))
+                * Rational(math.factorial(k - c), math.factorial(k - d))
             )
             reports.append(
                 make_report(
@@ -77,7 +77,7 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
                     "<=",
                 )
             )
-    aux_lhs = (1 - Fraction(k - 1, s)) ** (k - 1) / (
+    aux_lhs = (1 - Rational(k - 1, s)) ** (k - 1) / (
         1 + (eps + 1) / (eps * s)
     ) ** (k - 1)
     reports.append(
@@ -85,7 +85,7 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
             "claim2:aux_chain",
             {"k": k, "s": s},
             aux_lhs,
-            Fraction(k, k + 1),
+            Rational(k, k + 1),
             ">=",
         )
     )
@@ -128,14 +128,14 @@ def audit_claim4(k: int, s: int, n: int) -> list[AuditReport]:
         )
     eps = epsilon_of(k)
     closing_lhs = (
-        Fraction(k + 1, k) / (1 - eps) / (1 - Fraction(k * k, s))
+        Rational(k + 1, k) / (1 - eps) / (1 - Rational(k * k, s))
     )
     reports.append(
         make_report(
             "claim4:closing_lemma",
             {"k": k, "s": s},
             closing_lhs,
-            Fraction(k + 2, k),
+            Rational(k + 2, k),
             "<",
         )
     )
@@ -149,12 +149,12 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
     reports = []
 
     # defect-one weight sum: (1+1/k) sum_{d=2}^{k-1} eps^(k-d-1) (k-d+1) <= 2(1+2/k)
-    rx_lhs = Fraction(k + 1, k) * sum(
+    rx_lhs = Rational(k + 1, k) * sum(
         eps ** (k - d - 1) * (k - d + 1) for d in range(2, k)
     )
     reports.append(
         make_report(
-            "lemma:rx_weight_sum", {"k": k}, rx_lhs, 2 * Fraction(k + 2, k), "<="
+            "lemma:rx_weight_sum", {"k": k}, rx_lhs, 2 * Rational(k + 2, k), "<="
         )
     )
 
@@ -163,7 +163,7 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
         make_report(
             "lemma:full_missing_threshold",
             {"k": k},
-            Fraction(k + 2, k) * k**k * eps,
+            Rational(k + 2, k) * k**k * eps,
             (k - 1) ** (k - 1),
             "<",
         )
@@ -174,30 +174,30 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
         make_report(
             "lemma:w1_threshold",
             {"k": k, "s": s},
-            Fraction(k + 2, k) * k ** (k + 2) * eps / s,
+            Rational(k + 2, k) * k ** (k + 2) * eps / s,
             (k - 2) ** (k - 1),
             "<",
         )
     )
 
     # rearrangement constant behind x_{k-1} <= (1+3/k) eps k^(k+1)
-    rearrange_lhs = Fraction(k + 2, k) / (1 - eps * Fraction(k + 2, k))
+    rearrange_lhs = Rational(k + 2, k) / (1 - eps * Rational(k + 2, k))
     reports.append(
         make_report(
             "lemma:x_rearrangement",
             {"k": k},
             rearrange_lhs,
-            Fraction(k + 3, k),
+            Rational(k + 3, k),
             "<=",
         )
     )
 
     # shift-count inequality: (1-1/k)^((k^2-k)/(k-3)) k^(k+1) > 3k (1+3/k) 2 eps k^(k+1)
-    exp_frac = Fraction(k * k - k, k - 3)
+    exp_frac = Rational(k * k - k, k - 3)
     exponent = math.ceil(exp_frac)
     note = "" if exp_frac.denominator == 1 else "fractional exponent rounded up (conservative)"
-    shift_lhs = Fraction(k - 1, k) ** exponent * k ** (k + 1)
-    shift_rhs = 3 * k * Fraction(k + 3, k) * 2 * eps * k ** (k + 1)
+    shift_lhs = Rational(k - 1, k) ** exponent * k ** (k + 1)
+    shift_rhs = 3 * k * Rational(k + 3, k) * 2 * eps * k ** (k + 1)
     reports.append(
         make_report(
             "lemma:shift_count", {"k": k, "s": s}, shift_lhs, shift_rhs, ">", note=note
@@ -214,7 +214,7 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
             "lemma:r_count_envelope",
             {"k": k},
             r_count,
-            Fraction((k - 1) ** 2 * k ** (k - 1), 2),
+            Rational((k - 1) ** 2 * k ** (k - 1), 2),
             "<=",
             note="envelope",
         )
@@ -225,7 +225,7 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
         make_report(
             "lemma:final_threshold",
             {"k": k, "s": s},
-            Fraction(k + 2, k) * k ** (k + 6) * eps / (6 * s**2),
+            Rational(k + 2, k) * k ** (k + 6) * eps / (6 * s**2),
             k ** (k - 1),
             "<",
         )

@@ -13,7 +13,8 @@ written), a budget or memory ran out, or a file could not be read or
 written (``OSError``, or a closed stdout), 2 usage or parameter error.
 
 Each command imports what it runs inside its handler, so it loads only those
-modules: ``shift`` never loads the audits, the weights or ``fractions``.
+modules: ``shift`` never loads the audits, the weights or the rationals of
+``exact``, and no command loads ``fractions`` or ``decimal``.
 
 ``entrypoint`` flushes stdout and stderr and leaves by ``os._exit``, so a
 command does not pay the interpreter's teardown of its modules (about 10 ms
@@ -29,22 +30,21 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .core import BudgetExceeded, Family
+from .core import BudgetExceeded, Family, exact_parts
 
 if TYPE_CHECKING:
     from .report import AuditReport
 
 
 def fmt_exact(v) -> str:
-    """Exact rendering: integers bare, non-integers as p/q (never decimals)."""
-    if isinstance(v, int):
-        return str(int(v))
-    from fractions import Fraction
-
-    f = Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """Exact rendering: integers bare, non-integers as p/q (never decimals).
+    Anything but an int or an exact rational, a float among them, raises
+    ``TypeError``."""
+    parts = exact_parts(v)
+    if parts is None:
+        raise TypeError(f"cannot write {type(v).__name__} as an exact number")
+    numerator, denominator = parts
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def report_to_dict(r: AuditReport) -> dict:

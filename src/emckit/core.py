@@ -7,7 +7,7 @@ validated, canonically sorted tuple of such masks; ``KSet`` is the small
 single-set value type used at the edges (matching certificates, the pivot
 set, transversal constructions).  All arithmetic that feeds an identity or
 inequality is exact: integers stay integers, ratios are
-``fractions.Fraction``.
+``emckit.exact.Rational`` (``exact_parts`` reads either).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from operator import eq
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from .exact import Rational
 
-ExactScalar = Union[int, "Fraction"]
+ExactScalar = Union[int, "Rational"]
 
 # Bit-vector ground sets are capped; huge-parameter audits work through
 # closed-form counts and never materialize sets this large.
@@ -206,6 +206,20 @@ class Family:
         if header is None:
             raise ValueError("missing header line")
         return cls(header[0], header[1], masks)
+
+
+def exact_parts(value) -> Optional[tuple[int, int]]:
+    """The numerator and denominator of an int or an exact rational: a
+    ``Rational``, or anything else with int ``numerator`` and
+    ``denominator`` in lowest terms, such as a ``fractions.Fraction``.
+    None for anything else, a float among them."""
+    if isinstance(value, int):
+        return int(value), 1
+    numerator = getattr(value, "numerator", None)
+    denominator = getattr(value, "denominator", None)
+    if type(numerator) is int and type(denominator) is int:
+        return numerator, denominator
+    return None
 
 
 def binom(a: int, b: int) -> int:

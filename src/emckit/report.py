@@ -1,9 +1,12 @@
 """The verdict record every check emits.
 
 An :class:`AuditReport` keeps exact left and right sides and the comparison
-between them, so its verdict can be recomputed from the record alone.  This
-module imports no ``fractions``: a record with integer sides, such as the
-one ``verify`` writes, loads no rational arithmetic.
+between them, so its verdict can be recomputed from the record alone.  A
+side is an ``int`` or an exact rational: an ``emckit.exact.Rational``, or
+anything else with int ``numerator`` and ``denominator``, such as a
+``fractions.Fraction``.  :func:`make_report` refuses any other side, a float
+among them.  This module imports no rational type: a record with integer
+sides, such as the one ``verify`` writes, loads no rational arithmetic.
 
 :func:`to_json` writes the JSON text of a report: the same bytes as
 ``json.dumps`` with its default ``ensure_ascii``, without loading ``json``.
@@ -14,7 +17,7 @@ from __future__ import annotations
 from operator import eq, ge, gt, le, lt
 from typing import NamedTuple, Optional
 
-from .core import ExactScalar
+from .core import ExactScalar, exact_parts
 
 _CMP = {"<=": le, "<": lt, "==": eq, ">=": ge, ">": gt}
 
@@ -35,6 +38,11 @@ class AuditReport(NamedTuple):
 
 
 def make_report(claim_id, params, lhs, rhs, cmp, witness=None, note="") -> AuditReport:
+    for side in (lhs, rhs):
+        if exact_parts(side) is None:
+            raise TypeError(
+                f"a report side must be an int or an exact rational, not {type(side).__name__}"
+            )
     passed = _CMP[cmp](lhs, rhs)
     return AuditReport(claim_id, dict(params), lhs, rhs, cmp, passed, witness, note)
 
@@ -52,6 +60,8 @@ def _escape(ch: str) -> str:
 
 
 def _quote(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'  # nothing to escape
     body = "".join(ch if " " <= ch <= "~" and ch not in '"\\' else _escape(ch) for ch in text)
     return f'"{body}"'
 
@@ -90,7 +100,7 @@ def to_json(value, indent: Optional[int] = None) -> str:
     """``json.dumps(value, indent=indent)`` for what a report holds: dicts
     with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``.
 
-    Anything else, a float, a ``Fraction`` or a set among them, raises
+    Anything else, a float, a rational or a set among them, raises
     ``TypeError``, so no inexact value reaches a report.
     """
     return _json(value, None if indent is None else " " * indent, "")

@@ -13,12 +13,12 @@ the oracles in ``tests/``.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .constructions import prefix_size
 from .core import KSet
+from .exact import Rational
 from .report import AuditReport, make_report
 from .weights import weight_value
 
@@ -75,7 +75,7 @@ def _split_blocks(k: int, t: KSet) -> tuple[list, list]:
 class BadPairStats(NamedTuple):
     per_t: int  # masks in a bad pair with any fixed defect set (uniform)
     per_mask_max: int  # maximum defect sets paired with one mask
-    per_mask_bound: Fraction  # k(k-1)^(k-2)(k-2)/2
+    per_mask_bound: Rational  # k(k-1)^(k-2)(k-2)/2
     num_t: int
     num_bad_masks: int
 
@@ -162,7 +162,7 @@ def bad_pair_stats(k: int) -> BadPairStats:
     return BadPairStats(
         per_t=per_t,
         per_mask_max=per_mask_max,
-        per_mask_bound=Fraction(k * (k - 1) ** (k - 2) * (k - 2), 2),
+        per_mask_bound=Rational(k * (k - 1) ** (k - 2) * (k - 2), 2),
         num_t=num_t,
         num_bad_masks=num_bad,
     )

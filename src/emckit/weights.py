@@ -19,17 +19,17 @@ partition for every family holds for every partition.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .core import Family, binom
 from .constructions import extremal_sizes, trace_masks
+from .exact import Rational
 from .report import AuditReport, make_report
 
 
-def epsilon_of(k: int) -> Fraction:
-    return Fraction(1, 100 * k)
+def epsilon_of(k: int) -> Rational:
+    return Rational(1, 100 * k)
 
 
 class WeightFrame:
@@ -59,13 +59,13 @@ class WeightFrame:
         return f"WeightFrame(n={self.n}, k={self.k}, s={self.s})"
 
 
-def weight_value(k: int, s: int, n_bar: int, c: int, d: int) -> Fraction:
+def weight_value(k: int, s: int, n_bar: int, c: int, d: int) -> Rational:
     """The exact weight C(n_bar, k-d) / C(s-c, k-c) of a width-c, size-d set."""
     if not 1 <= c <= d <= k:
         raise ValueError("need 1 <= c <= d <= k")
     if s - c < k - c:
         raise ValueError("need s >= k")
-    return Fraction(binom(n_bar, k - d), binom(s - c, k - c))
+    return Rational(binom(n_bar, k - d), binom(s - c, k - c))
 
 
 def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[int, int, bool]:
@@ -109,7 +109,7 @@ def identity_reports(fam: Family, s: int, family: str) -> list[AuditReport]:
     ]
 
 
-def wA_of_M(frame: WeightFrame) -> Fraction:
+def wA_of_M(frame: WeightFrame) -> Rational:
     """Weighted count of all k-subsets of the local universe.
 
     Every local universe G_M is k blocks of size k plus the distinguished
@@ -155,14 +155,14 @@ def _count_table(k: int) -> tuple[list[list[int]], list[list[int]]]:
     return every, inside
 
 
-def claim3_bound(c: int, d: int, k: int) -> Fraction:
+def claim3_bound(c: int, d: int, k: int) -> Rational:
     """The counting bound C(k,c) * k^(2d-c) / (d-c)!."""
     if not 1 <= c <= d <= k:
         raise ValueError("need 1 <= c <= d <= k")
-    return Fraction(binom(k, c) * k ** (2 * d - c), factorial(d - c))
+    return Rational(binom(k, c) * k ** (2 * d - c), factorial(d - c))
 
 
-def wg_envelopes(frame: WeightFrame) -> list[tuple[Fraction, Fraction, bool]]:
+def wg_envelopes(frame: WeightFrame) -> list[tuple[Rational, Rational, bool]]:
     """Family-independent envelopes (lhs, rhs, lhs <= rhs) for the weighted
     mass of defect >= g, for g = 0, ..., k-2.
 
@@ -174,9 +174,9 @@ def wg_envelopes(frame: WeightFrame) -> list[tuple[Fraction, Fraction, bool]]:
     k, s, n_bar = frame.k, frame.s, frame.n_bar
     every = _count_table(k)[0]
     envelopes = []
-    lhs = Fraction(0)
+    lhs = Rational(0)
     for g in range(k - 2, -1, -1):
         lhs += sum(weight_value(k, s, n_bar, c, c + g) * every[c][c + g] for c in range(1, k - g))
-        rhs = Fraction(k + 2, k) * k ** (k + 2 * g) * epsilon_of(k) / (s**g * factorial(g))
+        rhs = Rational(k + 2, k) * k ** (k + 2 * g) * epsilon_of(k) / (s**g * factorial(g))
         envelopes.append((lhs, rhs, lhs <= rhs))
     return envelopes[::-1]

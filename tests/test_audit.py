@@ -18,6 +18,8 @@ from emckit.audit import (
     min_window_n,
     require_window,
 )
+from emckit.core import binom
+from emckit.exact import Rational
 
 K5_S = 101 * 5**3 + 1
 K6_S = 101 * 6**3 + 1
@@ -61,8 +63,11 @@ def test_claim2_reports_exact_and_pass():
     assert all(r.passed for r in reports)
     weight_reports = [r for r in reports if r.claim_id == "claim2:weight_bound"]
     assert len(weight_reports) == sum(1 for c in range(1, 6) for d in range(c, 6))
+    n_bar = min_window_n(5, K5_S) - (K5_S + 1) * 5 + 1
     for r in weight_reports:
-        assert isinstance(r.lhs, (int, Fraction))
+        c, d = r.params["c"], r.params["d"]
+        assert isinstance(r.lhs, Rational)
+        assert r.lhs == Fraction(binom(n_bar, 5 - d), binom(K5_S - c, 5 - c))
         assert r.recheck()
     assert any(r.claim_id == "claim2:aux_chain" for r in reports)
 

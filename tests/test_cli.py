@@ -28,6 +28,7 @@ from emckit.cli import (
     render_reports,
 )
 from emckit.audit import make_report
+from emckit.exact import Rational
 
 K5_S = 101 * 5**3 + 1
 
@@ -39,7 +40,8 @@ IMPORT_GUARD = (
     "heavy = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'logging', 'random', "
     "'fractions', 'decimal', 'json', 'csv', 'concurrent.futures', "
     "'emckit.constructions', 'emckit.shifting', 'emckit.weights', "
-    "'emckit.transversals', 'emckit.audit', 'emckit.search', 'emckit.matching', 'emckit.report'} "
+    "'emckit.transversals', 'emckit.audit', 'emckit.search', 'emckit.matching', 'emckit.report', "
+    "'emckit.exact'} "
     "& (set(sys.modules) - before); "
     "assert not heavy, sorted(heavy)"
 )
@@ -166,8 +168,9 @@ def test_family_commands_load_no_reports_weights_or_fractions(tmp_path, command,
         (["verify", "--n", "7", "--k", "2", "--s", "2"], False),
         (["identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3"], False),
         (["transversal", "--k", "3", "--check", "product"], True),
+        (["transversal", "--k", "3", "--check", "all"], True),
     ],
-    ids=["audit", "verify", "identities", "transversal"],
+    ids=["audit", "verify", "identities", "transversal", "transversal-all"],
 )
 def test_only_transversal_loads_the_transversal_layer(argv, loads_transversals):
     # emckit.report writes the report in either format, without json
@@ -179,6 +182,9 @@ def test_only_transversal_loads_the_transversal_layer(argv, loads_transversals):
         )
         assert "emckit.report" in loaded
         assert "json" not in loaded
+        # rationals are emckit.exact's, with no stdlib rational or decimal type
+        assert not {"fractions", "decimal", "numbers"} & loaded
+        assert ("emckit.exact" in loaded) is (argv[0] != "verify")
         assert ("csv" in loaded) is (fmt == "csv")
         if argv[0] == "verify":
             # the verdict has integer sides: no audit, weights or rational arithmetic
@@ -205,6 +211,14 @@ def test_fmt_exact():
     assert fmt_exact(True) == "1"
     assert fmt_exact(Fraction(6, 3)) == "2"
     assert fmt_exact(Fraction(-1, 3)) == "-1/3"
+    assert fmt_exact(Rational(-1, 3)) == "-1/3"
+    assert fmt_exact(Rational(10**30, 5)) == str(2 * 10**29)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, float("inf"), complex(1, 0), "3"])
+def test_fmt_exact_refuses_what_is_not_exact(value):
+    with pytest.raises(TypeError):
+        fmt_exact(value)
 
 
 def test_render_json_fields_and_order():

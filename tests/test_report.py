@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from emckit.report import to_json
+from emckit.exact import Rational
+from emckit.report import make_report, to_json
 
 # all of Unicode: control characters, DEL, lone surrogates, astral planes
 TEXT = st.text(st.characters(exclude_categories=()))
@@ -34,3 +35,31 @@ def test_to_json_refuses_what_a_report_does_not_hold(value):
         to_json(value)
     with pytest.raises(TypeError):
         to_json(value, indent=2)
+
+
+# strings on both sides of the no-escape fast path: printable ASCII with no
+# quote or backslash is copied; everything else is escaped character by character
+@pytest.mark.parametrize(
+    "text",
+    ["", "claim3:count_bound", " !#$%&'()*+,-./09:;<=>?@AZ[]^_`az{|}~", 'a "quote"', "back\\slash",
+     "tab\there", "del\x7f", "line\nbreak", "\x00", "naïve", "\u2028", "\U0001f600", "\ud800"],
+)
+def test_to_json_quotes_strings_as_json_dumps(text):
+    value = {text: [text, {"note": text}]}
+    assert to_json(text) == json.dumps(text)
+    assert to_json(value) == json.dumps(value)
+    assert to_json(value, indent=2) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("side", [0.5, 1.0, float("nan"), complex(1, 0), "1/2", None, [1]])
+def test_make_report_refuses_a_side_that_is_not_exact(side):
+    with pytest.raises(TypeError):
+        make_report("x", {}, side, 1, "<=")
+    with pytest.raises(TypeError):
+        make_report("x", {}, 1, side, ">=")
+
+
+@pytest.mark.parametrize("side", [0, -3, True, Rational(1, 2), Fraction(-7, 3), 10**30])
+def test_make_report_takes_ints_and_exact_rationals(side):
+    report = make_report("x", {}, side, side, "==")
+    assert report.passed and report.recheck()

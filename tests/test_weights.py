@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from emckit.constructions import build_A, build_B, prefix_size, trace_masks
 from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
 from emckit.audit import max_window_n, min_window_n
+from emckit.exact import Rational
 from emckit.weights import (
     WeightFrame,
     _count_table,
@@ -466,10 +467,17 @@ def test_claim3_bound_values():
 
 
 def test_wg_envelope_small():
-    envelopes = wg_envelopes(WeightFrame(20, 4, 4))
+    frame = WeightFrame(20, 4, 4)
+    envelopes = wg_envelopes(frame)
     assert len(envelopes) == 3  # g = 0, 1, 2: defects of sizes below k
     lhs, rhs, ok = envelopes[0]
-    assert lhs > 0 and isinstance(lhs, Fraction)
+    k, s, n_bar = frame.k, frame.s, frame.n_bar
+    oracle = sum(
+        Fraction(binom(n_bar, k - d), binom(s - c, k - c)) * candidate_count(c, d, k)
+        for c in range(1, k)
+        for d in range(c, k)
+    )
+    assert lhs > 0 and isinstance(lhs, Rational) and lhs == oracle
 
 
 def wg_envelope_by_g(frame: WeightFrame, g: int) -> tuple[Fraction, Fraction, bool]:
