@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import BudgetExceeded, Family, exact_parts
+from .core import BudgetExceeded, Family, _check_header, exact_parts
 
 if TYPE_CHECKING:
     from .report import AuditReport
@@ -63,52 +64,76 @@ def report_to_dict(r: AuditReport) -> dict:
     return d
 
 
-def render_reports(reports: list[AuditReport], fmt: str) -> str:
-    from .report import to_json
-
+def report_pieces(reports: Iterable[AuditReport], fmt: str) -> Iterator[str]:
+    """The text of the reports in ``fmt``, one row at a time: the pieces
+    joined are :func:`render_reports`.  Only one row's dict and text are
+    held, so writing a large report takes little beyond the rows."""
     if fmt == "json":
-        return to_json([report_to_dict(r) for r in reports], indent=2) + "\n"
-    if fmt == "csv":
-        import csv
-        import io
+        from .report import to_json_items
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["claim_id", "params", "lhs", "rhs", "cmp", "pass", "witness", "note"])
-        for r in reports:
-            params = ";".join(f"{key}={r.params[key]}" for key in sorted(r.params))
-            writer.writerow(
-                [
-                    r.claim_id,
-                    params,
-                    fmt_exact(r.lhs),
-                    fmt_exact(r.rhs),
-                    r.cmp,
-                    str(r.passed).lower(),
-                    "" if r.witness is None else to_json(r.witness),
-                    r.note,
-                ]
-            )
-        return buf.getvalue()
+        rows = to_json_items((report_to_dict(r) for r in reports), indent=2)
+        return chain(rows, ("\n",))
+    if fmt == "csv":
+        return _csv_rows(reports)
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _csv_rows(reports: Iterable[AuditReport]) -> Iterator[str]:
+    import csv
+    import io
+
+    from .report import to_json
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["claim_id", "params", "lhs", "rhs", "cmp", "pass", "witness", "note"])
+    yield buf.getvalue()
+    for r in reports:
+        buf.seek(0)
+        buf.truncate()
+        params = ";".join(f"{key}={r.params[key]}" for key in sorted(r.params))
+        writer.writerow(
+            [
+                r.claim_id,
+                params,
+                fmt_exact(r.lhs),
+                fmt_exact(r.rhs),
+                r.cmp,
+                str(r.passed).lower(),
+                "" if r.witness is None else to_json(r.witness),
+                r.note,
+            ]
+        )
+        yield buf.getvalue()
+
+
+def render_reports(reports: Iterable[AuditReport], fmt: str) -> str:
+    return "".join(report_pieces(reports, fmt))
+
+
 def _emit(text: str, out: Optional[str]) -> None:
-    """Write text to stdout (no --out, or "-") or to the named file.
+    _emit_pieces((text,), out)
+
+
+def _emit_pieces(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write the pieces of a text in turn to stdout (no --out, or "-") or to
+    the named file.
 
     A stdout that was closed when the process started (``sys.stdout`` is
     None) is a write failure, like a full disk."""
     if out is None or out == "-":
         if sys.stdout is None:
             raise OSError("stdout is closed")
-        sys.stdout.write(text)
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def write_reports(reports: list[AuditReport], out: Optional[str], fmt: str) -> None:
-    _emit(render_reports(reports, fmt), out)
+    _emit_pieces(report_pieces(reports, fmt), out)
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -171,13 +196,14 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    from .constructions import build_A, build_B
     from .weights import identity_reports
 
-    if args.family == "A":
-        fam = build_A(args.n, args.k, args.s)
-    elif args.family == "B":
-        fam = build_B(args.n, args.k, args.s)
+    if args.family in ("A", "B"):
+        # the candidate's masks are counted as they are made: the family is never built
+        from .constructions import prefix_ksets, star_ksets
+
+        members = (prefix_ksets if args.family == "A" else star_ksets)(args.n, args.k, args.s)
+        _check_header(args.n, args.k)  # what building the family would refuse next
     else:
         with open(args.family, encoding="utf-8") as fh:
             fam = Family.from_text(fh.read())
@@ -185,7 +211,8 @@ def _cmd_identities(args) -> int:
             raise ValueError(
                 f"family file has n={fam.n}, k={fam.k}; expected n={args.n}, k={args.k}"
             )
-    reports = identity_reports(fam, args.s, args.family)
+        members = fam.members
+    reports = identity_reports(members, args.n, args.k, args.s, args.family)
     write_reports(reports, args.out, args.format)
     return 0 if all(r.passed for r in reports) else 1
 

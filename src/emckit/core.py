@@ -36,6 +36,13 @@ def _check_ground(n: int) -> None:
         raise ValueError(f"ground set size {n} outside [0, {_MAX_GROUND}]")
 
 
+def _check_header(n: int, k: Optional[int]) -> None:
+    """Refuse a ground set or a uniformity that no family over [n] can have."""
+    _check_ground(n)
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"uniformity k={k} outside [0, {n}]")
+
+
 def mask_of(n: int, elements: Iterable[int]) -> int:
     """The bitmask of a set of elements of [n]."""
     mask = 0
@@ -119,9 +126,7 @@ class Family:
     __slots__ = ("n", "k", "members", "_mask_set")
 
     def __init__(self, n: int, k: Optional[int], masks: Iterable[int]):
-        _check_ground(n)
-        if k is not None and not 0 <= k <= n:
-            raise ValueError(f"uniformity k={k} outside [0, {n}]")
+        _check_header(n, k)
         # colex on equal-size sets is numeric mask order; both sorts are
         # stable, so equal masks stay next to each other
         members = sorted(masks)

@@ -10,12 +10,13 @@ sides, such as the one ``verify`` writes, loads no rational arithmetic.
 
 :func:`to_json` writes the JSON text of a report: the same bytes as
 ``json.dumps`` with its default ``ensure_ascii``, without loading ``json``.
+:func:`to_json_items` writes the same text of a list one item at a time.
 """
 
 from __future__ import annotations
 
 from operator import eq, ge, gt, le, lt
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import ExactScalar, exact_parts
 
@@ -104,3 +105,18 @@ def to_json(value, indent: Optional[int] = None) -> str:
     ``TypeError``, so no inexact value reaches a report.
     """
     return _json(value, None if indent is None else " " * indent, "")
+
+
+def to_json_items(items: Iterable, indent: Optional[int] = None) -> Iterator[str]:
+    """``to_json(list(items), indent)`` in pieces, one item at a time, so
+    that only one item's text is held; the pieces joined are that text."""
+    step = None if indent is None else " " * indent
+    inner = "" if step is None else step
+    lead = opening = "[" if step is None else f"[\n{inner}"
+    for item in items:
+        yield lead + _json(item, step, inner)
+        lead = ", " if step is None else f",\n{inner}"
+    if lead is opening:
+        yield "[]"
+    else:
+        yield "]" if step is None else "\n]"

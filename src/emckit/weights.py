@@ -18,12 +18,12 @@ partition for every family holds for every partition.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import factorial
+from typing import Iterable
 
 from .core import Family, binom
-from .constructions import extremal_sizes, trace_masks
+from .constructions import extremal_sizes, trace_sizes
 from .exact import Rational
 from .report import AuditReport, make_report
 
@@ -81,22 +81,31 @@ def family_weight_identity(fam: Family, frame: WeightFrame) -> tuple[int, int, b
     A member larger than k has no weight and is refused.  The
     member-by-member direct sum over M is the oracle in ``tests/``.
     """
+    # members largest first, as trace_sizes needs for a mixed family
+    return _weight_identity(reversed(fam.members), fam.n, frame)
+
+
+def _weight_identity(members: Iterable[int], n: int, frame: WeightFrame) -> tuple[int, int, bool]:
+    """:func:`family_weight_identity` in one pass over the member masks of a
+    family over [n], given as :func:`trace_sizes` takes them."""
     k = frame.k
-    sizes = Counter(map(int.bit_count, trace_masks(fam, k, frame.s)))
+    sizes, rhs = trace_sizes(members, n, k, frame.s)
     if max(sizes, default=0) > k:
         raise ValueError(f"trace member larger than k = {k}")
     lhs = sum(count * binom(frame.n_bar, k - d) for d, count in sizes.items())
-    rhs = len(fam)
     return lhs, rhs, lhs == rhs
 
 
-def identity_reports(fam: Family, s: int, family: str) -> list[AuditReport]:
-    """The two rows of the ``identities`` command in the frame (fam.n, fam.k, s):
-    the weight identity of ``fam``, whose name ``family`` goes into the row's
-    params, and C(s, k) * wA_of_M against the size of the prefix family."""
-    n, k = fam.n, fam.k
+def identity_reports(
+    members: Iterable[int], n: int, k: int, s: int, family: str
+) -> list[AuditReport]:
+    """The two rows of the ``identities`` command in the frame (n, k, s): the
+    weight identity of the k-uniform family over [n] whose distinct member
+    masks ``members`` yields once, in any order, and whose name ``family``
+    goes into the row's params; and C(s, k) * wA_of_M against the size of
+    the prefix family.  The members are counted as they come, never held."""
     frame = WeightFrame(n, k, s)
-    lhs, rhs, _ = family_weight_identity(fam, frame)
+    lhs, rhs, _ = _weight_identity(members, n, frame)
     prefix_weight = binom(s, k) * wA_of_M(frame)
     size_a = extremal_sizes(n, k, s)[0]
     return [

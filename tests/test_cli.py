@@ -249,6 +249,74 @@ def test_render_csv():
     assert rows[2][6:] == ["[[1, 2], [3]]", 'a, "b"']
 
 
+def render_whole(reports, fmt: str) -> str:
+    """Oracle: every row as a dict, then the whole text at once."""
+    from emckit.report import to_json
+
+    if fmt == "json":
+        return to_json([cli.report_to_dict(r) for r in reports], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["claim_id", "params", "lhs", "rhs", "cmp", "pass", "witness", "note"])
+    for r in reports:
+        params = ";".join(f"{key}={r.params[key]}" for key in sorted(r.params))
+        witness = "" if r.witness is None else to_json(r.witness)
+        row = [r.claim_id, params, fmt_exact(r.lhs), fmt_exact(r.rhs), r.cmp,
+               str(r.passed).lower(), witness, r.note]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def report_sets():
+    from emckit.audit import audit_all
+    from emckit.transversals import transversal_reports
+
+    nested = make_report("c:y", {"k": 5}, 2, 1, "<", witness=((1, 2), (3,)), note='a, "b"\né')
+    return {
+        "none": [],
+        "one": [make_report("c:x", {"k": 5, "a": 1}, Fraction(1, 2), 1, "<=")],
+        "nested": [nested, nested],
+        "audit-k5": audit_all(5, K5_S, 63135),
+        "transversal-k4": transversal_reports(4, "all"),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_pieces_are_the_whole_text_row_by_row(fmt, tmp_path, capsys):
+    for name, reports in report_sets().items():
+        expected = render_whole(reports, fmt)
+        pieces = list(cli.report_pieces(iter(reports), fmt))
+        assert "".join(pieces) == expected, name
+        # a piece per row, then the JSON close and its newline, or the CSV header
+        assert len(pieces) == len(reports) + (2 if fmt == "json" else 1)
+        cli.write_reports(reports, None, fmt)
+        out = tmp_path / f"{name}.{fmt}"
+        cli.write_reports(reports, str(out), fmt)
+        assert capsys.readouterr().out == expected
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_writing_a_report_allocates_little_beyond_one_row(tmp_path):
+    import tracemalloc
+
+    from emckit.audit import audit_all, max_window_n, min_window_n
+
+    k, s = 20, 808001
+    reports = [r for n in (min_window_n(k, s), max_window_n(k, s)) for r in audit_all(k, s, n)]
+    text = render_whole(reports, "json")
+    out = tmp_path / "r.json"
+    cli.write_reports(reports[:2], str(out), "json")  # first-use allocations
+    tracemalloc.start()
+    try:
+        cli.write_reports(reports, str(out), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8") == text
+    # 256 078 bytes of JSON: about 25 KB rendering row by row, 1.4 MB rendering it whole
+    assert peak < len(text) // 4
+
+
 def test_audit_auto_runs_both_endpoints(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _ = run(capsys, "audit", "--k", "5", "--s", str(K5_S), "--out", str(out))
@@ -811,6 +879,63 @@ def test_identities_builtin_families(capsys):
     fw = rows["identity:family_weight"]
     assert (fw["lhs"], fw["cmp"], fw["rhs"], fw["pass"]) == ("21", "==", "21", True)
     assert rows["identity:prefix_weight"]["pass"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n, k, s", [(9, 2, 3), (30, 4, 6), (36, 5, 6)])
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_identities_candidates_equal_the_built_family(family, n, k, s, fmt, capsys):
+    from emckit.constructions import build_A, build_B
+    from emckit.weights import identity_reports
+
+    fam = (build_A if family == "A" else build_B)(n, k, s)
+    expected = render_reports(identity_reports(fam.members, n, k, s, family), fmt)
+    argv = ["identities", "--family", family, "--n", str(n), "--k", str(k), "--s", str(s)]
+    assert main(argv + ["--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+def built_family_refusal(family: str, n: int, k: int, s: int) -> str:
+    """The message of the first refusal on the way through the built family:
+    building it, then the weight frame."""
+    from emckit.constructions import build_A, build_B
+    from emckit.weights import WeightFrame
+
+    try:
+        (build_A if family == "A" else build_B)(n, k, s)
+        WeightFrame(n, k, s)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("not refused")
+
+
+@pytest.mark.parametrize(
+    "family, n, k, s, message",
+    [
+        ("A", 9, 0, 3, "need k >= 1 and s >= 1"),
+        ("A", 5000, 0, 3, "need k >= 1 and s >= 1"),
+        ("A", 6, 2, 3, "need n >= (s+1)k-1 = 7, got n=6"),
+        ("A", 5000, 2, 3, "ground set size 5000 outside [0, 4096]"),
+        ("A", 4097, 5, 3, "ground set size 4097 outside [0, 4096]"),
+        ("A", 10, 2, 1, "need 1 <= k <= s"),
+        ("B", 2, 3, 1, "need n >= k, got n=2, k=3"),
+        ("B", 5000, 5001, 0, "need n >= k, got n=5000, k=5001"),
+        ("B", 9, 2, 0, "need 1 <= s <= n, got s=0"),
+        ("B", 5000, 2, 5001, "need 1 <= s <= n, got s=5001"),
+        ("B", 5000, 2, 1, "ground set size 5000 outside [0, 4096]"),
+        ("B", 5000, -1, 3, "ground set size 5000 outside [0, 4096]"),
+        ("B", 9, -1, 3, "uniformity k=-1 outside [0, 9]"),
+        ("B", 9, 2, 1, "need 1 <= k <= s"),
+        ("B", 10, 0, 3, "need 1 <= k <= s"),
+        ("B", 6, 2, 3, "need n >= (s+1)k - 1"),
+    ],
+)
+def test_identities_candidates_refuse_as_the_built_family(family, n, k, s, message, capsys):
+    assert built_family_refusal(family, n, k, s) == message
+    argv = ["identities", "--family", family, "--n", str(n), "--k", str(k), "--s", str(s)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_shift_and_find_g0_roundtrip(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from emckit.exact import Rational
-from emckit.report import make_report, to_json
+from emckit.report import make_report, to_json, to_json_items
 
 # all of Unicode: control characters, DEL, lone surrogates, astral planes
 TEXT = st.text(st.characters(exclude_categories=()))
@@ -27,6 +27,16 @@ VALUES = st.recursive(
 def test_to_json_is_json_dumps(value):
     assert to_json(value, indent=2) == json.dumps(value, indent=2)
     assert to_json(value) == json.dumps(value)
+
+
+@given(st.lists(VALUES, max_size=5))
+@example([])
+@example([{}, [], ""])
+def test_to_json_items_pieces_join_to_to_json(items):
+    for indent in (None, 2):
+        pieces = list(to_json_items(iter(items), indent))
+        assert "".join(pieces) == to_json(items, indent=indent)
+        assert len(pieces) == max(len(items), 1) + bool(items)  # one per item, and the close
 
 
 @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, [0, 2.0], {"a": {3}}, {1: 2}])

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import io
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emckit.cli import main
 from emckit.constructions import build_A, build_B, prefix_size, trace_masks
 from emckit.core import Family, KSet, binom, enumerate_ksets, mask_of
 from emckit.audit import max_window_n, min_window_n
@@ -296,14 +300,110 @@ def test_family_weight_identity_refuses_a_trace_member_larger_than_k():
             family_weight_identity(fam, fr)
 
 
-def test_identity_reports_allocate_little_beyond_the_family():
-    # 27 405 members, all inside the prefix [27]: the trace is the family
-    # itself, sorted once, with no hash set beside it
-    fam = build_A(30, 4, 6)
-    identity_reports(build_A(13, 3, 3), 3, "A")  # first-use allocations
+def trace_masks_weight_identity(fam: Family, frame: WeightFrame) -> tuple[int, int, bool]:
+    """Oracle: the weight identity from the sorted distinct trace masks,
+    counted by size."""
+    k = frame.k
+    sizes = Counter(map(int.bit_count, trace_masks(fam, k, frame.s)))
+    if max(sizes, default=0) > k:
+        raise ValueError(f"trace member larger than k = {k}")
+    lhs = sum(count * binom(frame.n_bar, k - d) for d, count in sizes.items())
+    return lhs, len(fam), lhs == len(fam)
+
+
+@st.composite
+def mixed_identity_cases(draw):
+    """(mixed family, frame): members of any size up to k (k+1 when drawn),
+    each inside the prefix, across it or wholly beyond it, and some beyond
+    members' traces added as members inside the prefix."""
+    k = draw(st.integers(1, 3))
+    s = draw(st.integers(k, {1: 6, 2: 6, 3: 4}[k]))
+    p = prefix_size(k, s)
+    n = draw(st.integers(p, p + k + 1))
+    top = k + draw(st.sampled_from([0, 0, 0, 1]))
+    masks = set()
+    for _ in range(draw(st.integers(0, 12))):
+        inside = draw(st.sets(st.integers(1, p), max_size=top))
+        beyond = draw(st.sets(st.integers(p + 1, n), max_size=top - len(inside))) if n > p else set()
+        mask = mask_of(n, inside | beyond)
+        masks.add(mask)
+        if beyond and draw(st.booleans()):
+            masks.add(mask & ((1 << p) - 1))  # the member's trace is a member too
+    return Family(n, None, masks), WeightFrame(n, k, s)
+
+
+def weight_identity_and_stderr(identity, fam: Family, fr: WeightFrame):
+    """The identity's value, or the message of its refusal, and its stderr."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            value = identity(fam, fr)
+        except ValueError as exc:
+            value = str(exc)
+    return value, err.getvalue()
+
+
+EMPTY_TRACE = "trace contains the empty set (member beyond the prefix)\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(weight_identity_cases(), mixed_identity_cases()))
+# {1,2} inside the prefix [5], {3,6} across it, {6,7} wholly beyond it
+@example((Family(8, 2, [0b11, 0b100100, 0b1100000]), WeightFrame(8, 2, 2)))
+# the trace {2} of {2,7} is also a member, so it counts once
+@example((Family(8, None, [0b10, 0b1000010, 0b11]), WeightFrame(8, 2, 2)))
+# {1,2,3} inside the prefix [5] is larger than k = 2
+@example((Family(8, None, [0b1, 0b111]), WeightFrame(8, 2, 2)))
+# the trace {1,2,3} of {1,2,3,6} is larger than k = 2
+@example((Family(8, 4, [0b100111]), WeightFrame(8, 2, 2)))
+def test_single_pass_identity_equals_the_trace_masks_sum(case):
+    fam, fr = case
+    value, err = weight_identity_and_stderr(family_weight_identity, fam, fr)
+    expected, expected_err = weight_identity_and_stderr(trace_masks_weight_identity, fam, fr)
+    assert (value, err) == (expected, expected_err)
+    assert err in ("", EMPTY_TRACE)  # the warning prints once
+    if isinstance(value, str):
+        assert value == f"trace member larger than k = {fr.k}"
+    else:
+        assert value == direct_sum_weight_identity(fam, fr)
+
+
+def test_single_pass_identity_counts_each_trace_once(capsys):
+    # frame (8,2,2), prefix [5]: {1,2} inside, {1,6} across with trace {1},
+    # {2,7} across with trace {2}, which is also a member, and {6,7}, {7,8}
+    # wholly beyond with the one empty trace
+    fam = Family(8, None, [0b11, 0b100001, 0b1000010, 0b10, 0b1100000, 0b11000000])
+    fr = WeightFrame(8, 2, 2)  # n_bar = 3
+    # traces {1,2}, {1}, {2} and the empty set: 1 + 2 * C(3,1) + C(3,2)
+    assert family_weight_identity(fam, fr) == (10, 6, False)
+    assert capsys.readouterr().err == EMPTY_TRACE
+
+
+def test_streamed_identity_allocates_far_below_the_family():
+    # B(30,4,6) has 16 779 members; only the 1 742 distinct traces of the
+    # members that reach beyond the prefix [27] are held
+    fam = build_B(30, 4, 6)
+    family_bytes = sys.getsizeof(fam.members) + sum(map(sys.getsizeof, fam.members))
+    del fam
+    main(["identities", "--family", "B", "--n", "9", "--k", "2", "--s", "3", "--out", "-"])
     tracemalloc.start()
     try:
-        identity_reports(fam, 6, "A")
+        code = main(["identities", "--family", "B", "--n", "30", "--k", "4", "--s", "6", "--out", "-"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < family_bytes // 2
+
+
+def test_identity_reports_allocate_little_beyond_the_family():
+    # 17 550 members, all inside the prefix [27]: each is its own trace,
+    # counted by its size, so nothing beside the family is held
+    fam = build_A(30, 4, 6)
+    identity_reports(build_A(13, 3, 3).members, 13, 3, 3, "A")  # first-use allocations
+    tracemalloc.start()
+    try:
+        identity_reports(fam.members, 30, 4, 6, "A")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
