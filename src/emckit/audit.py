@@ -1,14 +1,16 @@
 """Exact-rational audits of every inequality in the proof chain.
 
-Each audit emits :class:`AuditReport` records (from ``report``) whose
-verdicts are recomputable from the stored exact left/right sides and
-comparison direction.  Nothing is evaluated in floating point.
+Each audit yields :class:`AuditReport` records (from ``report``) one at a
+time, whose verdicts are recomputable from the stored exact left/right sides
+and comparison direction.  Nothing is evaluated in floating point.  The claim
+audits check their parameters when iteration starts; :func:`audit_all` checks
+them at the call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 from .exact import Rational
 from .report import AuditReport, make_report
@@ -50,7 +52,7 @@ def require_window(k: int, s: int, n: Optional[int] = None) -> None:
         )
 
 
-def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
+def audit_claim2(k: int, s: int, n: int) -> Iterator[AuditReport]:
     """Weight bound w_{c,d} <= (1+1/k) eps^(k-d) / s^(d-c) * (k-c)!/(k-d)!.
 
     Includes the auxiliary chain inequality that closes the bound's proof.
@@ -58,7 +60,6 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
     require_window(k, s, n)
     eps = epsilon_of(k)
     n_bar = n - (s + 1) * k + 1
-    reports = []
     for c in range(1, k + 1):
         for d in range(c, k + 1):
             lhs = weight_value(k, s, n_bar, c, d)
@@ -68,128 +69,83 @@ def audit_claim2(k: int, s: int, n: int) -> list[AuditReport]:
                 / s ** (d - c)
                 * Rational(math.factorial(k - c), math.factorial(k - d))
             )
-            reports.append(
-                make_report(
-                    "claim2:weight_bound",
-                    {"k": k, "s": s, "n": n, "c": c, "d": d},
-                    lhs,
-                    rhs,
-                    "<=",
-                )
+            yield make_report(
+                "claim2:weight_bound", {"k": k, "s": s, "n": n, "c": c, "d": d}, lhs, rhs, "<="
             )
     aux_lhs = (1 - Rational(k - 1, s)) ** (k - 1) / (
         1 + (eps + 1) / (eps * s)
     ) ** (k - 1)
-    reports.append(
-        make_report(
-            "claim2:aux_chain",
-            {"k": k, "s": s},
-            aux_lhs,
-            Rational(k, k + 1),
-            ">=",
-        )
-    )
-    return reports
+    yield make_report("claim2:aux_chain", {"k": k, "s": s}, aux_lhs, Rational(k, k + 1), ">=")
 
 
-def audit_claim3(k: int) -> list[AuditReport]:
+def audit_claim3(k: int) -> Iterator[AuditReport]:
     """Candidate counts against C(k,c) k^(2d-c)/(d-c)!, in closed form."""
     counts = _count_table(k)[0]
-    reports = []
     for c in range(1, k + 1):
         for d in range(c, k + 1):
-            reports.append(
-                make_report(
-                    "claim3:count_bound",
-                    {"k": k, "c": c, "d": d},
-                    counts[c][d],
-                    claim3_bound(c, d, k),
-                    "<=",
-                )
+            yield make_report(
+                "claim3:count_bound",
+                {"k": k, "c": c, "d": d},
+                counts[c][d],
+                claim3_bound(c, d, k),
+                "<=",
             )
-    return reports
 
 
-def audit_claim4(k: int, s: int, n: int) -> list[AuditReport]:
+def audit_claim4(k: int, s: int, n: int) -> Iterator[AuditReport]:
     """Envelope of weighted defect mass per defect level, plus the closing lemma."""
     require_window(k, s, n)
     frame = WeightFrame(n, k, s)
-    reports = []
     for g, (lhs, rhs, _) in enumerate(wg_envelopes(frame)):
-        reports.append(
-            make_report(
-                "claim4:wg_envelope",
-                {"k": k, "s": s, "n": n, "g": g},
-                lhs,
-                rhs,
-                "<=",
-                note="envelope",
-            )
+        yield make_report(
+            "claim4:wg_envelope", {"k": k, "s": s, "n": n, "g": g}, lhs, rhs, "<=", note="envelope"
         )
     eps = epsilon_of(k)
     closing_lhs = (
         Rational(k + 1, k) / (1 - eps) / (1 - Rational(k * k, s))
     )
-    reports.append(
-        make_report(
-            "claim4:closing_lemma",
-            {"k": k, "s": s},
-            closing_lhs,
-            Rational(k + 2, k),
-            "<",
-        )
+    yield make_report(
+        "claim4:closing_lemma", {"k": k, "s": s}, closing_lhs, Rational(k + 2, k), "<"
     )
-    return reports
 
 
-def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
+def audit_numeric_lemmas(k: int, s: int) -> Iterator[AuditReport]:
     """The interstitial exact-rational lemmas of the proof chain."""
     require_window(k, s)
     eps = epsilon_of(k)
-    reports = []
 
     # defect-one weight sum: (1+1/k) sum_{d=2}^{k-1} eps^(k-d-1) (k-d+1) <= 2(1+2/k)
     rx_lhs = Rational(k + 1, k) * sum(
         eps ** (k - d - 1) * (k - d + 1) for d in range(2, k)
     )
-    reports.append(
-        make_report(
-            "lemma:rx_weight_sum", {"k": k}, rx_lhs, 2 * Rational(k + 2, k), "<="
-        )
-    )
+    yield make_report("lemma:rx_weight_sum", {"k": k}, rx_lhs, 2 * Rational(k + 2, k), "<=")
 
     # missing full transversals stay below (k-1)^(k-1)
-    reports.append(
-        make_report(
-            "lemma:full_missing_threshold",
-            {"k": k},
-            Rational(k + 2, k) * k**k * eps,
-            (k - 1) ** (k - 1),
-            "<",
-        )
+    yield make_report(
+        "lemma:full_missing_threshold",
+        {"k": k},
+        Rational(k + 2, k) * k**k * eps,
+        (k - 1) ** (k - 1),
+        "<",
     )
 
     # defect-one mass threshold below (k-2)^(k-1)
-    reports.append(
-        make_report(
-            "lemma:w1_threshold",
-            {"k": k, "s": s},
-            Rational(k + 2, k) * k ** (k + 2) * eps / s,
-            (k - 2) ** (k - 1),
-            "<",
-        )
+    yield make_report(
+        "lemma:w1_threshold",
+        {"k": k, "s": s},
+        Rational(k + 2, k) * k ** (k + 2) * eps / s,
+        (k - 2) ** (k - 1),
+        "<",
     )
 
     # rearrangement constant behind x_{k-1} <= (1+3/k) eps k^(k+1)
     rearrange_lhs = Rational(k + 2, k) / (1 - eps * Rational(k + 2, k))
-    reports.append(
-        make_report(
-            "lemma:x_rearrangement",
-            {"k": k},
-            rearrange_lhs,
-            Rational(k + 3, k),
-            "<=",
-        )
+    yield make_report(
+        "lemma:x_rearrangement",
+        {"k": k},
+        rearrange_lhs,
+        Rational(k + 3, k),
+        "<=",
     )
 
     # shift-count inequality: (1-1/k)^((k^2-k)/(k-3)) k^(k+1) > 3k (1+3/k) 2 eps k^(k+1)
@@ -198,51 +154,46 @@ def audit_numeric_lemmas(k: int, s: int) -> list[AuditReport]:
     note = "" if exp_frac.denominator == 1 else "fractional exponent rounded up (conservative)"
     shift_lhs = Rational(k - 1, k) ** exponent * k ** (k + 1)
     shift_rhs = 3 * k * Rational(k + 3, k) * 2 * eps * k ** (k + 1)
-    reports.append(
-        make_report(
-            "lemma:shift_count", {"k": k, "s": s}, shift_lhs, shift_rhs, ">", note=note
-        )
-    )
+    yield make_report("lemma:shift_count", {"k": k, "s": s}, shift_lhs, shift_rhs, ">", note=note)
 
     # envelope for r_{k-1}: size-(k-1), width-(k-2) local subsets meeting the
     # distinguished set (all of them minus those inside the blocks) vs
     # (k-1)^2 k^(k-1) / 2
     every, inside = _count_table(k)
     r_count = every[k - 2][k - 1] - inside[k - 2][k - 1]
-    reports.append(
-        make_report(
-            "lemma:r_count_envelope",
-            {"k": k},
-            r_count,
-            Rational((k - 1) ** 2 * k ** (k - 1), 2),
-            "<=",
-            note="envelope",
-        )
+    yield make_report(
+        "lemma:r_count_envelope",
+        {"k": k},
+        r_count,
+        Rational((k - 1) ** 2 * k ** (k - 1), 2),
+        "<=",
+        note="envelope",
     )
 
     # final threshold: (1+2/k) k^(k+6) eps / (6 s^2) < k^(k-1)
-    reports.append(
-        make_report(
-            "lemma:final_threshold",
-            {"k": k, "s": s},
-            Rational(k + 2, k) * k ** (k + 6) * eps / (6 * s**2),
-            k ** (k - 1),
-            "<",
-        )
+    yield make_report(
+        "lemma:final_threshold",
+        {"k": k, "s": s},
+        Rational(k + 2, k) * k ** (k + 6) * eps / (6 * s**2),
+        k ** (k - 1),
+        "<",
     )
-    return reports
 
 
-def audit_all(k: int, s: int, n: int) -> list[AuditReport]:
-    """Every claim audit at one parameter point, plus the product inequality."""
+def audit_all(k: int, s: int, n: int) -> Iterator[AuditReport]:
+    """Every claim audit at one parameter point, plus the product inequality,
+    one row at a time.  The parameters are refused here, at the call, not when
+    iteration starts."""
     require_window(k, s, n)
-    reports = []
-    reports.extend(audit_claim2(k, s, n))
-    reports.extend(audit_claim3(k))
-    reports.extend(audit_claim4(k, s, n))
-    reports.extend(audit_numeric_lemmas(k, s))
-    reports.append(product_inequality_report(k))
-    return reports
+    return _audit_rows(k, s, n)
+
+
+def _audit_rows(k: int, s: int, n: int) -> Iterator[AuditReport]:
+    yield from audit_claim2(k, s, n)
+    yield from audit_claim3(k)
+    yield from audit_claim4(k, s, n)
+    yield from audit_numeric_lemmas(k, s)
+    yield product_inequality_report(k)
 
 
 def _claim8_holds(k: int, product: int, worst: int, c: int) -> bool:

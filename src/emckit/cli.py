@@ -132,18 +132,30 @@ def _emit_pieces(pieces: Iterable[str], out: Optional[str]) -> None:
             fh.writelines(pieces)
 
 
-def write_reports(reports: list[AuditReport], out: Optional[str], fmt: str) -> None:
-    _emit_pieces(report_pieces(reports, fmt), out)
+def write_reports(reports: Iterable[AuditReport], out: Optional[str], fmt: str) -> int:
+    """Write the reports as they come and return the exit code: 0 if every
+    one passed, 1 otherwise."""
+    failed = False
+
+    def noted() -> Iterator[AuditReport]:
+        nonlocal failed
+        for r in reports:
+            failed = failed or not r.passed
+            yield r
+
+    _emit_pieces(report_pieces(noted(), fmt), out)
+    return 1 if failed else 0
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> range:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise ValueError("empty range")
-        return list(range(lo_i, hi_i + 1))
-    return [int(spec)]
+        return range(lo_i, hi_i + 1)
+    value = int(spec)
+    return range(value, value + 1)
 
 
 def _cmd_audit(args) -> int:
@@ -151,12 +163,14 @@ def _cmd_audit(args) -> int:
 
     if args.n == "auto":
         require_window(args.k, args.s)  # the window ends divide by k
-        n_values = [min_window_n(args.k, args.s), max_window_n(args.k, args.s)]
+        n_values = (min_window_n(args.k, args.s), max_window_n(args.k, args.s))
     else:
         n_values = _parse_range(args.n)
-    reports = [r for n in n_values for r in audit_all(args.k, args.s, n)]
-    write_reports(reports, args.out, args.format)
-    return 0 if all(r.passed for r in reports) else 1
+        # the window is an interval: if both ends lie in it, every n between does
+        require_window(args.k, args.s, n_values[0])
+        require_window(args.k, args.s, n_values[-1])
+    reports = chain.from_iterable(audit_all(args.k, args.s, n) for n in n_values)
+    return write_reports(reports, args.out, args.format)
 
 
 def _cmd_verify(args) -> int:
@@ -165,16 +179,15 @@ def _cmd_verify(args) -> int:
     report = verify_conjecture(
         args.n, args.k, args.s, method=args.method, node_budget=args.node_budget
     )
-    write_reports([report], args.out, args.format)
-    return 0 if report.passed else 1
+    return write_reports((report,), args.out, args.format)
 
 
 def _cmd_crossover(args) -> int:
     from .constructions import crossover_n
 
     ks = _parse_range(args.k)
-    bare = next((k for k in ks if k >= args.s_max), None)
-    if bare is not None:  # s runs over k+1..s_max, so this k would have no row
+    if ks[-1] >= args.s_max:  # s runs over k+1..s_max, so such a k would have no row
+        bare = max(ks[0], args.s_max)
         raise ValueError(f"k = {bare} has no s in {bare + 1}..{args.s_max}: needs --s-max > {bare}")
     rows = ["k,s,crossover_n,bound,ok"]
     for k in ks:
@@ -190,9 +203,7 @@ def _cmd_crossover(args) -> int:
 def _cmd_transversal(args) -> int:
     from .transversals import transversal_reports
 
-    reports = transversal_reports(args.k, args.check)
-    write_reports(reports, args.out, args.format)
-    return 0 if all(r.passed for r in reports) else 1
+    return write_reports(transversal_reports(args.k, args.check), args.out, args.format)
 
 
 def _cmd_identities(args) -> int:
@@ -213,8 +224,7 @@ def _cmd_identities(args) -> int:
             )
         members = fam.members
     reports = identity_reports(members, args.n, args.k, args.s, args.family)
-    write_reports(reports, args.out, args.format)
-    return 0 if all(r.passed for r in reports) else 1
+    return write_reports(reports, args.out, args.format)
 
 
 def _cmd_shift(args) -> int:
@@ -299,10 +309,13 @@ COMMANDS = {
         Option("--n", int, required=True),
         Option("--k", int, required=True),
         Option("--s", int, required=True),
-        Option("--method", ("exhaustive", "bnb", "shifted_only"), "bnb"),
+        Option(
+            "--method", ("exhaustive", "bnb", "shifted_only"), "bnb",
+            help="shifted_only searches downsets; exhaustive is bnb, kept for old command lines",
+        ),
         Option(
             "--node-budget", int,
-            help="most search nodes for bnb and shifted_only (at least 1); exhaustive takes none",
+            help="most search nodes (at least 1); without one, C(n,k) <= 60",
         ),
         _OUT,
         _FORMAT,

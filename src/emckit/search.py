@@ -1,16 +1,13 @@
 """Desk-scale exact verification of the extremal inequality and the search
 for the distinguished pivot set.
 
-The maximization is over families of k-sets with matching number at most s.
-Two engines: an exhaustive scan of the subfamilies, largest size first, and
-a branch-and-bound over inclusion decisions.  The scan walks each size's
-subfamilies as sorted position tuples in lexicographic order, which is
-colex order on the families they denote (the earlier tuple holds the lowest
-position where the two differ), so the first feasible one at the largest
-feasible size is the colex-least maximizer.  Method ``shifted_only`` is the
-same branch-and-bound restricted to precedence downsets: a set may join only
-after all its single-element decrements.  The restriction is exact because
-shifting keeps |F| and never raises the matching number.
+The maximization is over families of k-sets with matching number at most s,
+by one branch-and-bound over inclusion decisions.  Method ``exhaustive`` is
+another name for ``bnb``, kept for old command lines.  Method
+``shifted_only`` is the same branch-and-bound restricted to precedence
+downsets: a set may join only after all its single-element decrements.  The
+restriction is exact because shifting keeps |F| and never raises the
+matching number.
 
 The branch-and-bound keeps only sets that can still join in its undecided
 pool, a bitset over colex positions, and updates that pool incrementally:
@@ -39,8 +36,6 @@ the search space.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import factorial
 from typing import TYPE_CHECKING, Optional
 
 from .constructions import extremal_sizes, prefix_size, trace_masks
@@ -51,51 +46,7 @@ from .shifting import _decrements
 if TYPE_CHECKING:
     from .report import AuditReport
 
-# The exhaustive scan tests subfamilies against every forbidden
-# (s+1)-matching, from the largest size down, so at worst all 2^C(n,k) of
-# them; it is refused above 2^DEFAULT_EXHAUSTIVE_CAP such tests (about a
-# second), and so above DEFAULT_EXHAUSTIVE_CAP k-sets.
-DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_BNB_CAP = 60
-
-
-def _matching_count(n: int, k: int, r: int) -> int:
-    """Number of r-sets of pairwise disjoint k-subsets of [n]."""
-    if r * k > n:
-        return 0
-    return binom(n, r * k) * factorial(r * k) // (factorial(k) ** r * factorial(r))
-
-
-def _disjoint_tuples(disj: list[int], t: int) -> list[int]:
-    """Inclusion masks (over list positions) of all t-tuples of pairwise
-    disjoint sets: the t-cliques of the disjointness graph ``disj``."""
-    out = []
-
-    def rec(cand: int, chosen: int, depth: int):
-        if depth == t:
-            out.append(chosen)
-            return
-        while cand.bit_count() >= t - depth:
-            low = cand & -cand
-            cand ^= low
-            rec(cand & disj[low.bit_length() - 1], chosen | low, depth + 1)
-
-    rec((1 << len(disj)) - 1, 0, 0)
-    return out
-
-
-def _exhaustive_max(all_masks: list[int], s: int) -> tuple[int, int]:
-    """Scan the subfamilies from the largest size down; returns (max size,
-    inclusion mask of the colex-least maximizer)."""
-    m = len(all_masks)
-    forbidden = _disjoint_tuples(_disjointness(all_masks, _holders(all_masks)), s + 1)
-    bits = [1 << i for i in range(m)]
-    for size in range(m, 0, -1):
-        for chosen in combinations(bits, size):
-            incl = sum(chosen)
-            if not any(incl & f == f for f in forbidden):
-                return size, incl
-    return 0, 0
 
 
 def _include(
@@ -312,53 +263,33 @@ def max_family_size(
     Returns the maximum together with a deterministic witness (colex-least
     among maximizers).  Raises :class:`BudgetExceeded` when a node budget is
     given and exhausted -- an explicit unknown, never a wrong answer.
-    ``DEFAULT_BNB_CAP`` bounds C(n,k) for ``bnb`` and ``shifted_only`` only
-    when no node budget is given; a budget bounds the work instead, up to
-    C(n,k) <= ``_MAX_GROUND``.  A budget must be at least 1, and
-    ``exhaustive``, which counts no nodes, takes none.  No k-set is built
-    before these gates pass.
+    ``DEFAULT_BNB_CAP`` bounds C(n,k) only when no node budget is given; a
+    budget bounds the work instead, up to C(n,k) <= ``_MAX_GROUND``.  A
+    budget must be at least 1.  No k-set is built before these gates pass.
+    Method ``exhaustive`` is ``bnb`` under its old name.
     """
     if not (n >= k >= 1 and s >= 1):
         raise ValueError("need n >= k >= 1 and s >= 1")
-    if node_budget is not None:
-        if node_budget < 1:
-            raise ValueError(f"node budget must be at least 1, got {node_budget}")
-        if method == "exhaustive":
-            raise ValueError("exhaustive search takes no node budget")
-    m = binom(n, k)
-    if method == "exhaustive":
-        if m > DEFAULT_EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"exhaustive search needs C(n,k) <= {DEFAULT_EXHAUSTIVE_CAP}, got {m}"
-            )
-        tuples = _matching_count(n, k, s + 1)
-        if (tuples + 1) << m > 1 << DEFAULT_EXHAUSTIVE_CAP:
-            raise ValueError(
-                "exhaustive search needs 2^C(n,k) * (number of (s+1)-matchings + 1)"
-                f" <= 2^{DEFAULT_EXHAUSTIVE_CAP}, got 2^{m} * {tuples + 1}"
-            )
-        all_masks = list(enumerate_ksets(n, k))
-        best_size, best_incl = _exhaustive_max(all_masks, s)
-    elif method in ("bnb", "shifted_only"):
-        name = "branch-and-bound" if method == "bnb" else "downset search"
-        if node_budget is None and m > DEFAULT_BNB_CAP:
-            raise ValueError(
-                f"{name} needs C(n,k) <= {DEFAULT_BNB_CAP} without a node budget, got {m}"
-            )
-        # the pool and conflict bitsets range over C(n,k) positions
-        if m > _MAX_GROUND:
-            raise ValueError(f"{name} needs C(n,k) <= {_MAX_GROUND} with any budget, got {m}")
-        all_masks = list(enumerate_ksets(n, k))
-        if method == "bnb":
-            best_size, best_incl = _bnb_max(
-                all_masks, s, node_budget, swaps=_swap_pairs(n, all_masks)
-            )
-        else:
-            rank = {mm: i for i, mm in enumerate(all_masks)}
-            parents = [sum(1 << rank[p] for p in _decrements(mm)) for mm in all_masks]
-            best_size, best_incl = _bnb_max(all_masks, s, node_budget, parents)
-    else:
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
+    if method not in ("bnb", "exhaustive", "shifted_only"):
         raise ValueError(f"unknown method {method!r}")
+    name = "downset search" if method == "shifted_only" else "branch-and-bound"
+    m = binom(n, k)
+    if node_budget is None and m > DEFAULT_BNB_CAP:
+        raise ValueError(
+            f"{name} needs C(n,k) <= {DEFAULT_BNB_CAP} without a node budget, got {m}"
+        )
+    # the pool and conflict bitsets range over C(n,k) positions
+    if m > _MAX_GROUND:
+        raise ValueError(f"{name} needs C(n,k) <= {_MAX_GROUND} with any budget, got {m}")
+    all_masks = list(enumerate_ksets(n, k))
+    if method == "shifted_only":
+        rank = {mm: i for i, mm in enumerate(all_masks)}
+        parents = [sum(1 << rank[p] for p in _decrements(mm)) for mm in all_masks]
+        best_size, best_incl = _bnb_max(all_masks, s, node_budget, parents)
+    else:
+        best_size, best_incl = _bnb_max(all_masks, s, node_budget, swaps=_swap_pairs(n, all_masks))
     witness = Family.from_masks(
         n, k, [mm for i, mm in enumerate(all_masks) if best_incl >> i & 1]
     )

@@ -59,7 +59,7 @@ def test_window_parameter_guards():
 
 
 def test_claim2_reports_exact_and_pass():
-    reports = audit_claim2(5, K5_S, min_window_n(5, K5_S))
+    reports = list(audit_claim2(5, K5_S, min_window_n(5, K5_S)))
     assert all(r.passed for r in reports)
     weight_reports = [r for r in reports if r.claim_id == "claim2:weight_bound"]
     assert len(weight_reports) == sum(1 for c in range(1, 6) for d in range(c, 6))
@@ -74,20 +74,20 @@ def test_claim2_reports_exact_and_pass():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_claim3_enumerated_counts_pass(k):
-    reports = audit_claim3(k)
+    reports = list(audit_claim3(k))
     assert all(r.passed for r in reports)
     assert len(reports) == sum(1 for c in range(1, k + 1) for d in range(c, k + 1))
 
 
 def test_claim3_beyond_enumeration():
     for k in (6, 7):
-        reports = audit_claim3(k)
+        reports = list(audit_claim3(k))
         assert all(r.passed for r in reports)
         assert len(reports) == k * (k + 1) // 2
 
 
 def test_claim4_pass():
-    reports = audit_claim4(5, K5_S, max_window_n(5, K5_S))
+    reports = list(audit_claim4(5, K5_S, max_window_n(5, K5_S)))
     assert all(r.passed for r in reports)
     envs = [r for r in reports if r.claim_id == "claim4:wg_envelope"]
     assert [r.params["g"] for r in envs] == list(range(0, 4))
@@ -95,7 +95,7 @@ def test_claim4_pass():
 
 def test_numeric_lemmas_pass():
     for k, s in [(5, K5_S), (6, K6_S), (7, 101 * 7**3 + 1)]:
-        reports = audit_numeric_lemmas(k, s)
+        reports = list(audit_numeric_lemmas(k, s))
         assert all(r.passed for r in reports)
         ids = {r.claim_id for r in reports}
         assert "lemma:shift_count" in ids
@@ -105,7 +105,7 @@ def test_numeric_lemmas_pass():
 
 def test_audit_all_shape():
     k, s = 5, K5_S
-    reports = audit_all(k, s, min_window_n(k, s))
+    reports = list(audit_all(k, s, min_window_n(k, s)))
     assert all(r.passed for r in reports)
     claim8 = reports[-1]
     assert claim8.claim_id == "claim8:product_inequality"
@@ -120,7 +120,7 @@ def test_audit_computes_each_candidate_count_once_per_k():
     weights._count_table.cache_clear()
     k, s = 8, 101 * 8**3 + 1
     for n in (min_window_n(k, s), max_window_n(k, s)):
-        audit_all(k, s, n)
+        list(audit_all(k, s, n))
     info = weights._count_table.cache_info()
     weights._count_table.cache_clear()
     # claim 3, the claim-4 envelopes, the r-count lemma and both window ends
@@ -129,6 +129,7 @@ def test_audit_computes_each_candidate_count_once_per_k():
 
 
 def test_audit_all_rejects_out_of_window():
+    # at the call, before any row is asked for
     with pytest.raises(ParameterWindowError):
         audit_all(5, K5_S, min_window_n(5, K5_S) - 1)
 

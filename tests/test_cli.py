@@ -68,12 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--method", choices=["exhaustive", "bnb", "shifted_only"], default="bnb")
+    p.add_argument(
+        "--method",
+        choices=["exhaustive", "bnb", "shifted_only"],
+        default="bnb",
+        help="shifted_only searches downsets; exhaustive is bnb, kept for old command lines",
+    )
     p.add_argument(
         "--node-budget",
         type=int,
         default=None,
-        help="most search nodes for bnb and shifted_only (at least 1); exhaustive takes none",
+        help="most search nodes (at least 1); without one, C(n,k) <= 60",
     )
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -276,7 +281,7 @@ def report_sets():
         "none": [],
         "one": [make_report("c:x", {"k": 5, "a": 1}, Fraction(1, 2), 1, "<=")],
         "nested": [nested, nested],
-        "audit-k5": audit_all(5, K5_S, 63135),
+        "audit-k5": list(audit_all(5, K5_S, 63135)),
         "transversal-k4": transversal_reports(4, "all"),
     }
 
@@ -351,6 +356,46 @@ def test_audit_auto_tests_half_of_k_claim8_partitions_per_walk(capsys, monkeypat
 def test_audit_out_of_window_exits_2(capsys):
     code, _ = run(capsys, "audit", "--k", "4", "--s", "999999")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["audit", "--k", "5", "--s", "12626", "--n", f"1..{10**30}"],
+         "n=1 outside window [63135, 63160]"),
+        (["audit", "--k", "5", "--s", "12626", "--n", f"63135..{10**30}"],
+         f"n={10**30} outside window [63135, 63160]"),
+        (["crossover", "--k", f"2..{10**30}", "--s-max", "40"],
+         "k = 40 has no s in 41..40: needs --s-max > 40"),
+        (["crossover", "--k", f"50..{10**30}", "--s-max", "40"],
+         "k = 50 has no s in 51..40: needs --s-max > 50"),
+    ],
+    ids=["audit-low-end", "audit-high-end", "crossover", "crossover-low-end"],
+)
+def test_a_huge_range_is_refused_from_its_ends(capsys, argv, message):
+    # a list of these ranges would not fit in memory, nor its length in an index
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--k", "4", "--s", "999999"],
+        ["--k", "5", "--s", "12625"],
+        ["--k", "5", "--s", "12626", "--n", "63134"],
+        ["--k", "5", "--s", "12626", "--n", "63135..63161"],
+        ["--k", "5", "--s", "12626", "--n", "63136..63135"],
+    ],
+    ids=["k", "s", "n", "range-end", "empty-range"],
+)
+def test_audit_refusals_open_no_out_file(tmp_path, capsys, extra):
+    # the rows are written as they are made, so every refusal comes before --out opens
+    out = tmp_path / "r.json"
+    assert main(["audit", *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_audit_k0_is_refused_before_the_window_ends(capsys):
@@ -537,12 +582,23 @@ def test_verify_refuses_meaningless_node_budget(capsys):
     for extra, message in [
         (["--node-budget", "0"], "node budget must be at least 1, got 0"),
         (["--node-budget", "-5"], "node budget must be at least 1, got -5"),
-        (["--method", "exhaustive", "--node-budget", "10"], "exhaustive search takes no node budget"),
     ]:
         assert main([*argv, *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+    # exhaustive is bnb under its old name: it takes a budget, counts bnb's
+    # nodes, runs past 24 k-sets and gives bnb's row apart from params.method
+    past_24 = ["verify", "--n", "9", "--k", "2", "--s", "3"]
+    for instance, budget, code in [(argv, "10", 1), (argv, "1000", 0), (past_24, "1000", 0)]:
+        runs = []
+        for method in ("exhaustive", "bnb"):
+            code_m = main([*instance, "--method", method, "--node-budget", budget])
+            runs.append((code_m, capsys.readouterr()))
+        (code_e, out_e), (code_b, out_b) = runs
+        assert code_e == code_b == code
+        assert out_e.err == out_b.err
+        assert out_e.out == out_b.out.replace('"method": "bnb"', '"method": "exhaustive"')
 
 
 def test_verify_budgeted_9_2_3_passes(capsys):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, factorial
+from operator import or_
 from typing import Collection, Optional
 
 import pytest
@@ -16,9 +18,7 @@ from emckit import search
 from emckit.search import (
     _bnb_max,
     _clique_cover,
-    _disjoint_tuples,
     _include,
-    _matching_count,
     _swap_pairs,
     find_G0,
     max_family_size,
@@ -195,11 +195,12 @@ def downset_max(all_masks: list[int], s: int) -> tuple[int, int]:
 
 
 def test_methods_agree_small():
+    # exhaustive is a kept name for bnb: same maximum, same colex-least witness
     for (n, k, s) in [(4, 2, 1), (5, 2, 1), (6, 2, 2), (6, 3, 1)]:
         mx_e, wit_e = max_family_size(n, k, s, method="exhaustive")
         mx_b, wit_b = max_family_size(n, k, s, method="bnb")
         assert mx_e == mx_b
-        assert wit_e == wit_b  # identical colex-least witnesses
+        assert wit_e == wit_b
         assert matching_number(wit_b)[0] <= s
 
 
@@ -212,11 +213,34 @@ def _family_mask_better(a: int, b: int) -> bool:
     return bool(a & low)
 
 
-def full_scan_max(all_masks: list[int], s: int) -> tuple[int, int]:
-    """Oracle of the top-down exhaustive scan: all 2^m subfamilies, keeping
-    the colex-least of the largest feasible ones."""
-    m = len(all_masks)
-    forbidden = _disjoint_tuples(_disjointness(all_masks, _holders(all_masks)), s + 1)
+def forbidden_tuples(all_masks: list[int], s: int) -> list[int]:
+    """Inclusion masks (over list positions) of every s+1 pairwise disjoint sets."""
+    return [
+        sum(1 << i for i in combo)
+        for combo in combinations(range(len(all_masks)), s + 1)
+        if sum(all_masks[i].bit_count() for i in combo)
+        == reduce(or_, (all_masks[i] for i in combo)).bit_count()
+    ]
+
+
+def matching_count(n: int, k: int, r: int) -> int:
+    """Number of r-sets of pairwise disjoint k-subsets of [n], in closed form."""
+    if r * k > n:
+        return 0
+    return comb(n, r * k) * factorial(r * k) // (factorial(k) ** r * factorial(r))
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (7, 2), (8, 2), (7, 3), (9, 3), (8, 4)])
+def test_matching_count_closed_form(n, k):
+    # the oracle's forbidden tuples are exactly the r-matchings
+    masks = list(enumerate_ksets(n, k))
+    for r in range(1, n // k + 1):
+        assert matching_count(n, k, r) == len(forbidden_tuples(masks, r - 1)), r
+
+
+def full_scan_max(m: int, forbidden: list[int]) -> tuple[int, int]:
+    """Oracle of the search: all 2^m subfamilies of m sets, keeping the
+    colex-least of the largest ones that hold no tuple of ``forbidden``."""
     best_size = -1
     best_incl = 0
     for incl in range(1 << m):
@@ -232,18 +256,24 @@ def full_scan_max(all_masks: list[int], s: int) -> tuple[int, int]:
 
 
 def test_exhaustive_scan_matches_the_full_scan():
-    # every instance with n <= 8 and s <= 4 that the exhaustive gate admits
+    # bnb and its kept name exhaustive against the brute-force scan, on
+    # every instance with n <= 8 and s <= 4 whose full scan makes at most 2^24
+    # tests: C(n,k) <= 24 and 2^C(n,k) * (number of (s+1)-matchings + 1) <= 2^24,
+    # the gate of the retired exhaustive engine
     cases = 0
     for n in range(1, 9):
         for k in range(1, n + 1):
             for s in range(1, 5):
                 m = comb(n, k)
-                if m > search.DEFAULT_EXHAUSTIVE_CAP:
-                    continue
-                if (_matching_count(n, k, s + 1) + 1) << m > 1 << search.DEFAULT_EXHAUSTIVE_CAP:
+                if m > 24 or (matching_count(n, k, s + 1) + 1) << m > 1 << 24:
                     continue
                 masks = list(enumerate_ksets(n, k))
-                assert search._exhaustive_max(masks, s) == full_scan_max(masks, s), (n, k, s)
+                forbidden = forbidden_tuples(masks, s)
+                size, incl = full_scan_max(m, forbidden)
+                witness = tuple(mm for i, mm in enumerate(masks) if incl >> i & 1)
+                for method in ("bnb", "exhaustive"):
+                    mx, wit = max_family_size(n, k, s, method=method)
+                    assert (mx, wit.members) == (size, witness), (n, k, s, method)
                 cases += 1
     assert cases == 114
 
@@ -278,26 +308,6 @@ def test_bnb_max_respects_parents():
     masks = [0b0011, 0b1100, 0b0110]
     assert _bnb_max(masks, 1, None) == (2, 0b101)
     assert _bnb_max(masks, 1, None, [0, 0b001, 0b010]) == (1, 0b001)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 0b111111), max_size=12), st.integers(0, 4))
-@example([0b11, 0b11, 0, 0b1100, 0b110], 2)
-def test_disjoint_tuples_matches_combinations(masks, t):
-    def pairwise_disjoint(combo):
-        seen = 0
-        for j in combo:
-            if seen & masks[j]:
-                return False
-            seen |= masks[j]
-        return True
-
-    expected = [
-        sum(1 << j for j in combo)
-        for combo in combinations(range(len(masks)), t)
-        if pairwise_disjoint(combo)
-    ]
-    assert _disjoint_tuples(_disjointness(masks, _holders(masks)), t) == expected
 
 
 @st.composite
@@ -624,26 +634,14 @@ def test_size_gates_checked_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(search, "enumerate_ksets", refuse)
     for n, k, method, budget, message in [
-        (60, 5, "exhaustive", None, "exhaustive search needs C(n,k) <= 24, got 5461512"),
-        # 2^16 subfamilies against 560 forbidden triples of singletons
-        (16, 1, "exhaustive", None, "(number of (s+1)-matchings + 1) <= 2^24, got 2^16 * 561"),
         (60, 5, "bnb", None, "branch-and-bound needs C(n,k) <= 60 without a node budget"),
         (60, 5, "shifted_only", 10, "downset search needs C(n,k) <= 4096 with any budget, got 5461512"),
         (100, 5, "annealing", None, "unknown method 'annealing'"),
-        # a budget below one node, or one the exhaustive scan would ignore
+        # a budget below one node
         (6, 2, "bnb", -5, "node budget must be at least 1, got -5"),
-        (6, 2, "exhaustive", 1, "exhaustive search takes no node budget"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             max_family_size(n, k, 2, method=method, node_budget=budget)
-
-
-@pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (7, 2), (8, 2), (7, 3), (9, 3), (8, 4)])
-def test_matching_count_closed_form(n, k):
-    masks = list(enumerate_ksets(n, k))
-    disj = _disjointness(masks, _holders(masks))
-    for r in range(1, n // k + 2):
-        assert _matching_count(n, k, r) == len(_disjoint_tuples(disj, r)), r
 
 
 def test_node_budget_raises():
